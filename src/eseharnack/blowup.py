@@ -100,17 +100,21 @@ def estimate_blowup_time(trace: SolveTrace, p: float, k_tail: int = 8) -> float:
 # ---------------------------------------------------------------------------
 # threshold scanning and monotone growth
 
+def _argmax_at(trace: SolveTrace, i: int) -> tuple[tuple[float, ...], float]:
+    """Grid point where sample i peaks, and the sample's time."""
+    g = trace.grid
+    idx = np.unravel_index(int(np.argmax(trace.samples[i])), g.extents)
+    axes = g.axes()
+    return tuple(float(axes[d][idx[d]]) for d in range(g.dim)), float(trace.times[i])
+
+
 def first_threshold_hit(trace: SolveTrace, threshold: float) -> tuple[tuple[float, ...], float]:
     """First sampled (x, t) with f(x, t) >= threshold; ThresholdNeverMet otherwise."""
-    g = trace.grid
-    axes = g.axes()
-    for t, f in trace.samples:
-        if f.max() >= threshold:
-            flat = int(np.argmax(f.values))
-            idx = np.unravel_index(flat, g.extents)
-            x = tuple(float(axes[d][idx[d]]) for d in range(g.dim))
-            return x, t
-    raise ThresholdNeverMet(f"no sample reaches {threshold}")
+    _, ms = trace.max_curve()
+    hits = np.flatnonzero(ms >= threshold)
+    if not hits.size:
+        raise ThresholdNeverMet(f"no sample reaches {threshold}")
+    return _argmax_at(trace, hits[0])
 
 
 def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float,
@@ -141,19 +145,14 @@ def normalize_threshold_time(trace: SolveTrace, n: int, p: float, c: float
     if not n * (p - 1.0) <= c < 2.0:
         raise InvalidC(f"need n(p-1) <= c < 2, got c={c}")
     target = 4.0 * n / (2.0 - c)
-    g = trace.grid
-    axes = g.axes()
-    for t, f in trace.samples:
-        if t <= 0:
-            continue
-        if t * f.max() ** (p - 1.0) >= target:
-            flat = int(np.argmax(f.values))
-            idx = np.unravel_index(flat, g.extents)
-            x0 = tuple(float(axes[d][idx[d]]) for d in range(g.dim))
-            lam = t ** -0.5
-            return rescale_trace(trace, RescaleSpec(lam, p)), lam, (x0, t)
-    raise ThresholdNeverMet(
-        "no sample satisfies t * f^(p-1) >= 4n/(2-c); run longer or raise the data")
+    ts, ms = trace.max_curve()
+    hits = np.flatnonzero((ts > 0) & (ts * ms ** (p - 1.0) >= target))
+    if not hits.size:
+        raise ThresholdNeverMet(
+            "no sample satisfies t * f^(p-1) >= 4n/(2-c); run longer or raise the data")
+    x0, t = _argmax_at(trace, hits[0])
+    lam = t ** -0.5
+    return rescale_trace(trace, RescaleSpec(lam, p)), lam, (x0, t)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ from . import constants as co
 from . import harnack as ha
 from . import traceio
 from .errors import BetaZero, ConfigError, EseError, ThresholdNeverMet
-from .field import Grid, log_field
-from .integrate import (ConstantIC, GaussianIC, ProblemSpec, RescaleSpec,
-                        SolveTrace, StepConfig, TabulatedIC, rescale_problem,
-                        rescale_trace, solve)
+from .field import Field, Grid, log_field
+# rescale_trace is not called here, but bench/tracing.py times it as
+# eseharnack.cli.rescale_trace
+from .integrate import (ConstantIC, GaussianIC, ProblemSpec, RescaleSpec,  # noqa: F401
+                        SolveTrace, StepConfig, TabulatedIC, rescale_field,
+                        rescale_problem, rescale_trace, solve)
 
 KNOWN_CHECKS = ("h0", "hr", "residual", "blowup", "classical", "rescale")
 
@@ -274,7 +276,7 @@ def _check_blowup(trace: SolveTrace, rc: RunConfig) -> tuple[bool, dict]:
             _, t_hit = report.threshold_met_at
             try:
                 ok &= bl.center_monotonicity_check(trace, report.threshold_value,
-                                                   max(t_hit, trace.samples[0][0]))
+                                                   max(t_hit, trace.times[0]))
             except ThresholdNeverMet:
                 ok = False
     info = {
@@ -293,10 +295,10 @@ def _check_blowup(trace: SolveTrace, rc: RunConfig) -> tuple[bool, dict]:
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
     lo_t, hi_t = window
     best = math.inf
-    for t, f in trace.samples:
+    for t, values in zip(trace.times, trace.samples):
         if not lo_t <= t <= hi_t:
             continue
-        hr = ha.harnack_hr(log_field(f), t, k, p, loc)
+        hr = ha.harnack_hr(log_field(Field(trace.grid, values)), t, k, p, loc)
         finite = hr.values[np.isfinite(hr.values)]
         if finite.size:
             best = min(best, float(finite.min()))
@@ -422,7 +424,7 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
         all_pass &= summary["checks"]["classical"]
 
     if "rescale" in cs.enabled:
-        disc = rescale_commutation_discrepancy(rc.problem, rc.step,
+        disc = rescale_commutation_discrepancy(trace, rc.problem, rc.step,
                                                RescaleSpec(cs.rescale_lambda, p))
         summary["rescale"] = {"lambda": cs.rescale_lambda, "max_rel_discrepancy": disc}
         summary["checks"]["rescale"] = disc <= cs.rescale_tol
@@ -432,18 +434,23 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
     return (0 if all_pass else 1), summary
 
 
-def rescale_commutation_discrepancy(prob: ProblemSpec, cfg: StepConfig,
-                                    spec: RescaleSpec) -> float:
-    """max relative gap between solve-then-rescale and rescale-then-solve."""
-    direct = rescale_trace(solve(prob, cfg), spec)
+def rescale_commutation_discrepancy(trace: SolveTrace, prob: ProblemSpec,
+                                    cfg: StepConfig, spec: RescaleSpec) -> float:
+    """max relative gap between solve-then-rescale and rescale-then-solve,
+    where `trace` is the solve of `prob` under `cfg`.
+
+    The solved trace is rescaled one sample at a time, so no more than two
+    whole traces are held at once.
+    """
     other = solve(rescale_problem(prob, spec), cfg)
-    lo = max(direct.samples[0][0], other.samples[0][0])
-    hi = min(direct.t_final, other.t_final)
+    lo = max(spec.lam ** 2 * trace.times[0], other.times[0])
+    hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
     worst = 0.0
-    for t, f in direct.samples:
-        if not lo <= t <= hi:
+    for t, values in zip(trace.times, trace.samples):
+        f, st = rescale_field(Field(trace.grid, values), t, spec)
+        if not lo <= st <= hi:
             continue
-        g = other.field_at(t)
+        g = other.field_at(st)
         denom = float(np.abs(f.values).max())
         worst = max(worst, float(np.abs(f.values - g.values).max()) / denom)
     return worst

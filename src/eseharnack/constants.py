@@ -21,7 +21,6 @@ tells us for which (n, p) any admissible tuple exists at all.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -38,9 +37,6 @@ class HarnackConstants:
     def scaled(self, s: float) -> "HarnackConstants":
         """All four constants multiplied by s > 0 (H0 scales linearly)."""
         return HarnackConstants(s * self.alpha, s * self.beta, s * self.c, s * self.a)
-
-    def astuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha, self.beta, self.c, self.a)
 
 
 @dataclass(frozen=True)
@@ -162,38 +158,19 @@ class BestFeasibility:
     feasible: bool   # whether the queried n passes
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc, fd = fn(c), fn(d)
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+def best_feasibility(n: int, p: float) -> BestFeasibility:
+    """Maximize the feasibility margin over the ratio s = beta/alpha in [0, 1).
 
-
-def best_feasibility(n: int, p: float, tol: float = 1e-10) -> BestFeasibility:
-    """Maximize the feasibility margin over the ratio s = beta/alpha in [0, 1)."""
+    4((p-1) + 2s)(1 - s) is a concave quadratic with vertex s = (3-p)/4 and
+    vertex value (p+1)^2/2.  For p >= 3 the vertex lies at or left of s = 0,
+    so the endpoint value 4(p-1) is the maximum.
+    """
     if p <= 1:
         raise ValueError("need p > 1")
-    s_opt, lhs_max = _golden_max(lambda s: feasibility_lhs(p, s), 0.0, 1.0, tol)
-    # quadratic with interior max can also peak at the s = 0 endpoint
-    if feasibility_lhs(p, 0.0) >= lhs_max:
-        s_opt, lhs_max = 0.0, feasibility_lhs(p, 0.0)
+    if p < 3.0:
+        s_opt, lhs_max = (3.0 - p) / 4.0, (p + 1.0) ** 2 / 2.0
+    else:
+        s_opt, lhs_max = 0.0, 4.0 * (p - 1.0)
     n_limit = lhs_max / (p * (p - 1.0))
     return BestFeasibility(lhs_max, s_opt, n_limit, feasible=lhs_max >= p * (p - 1.0) * n)
 

@@ -18,9 +18,6 @@ from .errors import NonPositiveField
 
 BOUNDARIES = ("periodic", "reflecting")
 
-# np.pad modes realizing the two boundary rules for ghost points
-_PAD_MODE = {"periodic": "wrap", "reflecting": "reflect"}
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -213,46 +210,54 @@ def gaussian_halfwidth(width: float, rtol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # array-level stencils (shared by Field-level operators and the integrator)
 
-def _padded(values: np.ndarray, axis: int, mode: str) -> np.ndarray:
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 1)
-    return np.pad(values, pad, mode=mode)
+def fill_ghost(padded: np.ndarray, values: np.ndarray, boundary: str) -> np.ndarray:
+    """Copy values into the interior of `padded` (one cell larger on each side
+    of every axis) and fill its ghost cells by the boundary rule: periodic
+    copies the opposite edge, reflecting mirrors about the boundary node.
+    Returns `padded`."""
+    padded[(slice(1, -1),) * values.ndim] = values
+    lo_src, hi_src = (-2, 1) if boundary == "periodic" else (2, -3)
+    for ax in range(values.ndim):
+        view = padded.swapaxes(0, ax)
+        view[0] = view[lo_src]
+        view[-1] = view[hi_src]
+    return padded
 
-def _shift_slices(ndim: int, axis: int):
-    lo = [slice(None)] * ndim
-    mid = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
+
+def _ghosted(values: np.ndarray, grid: Grid) -> np.ndarray:
+    return fill_ghost(np.empty(tuple(n + 2 for n in values.shape)), values, grid.boundary)
+
+
+def shift_slices(ndim: int, axis: int):
+    """(minus, center, plus) views of a ghosted array along one axis."""
+    lo = [slice(1, -1)] * ndim
+    hi = [slice(1, -1)] * ndim
     lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
     hi[axis] = slice(2, None)
-    return tuple(lo), tuple(mid), tuple(hi)
+    return tuple(lo), (slice(1, -1),) * ndim, tuple(hi)
 
 
 def second_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, ghost points per boundary rule."""
-    p = _padded(values, axis, _PAD_MODE[grid.boundary])
-    lo, mid, hi = _shift_slices(values.ndim, axis)
+    p = _ghosted(values, grid)
+    lo, mid, hi = shift_slices(values.ndim, axis)
     h = grid.spacing[axis]
     return (p[lo] - 2.0 * p[mid] + p[hi]) / (h * h)
 
 
 def central_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i+1] - f[i-1]) / (2h) along one axis."""
-    p = _padded(values, axis, _PAD_MODE[grid.boundary])
-    lo, _, hi = _shift_slices(values.ndim, axis)
+    p = _ghosted(values, grid)
+    lo, _, hi = shift_slices(values.ndim, axis)
     h = grid.spacing[axis]
     return (p[hi] - p[lo]) / (2.0 * h)
 
 
 def laplacian_nd(values: np.ndarray, grid: Grid) -> np.ndarray:
-    # single pad over all axes; the plus-stencil never touches the corners
-    p = np.pad(values, 1, mode=_PAD_MODE[grid.boundary])
-    ndim = values.ndim
-    center = (slice(1, -1),) * ndim
+    p = _ghosted(values, grid)
     out = None
-    for axis in range(ndim):
-        plus = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(ndim))
-        minus = tuple(slice(0, -2) if a == axis else slice(1, -1) for a in range(ndim))
+    for axis in range(values.ndim):
+        minus, center, plus = shift_slices(values.ndim, axis)
         h = grid.spacing[axis]
         term = (p[plus] - 2.0 * p[center] + p[minus]) / (h * h)
         out = term if out is None else out + term

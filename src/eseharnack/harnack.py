@@ -188,7 +188,7 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     if hi <= lo:
         raise WindowTooSmall("empty time window")
     g = trace.grid
-    ts = trace.times()
+    ts = trace.times
     in_win = [i for i, t in enumerate(ts) if lo <= t <= hi]
     if len(in_win) < 3:
         raise WindowTooSmall(
@@ -202,8 +202,7 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
 
     def s_at(i: int) -> np.ndarray:
         if i not in s_cache:
-            _, f = trace.samples[i]
-            u = np.log(f.values)
+            u = np.log(trace.samples[i])
             s_cache[i] = (k.alpha * laplacian_nd(u, g)
                           + k.beta * grad_sq_nd(u, g)
                           + k.c * np.exp(u * (p - 1.0)))
@@ -212,8 +211,8 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     abs_resid: list[np.ndarray] = []
     ht_max = 0.0
     for i in centers:
-        t, f = trace.samples[i]
-        u = np.log(f.values)
+        t = ts[i]
+        u = np.log(trace.samples[i])
         x = np.exp(u * (p - 1.0))
         s = s_at(i)
         phi = k.a / t
@@ -302,10 +301,10 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     arg_x: tuple[float, ...] = ()
     arg_t = math.nan
     axes = g.axes()
-    for t, f in trace.samples:
+    for t, values in zip(trace.times, trace.samples):
         if not lo <= t <= hi:
             continue
-        h0 = harnack_h0(log_field(f), t, k, p)
+        h0 = harnack_h0(log_field(Field(g, values)), t, k, p)
         m = h0.min()
         curve.append((t, m))
         if m < best:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveField, OutOfWindow
-from .field import Field, Grid, require_positive
+from .field import Field, Grid, fill_ghost, require_positive, shift_slices
 
 
 # ---------------------------------------------------------------------------
@@ -122,41 +122,45 @@ class TraceStatus:
 
 @dataclass
 class SolveTrace:
-    """Sampled solution history plus step metadata."""
+    """Sampled solution history plus step metadata.
+
+    times    sample times, float64 of shape (n_samples,), increasing
+    samples  sampled values, float64 of shape (n_samples, *grid.extents)
+
+    Both arrays are read-only.
+    """
 
     grid: Grid
     p: float
-    samples: list[tuple[float, Field]]
+    times: np.ndarray
+    samples: np.ndarray
     status: TraceStatus
     step_log: np.ndarray
 
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+    def __post_init__(self):
+        self.times.setflags(write=False)
+        self.samples.setflags(write=False)
 
     @property
     def t_final(self) -> float:
-        return self.samples[-1][0]
+        return float(self.times[-1])
 
     def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        ts = self.times()
-        ms = np.array([f.max() for _, f in self.samples])
-        return ts, ms
+        return self.times, self.samples.max(axis=tuple(range(1, self.samples.ndim)))
 
     def window(self) -> tuple[float, float]:
-        return self.samples[0][0], self.samples[-1][0]
+        return float(self.times[0]), float(self.times[-1])
 
     def field_at(self, t: float) -> Field:
         """Linear-in-time interpolation between the bracketing samples."""
-        ts = self.times()
+        ts = self.times
         if not ts[0] <= t <= ts[-1]:
             raise OutOfWindow(f"t={t} outside sampled window [{ts[0]}, {ts[-1]}]")
         i = int(np.searchsorted(ts, t))
         if i == 0 or ts[i] == t:
-            return self.samples[i][1]
-        t0, f0 = self.samples[i - 1]
-        t1, f1 = self.samples[i]
-        w = (t - t0) / (t1 - t0)
-        return Field(self.grid, (1.0 - w) * f0.values + w * f1.values)
+            return Field(self.grid, self.samples[i])
+        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+        return Field(self.grid, (1.0 - w) * self.samples[i - 1] + w * self.samples[i])
 
     def value_at(self, x, t: float) -> float:
         """Multilinear in space, linear in time."""
@@ -190,37 +194,14 @@ class _Workspace:
         self.stage = np.empty(shape)
         self.acc = np.empty(shape)
         self.k = [np.empty(shape) for _ in range(4)]
-        nd = grid.dim
-        self._core = (slice(1, -1),) * nd
-        self._plus = [tuple(slice(2, None) if a == ax else slice(1, -1)
-                            for a in range(nd)) for ax in range(nd)]
-        self._minus = [tuple(slice(0, -2) if a == ax else slice(1, -1)
-                             for a in range(nd)) for ax in range(nd)]
-
-    def _fill_ghost(self, values: np.ndarray) -> None:
-        p = self.padded
-        p[self._core] = values
-        nd = self.grid.dim
-        periodic = self.grid.boundary == "periodic"
-        for ax in range(nd):
-            def at(i):
-                s = [slice(None)] * nd
-                s[ax] = i
-                return tuple(s)
-            if periodic:
-                p[at(0)] = p[at(-2)]
-                p[at(-1)] = p[at(1)]
-            else:
-                p[at(0)] = p[at(2)]
-                p[at(-1)] = p[at(-3)]
+        self._shifts = [shift_slices(grid.dim, ax) for ax in range(grid.dim)]
 
     def _rhs(self, values: np.ndarray, out: np.ndarray) -> None:
-        self._fill_ghost(values)
-        p = self.padded
         g = self.grid
-        for ax in range(g.dim):
+        p = fill_ghost(self.padded, values, g.boundary)
+        for ax, (minus, _, plus) in enumerate(self._shifts):
             dst = out if ax == 0 else self.tmp
-            np.add(p[self._plus[ax]], p[self._minus[ax]], out=dst)
+            np.add(p[plus], p[minus], out=dst)
             dst -= values
             dst -= values
             dst *= 1.0 / (g.spacing[ax] * g.spacing[ax])
@@ -299,7 +280,8 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     y_next = np.empty(grid.extents)
 
     t = 0.0
-    samples: list[tuple[float, Field]] = [(t, f0)]
+    times = [t]
+    samples = [f0.values]
     step_log: list[float] = []
     prev_max = f0.max()
     status: TraceStatus | None = None
@@ -326,16 +308,19 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         accepted += 1
         step_log.append(dt)
         if accepted % cfg.sample_stride == 0:
-            samples.append((t, Field(grid, y)))     # Field copies the buffer
+            times.append(t)
+            samples.append(y.copy())
         if y.max() > cfg.f_cap:
             status = TraceStatus.blowup(t, criterion="f_cap")
             break
 
     if status is None:
         status = TraceStatus.reached()
-    if samples[-1][0] != t:
-        samples.append((t, Field(grid, y)))
-    return SolveTrace(grid, prob.p, samples, status, np.asarray(step_log))
+    if times[-1] != t:
+        times.append(t)
+        samples.append(y)           # the stepping is over; np.stack copies it
+    return SolveTrace(grid, prob.p, np.array(times), np.stack(samples), status,
+                      np.asarray(step_log))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +357,11 @@ def rescale_problem(prob: ProblemSpec, spec: RescaleSpec) -> ProblemSpec:
 
 
 def rescale_trace(trace: SolveTrace, spec: RescaleSpec) -> SolveTrace:
-    samples = []
-    for t, f in trace.samples:
-        sf, st = rescale_field(f, t, spec)
-        samples.append((st, sf))
+    """rescale_field applied to every sample, the status time and the dt log."""
     status = trace.status
     if status.t_detect is not None:
         status = TraceStatus(status.kind, spec.lam ** 2 * status.t_detect,
                              status.reason, status.criterion)
-    return SolveTrace(samples[0][1].grid, trace.p, samples, status,
+    return SolveTrace(trace.grid.scaled(spec.lam), trace.p, spec.lam ** 2 * trace.times,
+                      trace.samples * spec.lam ** spec.delta, status,
                       trace.step_log * spec.lam ** 2)

@@ -11,9 +11,10 @@ A field snapshot is a small text header followed by the raw float64 values:
     ---
     <extents-many little-endian float64, C order>
 
-A trace directory holds metadata.json, steps.npy (the full accepted-dt log)
-and fields/000000.fld ... for the samples.  Floats in headers use repr, which
-round-trips exactly.
+A trace directory holds three files: metadata.json (grid, p, status and the
+sample times), steps.npy (the full accepted-dt log) and samples.npy (every
+sample stacked, float64 of shape (n_samples, *extents)).  Floats in headers
+and metadata use repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -46,31 +47,38 @@ def save_field(path, t: float, f: Field) -> None:
 
 
 def load_field(path) -> tuple[float, Field]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc}") from None
     sep = raw.find(b"---\n")
     if sep < 0:
         raise ConfigError(f"{path}: missing header terminator")
-    head = raw[:sep].decode("ascii").splitlines()
-    if not head or head[0] != _MAGIC:
-        raise ConfigError(f"{path}: not a field snapshot")
-    kv = dict(line.split("=", 1) for line in head[1:] if line)
-    extents = tuple(int(s) for s in kv["extents"].split(","))
-    box = tuple(tuple(float(v) for v in part.split(","))
-                for part in kv["box"].split(";"))
-    grid = Grid(box, extents, kv["boundary"])
-    values = np.frombuffer(raw[sep + 4:], dtype="<f8").reshape(extents)
-    return float(kv["time"]), Field(grid, values)
+    try:
+        head = raw[:sep].decode("ascii").splitlines()
+        if not head or head[0] != _MAGIC:
+            raise ConfigError(f"{path}: not a field snapshot")
+        kv = dict(line.split("=", 1) for line in head[1:] if line)
+        extents = tuple(int(s) for s in kv["extents"].split(","))
+        box = tuple(tuple(float(v) for v in part.split(","))
+                    for part in kv["box"].split(";"))
+        grid = Grid(box, extents, kv["boundary"])
+        t = float(kv["time"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: header is missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad header: {exc}") from None
+    body = raw[sep + 4:]
+    if len(body) != 8 * grid.size:
+        raise ConfigError(f"{path}: expected {8 * grid.size} bytes of float64 values "
+                          f"for extents {extents}, found {len(body)}")
+    return t, Field(grid, np.frombuffer(body, dtype="<f8").reshape(extents))
 
 
 def save_trace(outdir, trace: SolveTrace) -> None:
     out = Path(outdir)
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, (t, f) in enumerate(trace.samples):
-        name = f"{i:06d}.fld"
-        save_field(fields_dir / name, t, f)
-        files.append(name)
+    out.mkdir(parents=True, exist_ok=True)
+    np.save(out / "samples.npy", trace.samples)
     np.save(out / "steps.npy", trace.step_log)
     g = trace.grid
     meta = {
@@ -82,11 +90,17 @@ def save_trace(outdir, trace: SolveTrace) -> None:
                    "t_detect": trace.status.t_detect,
                    "reason": trace.status.reason,
                    "criterion": trace.status.criterion},
-        "sample_times": [t for t, _ in trace.samples],
-        "fields": files,
+        "sample_times": trace.times.tolist(),
         "n_steps": int(len(trace.step_log)),
     }
     (out / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def _load_npy(path: Path) -> np.ndarray:
+    try:
+        return np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_trace(outdir) -> SolveTrace:
@@ -94,16 +108,22 @@ def load_trace(outdir) -> SolveTrace:
     meta_path = out / "metadata.json"
     if not meta_path.exists():
         raise ConfigError(f"no trace at {out} (missing metadata.json)")
-    meta = json.loads(meta_path.read_text())
-    g = meta["grid"]
-    grid = Grid(tuple(tuple(iv) for iv in g["box"]), tuple(g["extents"]), g["boundary"])
-    samples = []
-    for name in meta["fields"]:
-        t, f = load_field(out / "fields" / name)
-        if f.grid != grid:
-            raise ConfigError(f"{name}: grid mismatch with metadata")
-        samples.append((t, f))
-    st = meta["status"]
-    status = TraceStatus(st["kind"], st["t_detect"], st["reason"], st["criterion"])
-    step_log = np.load(out / "steps.npy")
-    return SolveTrace(grid, float(meta["p"]), samples, status, step_log)
+    try:
+        meta = json.loads(meta_path.read_text())
+        g = meta["grid"]
+        grid = Grid(tuple(tuple(iv) for iv in g["box"]), tuple(g["extents"]), g["boundary"])
+        times = np.array(meta["sample_times"], dtype=np.float64)
+        st = meta["status"]
+        status = TraceStatus(st["kind"], st["t_detect"], st["reason"], st["criterion"])
+        p = float(meta["p"])
+    except KeyError as exc:
+        raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from None
+    samples_path = out / "samples.npy"
+    samples = _load_npy(samples_path)
+    expected = (len(times), *grid.extents)
+    if samples.dtype != np.float64 or samples.shape != expected:
+        raise ConfigError(f"{samples_path}: expected float64 of shape {expected} "
+                          f"from metadata.json, found {samples.dtype} of shape {samples.shape}")
+    return SolveTrace(grid, p, times, samples, status, _load_npy(out / "steps.npy"))

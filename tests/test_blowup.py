@@ -86,7 +86,7 @@ def test_tail_fit_reports_quality(const_run):
 def test_tail_fit_insufficient_samples():
     g = Grid.line(0.0, 1.0, 16)
     f = Field.constant(g, 1.0)
-    tr = SolveTrace(g, 2.0, [(0.0, f), (0.1, f)],
+    tr = SolveTrace(g, 2.0, np.array([0.0, 0.1]), np.stack([f.values, f.values]),
                     TraceStatus.blowup(0.1, "f_cap"), np.array([0.1]))
     with pytest.raises(InsufficientSamples):
         tail_fit(tr, 2.0)
@@ -96,7 +96,7 @@ def test_tail_fit_insufficient_samples():
 # center monotonicity and the t0 = 1 normalization
 
 def test_center_monotonicity_on_constant_growth(const_run):
-    assert center_monotonicity_check(const_run, threshold=1.0, t0=const_run.samples[1][0])
+    assert center_monotonicity_check(const_run, threshold=1.0, t0=const_run.times[1])
 
 
 def test_center_monotonicity_threshold_never_met(gauss128):
@@ -116,6 +116,21 @@ def test_peak5_blows_up_and_grows_from_threshold(peak5_run):
     x0, t0 = first_threshold_hit(peak5_run, blowup_threshold(1, 2.0, 1.0))
     assert t0 == 0.0            # peak 5 exceeds threshold 4 from the start
     assert x0 == (0.0,)
+
+
+def test_threshold_scans_match_per_sample_loop(peak5_run, const_run):
+    def loop_hit(trace, hit):
+        for t, values in zip(trace.times, trace.samples):
+            if hit(t, values.max()):
+                i = np.unravel_index(int(np.argmax(values)), trace.grid.extents)
+                return tuple(float(ax[j]) for ax, j in zip(trace.grid.axes(), i)), t
+        return None
+
+    for trace in (peak5_run, const_run):
+        for tau in (1.5, 4.0, 20.0):
+            assert first_threshold_hit(trace, tau) == loop_hit(trace, lambda t, m: m >= tau)
+        _, _, met = normalize_threshold_time(trace, 1, 2.0, 1.0)
+        assert met == loop_hit(trace, lambda t, m: t > 0 and t * m ** 1.0 >= 4.0)
 
 
 def test_normalization_puts_threshold_at_unit_time(peak5_run):

@@ -83,14 +83,57 @@ def test_trace_roundtrip(tmp_path):
     assert back.p == tr.p
     assert len(back.samples) == len(tr.samples)
     assert np.array_equal(back.step_log, tr.step_log)
-    for (t1, f1), (t2, f2) in zip(tr.samples[-3:], back.samples[-3:]):
-        assert t1 == t2
-        assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(back.times, tr.times)
+    assert np.array_equal(back.samples, tr.samples)
+    assert not (back.samples.flags.writeable or back.times.flags.writeable)
+    assert sorted(p.name for p in (tmp_path / "trace").iterdir()) == [
+        "metadata.json", "samples.npy", "steps.npy"]
 
 
 def test_load_trace_missing_dir(tmp_path):
     with pytest.raises(ConfigError):
         load_trace(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: raw[:-8], r"snap\.fld.*expected 128 bytes.*found 120"),
+    (lambda raw: raw.replace(b"boundary=periodic\n", b""), r"snap\.fld.*missing key 'boundary'"),
+])
+def test_load_field_malformed_names_file_and_fault(tmp_path, damage, message):
+    path = tmp_path / "snap.fld"
+    save_field(path, 0.0, Field.constant(Grid.line(0.0, 1.0, 16), 1.0))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigError, match=message):
+        load_field(path)
+
+
+def test_truncated_initial_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "snap.fld"
+    save_field(path, 0.0, Field.constant(Grid.line(0.0, 100.0, 16), 1.0))
+    path.write_bytes(path.read_bytes()[:-1])
+    cfg = write(tmp_path, "c.ini", CONST_INI.replace(
+        "initial = constant\nlevel = 1.0", f"initial = file\nfile = {path}"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "snap.fld" in capsys.readouterr().err
+
+
+def _drop_sample_times(path):
+    meta = json.loads(path.read_text())
+    del meta["sample_times"]
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("samples.npy", lambda path: np.save(path, np.load(path)[:-1]), r"samples\.npy.*shape"),
+    ("samples.npy", lambda path: path.unlink(), r"samples\.npy"),
+    ("metadata.json", _drop_sample_times, r"metadata\.json.*missing key 'sample_times'"),
+])
+def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
+    save_trace(tmp_path / "trace",
+               solve(constant_problem(t_end=0.5), StepConfig(sample_stride=1)))
+    damage(tmp_path / "trace" / name)
+    with pytest.raises(ConfigError, match=message):
+        load_trace(tmp_path / "trace")
 
 
 # ---------------------------------------------------------------------------

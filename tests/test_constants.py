@@ -106,6 +106,13 @@ def test_best_feasibility_p2():
     assert not best_feasibility(3, 2.0).feasible
 
 
+def test_best_feasibility_is_exact_for_p2():
+    # closed form: vertex s = (3-p)/4 with value (p+1)^2/2, no search error
+    best = best_feasibility(1, 2.0)
+    assert best.s_opt == 0.25
+    assert best.lhs_max == 4.5
+
+
 def test_best_feasibility_endpoint_cases():
     # s = 0 endpoint value is 4(p-1)
     assert feasibility_lhs(2.0, 0.0) == pytest.approx(4.0)

@@ -25,7 +25,8 @@ BLOWUP_K = preset("blowup(1,2,1)")[2]
 def test_h0_on_constant_solution_is_reaction_plus_time_term(const_run):
     # constants kill the derivative terms exactly: H0 = c f^(p-1) + a/t
     k, p = HAMILTON, 2.0
-    for t, f in const_run.samples[1:20]:
+    for t in const_run.times[1:20]:
+        f = const_run.field_at(t)
         u = log_field(f)
         h0 = harnack_h0(u, t, k, p)
         expected = k.c * f.values ** (p - 1.0) + k.a / t
@@ -43,8 +44,7 @@ def test_h0_requires_positive_time():
 
 
 def test_h0_blows_up_as_t_vanishes(gauss128):
-    _, f = gauss128.samples[1]
-    u = log_field(f)
+    u = log_field(gauss128.field_at(gauss128.times[1]))
     assert harnack_h0(u, 1e-9, HAMILTON, 2.0).min() >= 1e8
 
 
@@ -114,7 +114,8 @@ def peaked_run():
 
 def test_hr_dominates_h0_inside_rectangle(peaked_run):
     k, p = BLOWUP_K, 2.0
-    t, f = peaked_run.samples[len(peaked_run.samples) // 2]
+    t = peaked_run.times[len(peaked_run.times) // 2]
+    f = peaked_run.field_at(t)
     u = log_field(f)
     loc = make_localizer(((-4.0, 4.0),), 1, k)
     hr = harnack_hr(u, t, k, p, loc)
@@ -128,7 +129,8 @@ def test_hr_dominates_h0_inside_rectangle(peaked_run):
 
 def test_hr_positive_at_small_times(peaked_run):
     k, p = BLOWUP_K, 2.0
-    t, f = peaked_run.samples[1]
+    t = peaked_run.times[1]
+    f = peaked_run.field_at(t)
     hr = harnack_hr(log_field(f), t, k, p, make_localizer(((-4.0, 4.0),), 1, k))
     finite = hr.values[np.isfinite(hr.values)]
     assert finite.min() > 0
@@ -136,7 +138,8 @@ def test_hr_positive_at_small_times(peaked_run):
 
 def test_hr_tiny_rectangle_is_pole_dominated(peaked_run):
     k, p = BLOWUP_K, 2.0
-    t, f = peaked_run.samples[-1]
+    t = peaked_run.t_final
+    f = peaked_run.field_at(t)
     g = peaked_run.grid
     h = g.spacing[0]
     x0 = g.axis(0)[128]
@@ -148,7 +151,8 @@ def test_hr_tiny_rectangle_is_pole_dominated(peaked_run):
 
 
 def test_hr_rejects_beta_zero(peaked_run):
-    t, f = peaked_run.samples[1]
+    t = peaked_run.times[1]
+    f = peaked_run.field_at(t)
     loc = LocalizerSpec(((-4.0, 4.0),), 1.0, 100.0)
     with pytest.raises(BetaZero):
         harnack_hr(log_field(f), t, HAMILTON, 2.0, loc)
@@ -196,7 +200,7 @@ def test_h0_defect_shrinks_along_three_resolutions(gauss128, gauss256, gauss512)
 def test_residual_window_errors(gauss128):
     with pytest.raises(WindowTooSmall):
         evolution_residual(gauss128, HAMILTON, 2.0, (0.5, 0.5))
-    ts = gauss128.times()
+    ts = gauss128.times
     with pytest.raises(WindowTooSmall):
         evolution_residual(gauss128, HAMILTON, 2.0, (ts[3], ts[3] + 1e-12))
 
