@@ -31,10 +31,11 @@ from . import classical as cl
 from . import constants as co
 from . import harnack as ha
 from . import traceio
-from .errors import BetaZero, ConfigError, EseError, ThresholdNeverMet
-from .field import Field, Grid, log_field
-# rescale_trace is not called here, but bench/tracing.py times it as
-# eseharnack.cli.rescale_trace
+from .errors import (BetaZero, ConfigError, EseError, NonPositiveField,
+                     ThresholdNeverMet)
+# log_field and rescale_trace are not called here, but bench/tracing.py
+# times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
+from .field import Field, Grid, log_field  # noqa: F401
 from .integrate import (ConstantIC, GaussianIC, ProblemSpec, RescaleSpec,  # noqa: F401
                         SolveTrace, StepConfig, TabulatedIC, rescale_field,
                         rescale_problem, rescale_trace, solve)
@@ -72,16 +73,22 @@ class RunConfig:
     trace_dir: str | None = None
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _get(cp, section, key, cast):
+    """A required key, cast; ConfigError naming the key if it is missing or bad."""
     if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key '{key}'")
-        return default
+        raise ConfigError(f"[{section}] is missing required key '{key}'")
     raw = cp.get(section, key)
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+
+
+def _optional(cp, section, **casts) -> dict:
+    """The keys of `section` that the config sets, cast.  Keys it leaves out
+    are left out here too, so the dataclass they feed supplies the default."""
+    return {key: _get(cp, section, key, cast)
+            for key, cast in casts.items() if cp.has_option(section, key)}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -132,56 +139,46 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
     if not cp.has_section("problem"):
         raise ConfigError("config needs a [problem] section")
 
-    dim = _get(cp, "problem", "dim", int, required=True)
-    box = _get(cp, "problem", "box", _parse_intervals, required=True)
-    extents = _get(cp, "problem", "extents", _parse_ints, required=True)
+    dim = _get(cp, "problem", "dim", int)
+    box = _get(cp, "problem", "box", _parse_intervals)
+    extents = _get(cp, "problem", "extents", _parse_ints)
     if len(box) == 1 and dim > 1:
         box = box * dim
     if len(extents) == 1 and dim > 1:
         extents = extents * dim
-    boundary = _get(cp, "problem", "boundary", str, default="periodic")
     try:
-        grid = Grid(box, extents, boundary)
+        grid = Grid(box, extents, **_optional(cp, "problem", boundary=str))
     except ValueError as exc:
         raise ConfigError(f"[problem] grid: {exc}") from None
     if grid.dim != dim:
         raise ConfigError(f"[problem] dim={dim} but box has {grid.dim} axes")
 
-    kind = _get(cp, "problem", "initial", str, required=True).strip().lower()
-    if kind == "constant":
-        initial = ConstantIC(_get(cp, "problem", "level", float, required=True))
-    elif kind == "gaussian":
-        center = _get(cp, "problem", "center", _parse_floats, default=None)
-        initial = GaussianIC(
-            amplitude=_get(cp, "problem", "amplitude", float, required=True),
-            width=_get(cp, "problem", "width", float, required=True),
-            center=center)
-    elif kind == "file":
-        snap = _get(cp, "problem", "file", str, required=True)
-        _, f = traceio.load_field(snap)
-        if f.grid != grid:
-            raise ConfigError("[problem] file grid does not match configured grid")
-        initial = TabulatedIC(f.values)
-    else:
-        raise ConfigError(f"[problem] initial must be constant/gaussian/file, got {kind!r}")
-
+    kind = _get(cp, "problem", "initial", str).strip().lower()
+    p = _get(cp, "problem", "p", float)
+    t_end = _get(cp, "problem", "t_end", float)
     try:
-        problem = ProblemSpec(
-            grid=grid,
-            p=_get(cp, "problem", "p", float, required=True),
-            initial=initial,
-            t_end=_get(cp, "problem", "t_end", float, required=True),
-            reaction=_get(cp, "problem", "reaction", _parse_bool, default=True))
-    except (ValueError, EseError) as exc:
+        if kind == "constant":
+            initial = ConstantIC(_get(cp, "problem", "level", float))
+        elif kind == "gaussian":
+            initial = GaussianIC(_get(cp, "problem", "amplitude", float),
+                                 _get(cp, "problem", "width", float),
+                                 **_optional(cp, "problem", center=_parse_floats))
+        elif kind == "file":
+            _, f = traceio.load_field(_get(cp, "problem", "file", str))
+            if f.grid != grid:
+                raise ConfigError("[problem] file grid does not match configured grid")
+            initial = TabulatedIC(f.values)
+        else:
+            raise ConfigError(
+                f"[problem] initial must be constant/gaussian/file, got {kind!r}")
+        problem = ProblemSpec(grid, p, initial, t_end,
+                              **_optional(cp, "problem", reaction=_parse_bool))
+    except (ValueError, NonPositiveField) as exc:
         raise ConfigError(f"[problem]: {exc}") from None
 
     try:
-        step = StepConfig(
-            cfl_safety=_get(cp, "step", "cfl_safety", float, default=0.25),
-            reaction_safety=_get(cp, "step", "reaction_safety", float, default=0.05),
-            dt_min=_get(cp, "step", "dt_min", float, default=1e-12),
-            f_cap=_get(cp, "step", "f_cap", float, default=1e8),
-            sample_stride=_get(cp, "step", "sample_stride", int, default=4))
+        step = StepConfig(**_optional(cp, "step", cfl_safety=float, reaction_safety=float,
+                                      dt_min=float, f_cap=float, sample_stride=int))
     except ValueError as exc:
         raise ConfigError(f"[step]: {exc}") from None
 
@@ -197,40 +194,25 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
                 f"problem has (n={grid.dim}, p={problem.p})")
         source = name
     elif cp.has_section("constants"):
-        k = co.HarnackConstants(
-            alpha=_get(cp, "constants", "alpha", float, required=True),
-            beta=_get(cp, "constants", "beta", float, required=True),
-            c=_get(cp, "constants", "c", float, required=True),
-            a=_get(cp, "constants", "a", float, required=True))
+        k = co.HarnackConstants(*(_get(cp, "constants", key, float)
+                                  for key in ("alpha", "beta", "c", "a")))
         source = "explicit"
     else:
         raise ConfigError("config needs a [constants] section (preset or explicit tuple)")
 
-    checks = CheckSettings()
-    if cp.has_section("checks"):
-        enabled_raw = _get(cp, "checks", "enabled", str, default="")
-        enabled = tuple(v.strip() for v in enabled_raw.split(",") if v.strip())
-        for name in enabled:
-            if name not in KNOWN_CHECKS:
-                raise ConfigError(f"[checks] unknown check {name!r}; known: {KNOWN_CHECKS}")
-        checks = CheckSettings(
-            enabled=enabled,
-            t_min_frac=_get(cp, "checks", "t_min_frac", float, default=0.05),
-            t_max_frac=_get(cp, "checks", "t_max_frac", float, default=0.9),
-            h0_tol=_get(cp, "checks", "h0_tol", float, default=1e-2),
-            hr_rect=_get(cp, "checks", "hr_rect", _parse_intervals, default=None),
-            hr_b_margin=_get(cp, "checks", "hr_b_margin", float, default=1.05),
-            residual_tol=_get(cp, "checks", "residual_tol", float, default=5e-2),
-            classical_pairs=_get(cp, "checks", "classical_pairs", int, default=100),
-            classical_tol=_get(cp, "checks", "classical_tol", float, default=1e-3),
-            rescale_lambda=_get(cp, "checks", "rescale_lambda", float, default=2.0),
-            rescale_tol=_get(cp, "checks", "rescale_tol", float, default=1e-3),
-            blowup_c=_get(cp, "checks", "blowup_c", float, default=None))
-
-    outdir = _get(cp, "output", "dir", str, default="out") if cp.has_section("output") else "out"
-    trace_dir = (_get(cp, "verify", "trace_dir", str, default=None)
-                 if cp.has_section("verify") else None)
-    return RunConfig(problem, step, k, source, checks, outdir, trace_dir)
+    enabled = tuple(v.strip() for v in cp.get("checks", "enabled", fallback="").split(",")
+                    if v.strip())
+    for name in enabled:
+        if name not in KNOWN_CHECKS:
+            raise ConfigError(f"[checks] unknown check {name!r}; known: {KNOWN_CHECKS}")
+    checks = CheckSettings(enabled, **_optional(
+        cp, "checks", t_min_frac=float, t_max_frac=float, h0_tol=float,
+        hr_rect=_parse_intervals, hr_b_margin=float, residual_tol=float,
+        classical_pairs=int, classical_tol=float, rescale_lambda=float,
+        rescale_tol=float, blowup_c=float))
+    return RunConfig(problem, step, k, source, checks,
+                     cp.get("output", "dir", fallback=RunConfig.outdir),
+                     cp.get("verify", "trace_dir", fallback=None))
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +239,28 @@ def write_summary(path, summary: dict) -> None:
 # ---------------------------------------------------------------------------
 # verify pipeline (shared by verify and sweep)
 
-def _check_blowup(trace: SolveTrace, rc: RunConfig) -> tuple[bool, dict]:
+def _run_summary(trace: SolveTrace, report: bl.BlowupReport,
+                 k: co.HarnackConstants) -> dict:
+    """The summary keys solve and verify share: the constants, the regime and
+    how the solve ended."""
+    out = {"status": trace.status.kind, "n_steps": int(len(trace.step_log)),
+           "constants": {"alpha": k.alpha, "beta": k.beta, "c": k.c, "a": k.a},
+           "regime": report.regime}
+    if report.detected:
+        out["t_detect"] = trace.status.t_detect
+        out["t_estimate"] = report.t_estimate
+    if trace.status.kind == "aborted":
+        out["abort_reason"] = trace.status.reason
+    return out
+
+
+def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dict]:
     """Consistency checks around the blowup machinery.
 
     If blowup was detected, the extrapolated time must lie ahead of the last
     sample and, when the threshold was crossed, the center max must grow
     monotonically from the crossing on.
     """
-    n, p = rc.problem.n, rc.problem.p
-    c = rc.checks.blowup_c
-    if c is None and n * (p - 1.0) <= rc.constants.c < 2.0:
-        c = rc.constants.c
-    report = bl.blowup_report(trace, n, p, c)
     ok = True
     if report.detected:
         ok &= report.t_estimate is not None and report.t_estimate > 0.95 * trace.t_final
@@ -293,12 +285,10 @@ def _check_blowup(trace: SolveTrace, rc: RunConfig) -> tuple[bool, dict]:
 
 
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
-    lo_t, hi_t = window
     best = math.inf
-    for t, values in zip(trace.times, trace.samples):
-        if not lo_t <= t <= hi_t:
-            continue
-        hr = ha.harnack_hr(log_field(Field(trace.grid, values)), t, k, p, loc)
+    for i in ha.window_indices(trace.times, window):
+        hr = ha.harnack_hr(Field(trace.grid, np.log(trace.samples[i])),
+                           trace.times[i], k, p, loc)
         finite = hr.values[np.isfinite(hr.values)]
         if finite.size:
             best = min(best, float(finite.min()))
@@ -336,31 +326,27 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
     else:
         trace = solve(rc.problem, rc.step)
 
+    cs = rc.checks
+    check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
+    c = cs.blowup_c
+    if c is None and n * (p - 1.0) <= k.c < 2.0:
+        c = k.c
+    blowup = bl.blowup_report(trace, n, p, c if check_blowup else None)
     summary: dict = {
-        "status": trace.status.kind,
-        "constants": {"alpha": k.alpha, "beta": k.beta, "c": k.c, "a": k.a,
-                      "source": rc.constants_source},
+        **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,
         "violated": [v.name for v in verdict.violated],
-        "regime": bl.classify_regime(n, p),
-        "n_steps": int(len(trace.step_log)),
         "min_h0": None,
         "residual_stats": None,
         "classical_pass_fraction": None,
         "checks": {},
         "seed": seed,
     }
-    if trace.status.kind == "blowup":
-        summary["t_detect"] = trace.status.t_detect
-        t_est, _ = bl.tail_fit(trace, p)
-        summary["t_estimate"] = t_est
-
+    summary["constants"]["source"] = rc.constants_source
     if trace.status.kind == "aborted":
-        summary["abort_reason"] = trace.status.reason
         write_summary(out / "summary.json", summary)
         return 3, summary
 
-    cs = rc.checks
     window = ha.default_window(trace, cs.t_min_frac, cs.t_max_frac)
     all_pass = True
 
@@ -404,8 +390,8 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
         summary["checks"]["residual"] = stats.mean_rel <= cs.residual_tol
         all_pass &= summary["checks"]["residual"]
 
-    if "blowup" in cs.enabled:
-        ok, info = _check_blowup(trace, rc)
+    if check_blowup:
+        ok, info = _check_blowup(trace, blowup)
         summary["blowup"] = info
         summary["checks"]["blowup"] = ok
         all_pass &= ok
@@ -446,10 +432,8 @@ def rescale_commutation_discrepancy(trace: SolveTrace, prob: ProblemSpec,
     lo = max(spec.lam ** 2 * trace.times[0], other.times[0])
     hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
     worst = 0.0
-    for t, values in zip(trace.times, trace.samples):
-        f, st = rescale_field(Field(trace.grid, values), t, spec)
-        if not lo <= st <= hi:
-            continue
+    for i in ha.window_indices(spec.lam ** 2 * trace.times, (lo, hi)):
+        f, st = rescale_field(Field(trace.grid, trace.samples[i]), trace.times[i], spec)
         g = other.field_at(st)
         denom = float(np.abs(f.values).max())
         worst = max(worst, float(np.abs(f.values - g.values).max()) / denom)
@@ -465,23 +449,12 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace = solve(rc.problem, rc.step)
     traceio.save_trace(out / "trace", trace)
-    summary = {
-        "status": trace.status.kind,
-        "n_steps": int(len(trace.step_log)),
-        "n_samples": len(trace.samples),
-        "t_final": trace.t_final,
-        "constants": {"alpha": rc.constants.alpha, "beta": rc.constants.beta,
-                      "c": rc.constants.c, "a": rc.constants.a},
-        "regime": bl.classify_regime(rc.problem.n, rc.problem.p),
-    }
-    if trace.status.kind == "blowup":
-        summary["t_detect"] = trace.status.t_detect
+    report = bl.blowup_report(trace, rc.problem.n, rc.problem.p)
+    summary = {**_run_summary(trace, report, rc.constants),
+               "n_samples": len(trace.samples), "t_final": trace.t_final}
+    if report.detected:
         summary["detection_criterion"] = trace.status.criterion
-        t_est, quality = bl.tail_fit(trace, rc.problem.p)
-        summary["t_estimate"] = t_est
-        summary["fit_residual"] = quality
-    if trace.status.kind == "aborted":
-        summary["abort_reason"] = trace.status.reason
+        summary["fit_residual"] = report.fit_residual
     write_summary(out / "summary.json", summary)
     print(f"status: {trace.status.kind}  samples: {len(trace.samples)}  out: {out}")
     return 3 if trace.status.kind == "aborted" else 0
@@ -547,8 +520,8 @@ def _axis_points(axes: list[tuple[str, str, list[str]]]):
 
 def _sweep_worker(packed):
     config_path, overrides, outdir, seed, allow_inadmissible = packed
-    rc = load_config(config_path, overrides=overrides)
     try:
+        rc = load_config(config_path, overrides=overrides)
         code, summary = run_pipeline(rc, Path(outdir), seed, allow_inadmissible,
                                      require_checks=False)
     except EseError as exc:

@@ -28,21 +28,34 @@ import numpy as np
 
 from .constants import HarnackConstants, a_lower
 from .errors import BetaZero, NonPositiveTime, WindowTooSmall
-from .field import (Field, grad_sq_nd, gradient_nd, hessian_sq_nd,
+# log_field is not called here, but bench/tracing.py times it as
+# eseharnack.harnack.log_field
+from .field import (Field, Grid, grad_sq_nd, gradient_nd, hessian_sq_nd,  # noqa: F401
                     laplacian_nd, log_field)
 from .integrate import SolveTrace
+
+
+def _solution_part(u: np.ndarray, grid: Grid, k: HarnackConstants,
+                   p: float) -> np.ndarray:
+    """alpha*lap(u) + beta*|grad u|^2 + c*exp(u(p-1)): H without its time
+    (a/t) or cutoff (phi_R) term."""
+    return (k.alpha * laplacian_nd(u, grid)
+            + k.beta * grad_sq_nd(u, grid)
+            + k.c * np.exp(u * (p - 1.0)))
+
+
+def window_indices(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Indices of the samples with lo <= t <= hi; for the increasing times of
+    a trace they form one contiguous run."""
+    lo, hi = window
+    return np.flatnonzero((lo <= times) & (times <= hi))
 
 
 def harnack_h0(u: Field, t: float, k: HarnackConstants, p: float) -> Field:
     """Pointwise H0 for u = log f at time t > 0."""
     if t <= 0:
         raise NonPositiveTime(f"H0 needs t > 0, got {t}")
-    g = u.grid
-    vals = (k.alpha * laplacian_nd(u.values, g)
-            + k.beta * grad_sq_nd(u.values, g)
-            + k.c * np.exp(u.values * (p - 1.0))
-            + k.a / t)
-    return Field(g, vals)
+    return Field(u.grid, _solution_part(u.values, u.grid, k, p) + k.a / t)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +154,7 @@ def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float,
     if t <= 0:
         raise NonPositiveTime(f"H_R needs t > 0, got {t}")
     g = u.grid
-    base = (k.alpha * laplacian_nd(u.values, g)
-            + k.beta * grad_sq_nd(u.values, g)
-            + k.c * np.exp(u.values * (p - 1.0)))
-    return Field(g, base + _phi_r_grid(g, t, loc))
+    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_grid(g, t, loc))
 
 
 # ---------------------------------------------------------------------------
@@ -183,41 +193,38 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     exact -a/t^2 (differencing a known closed form would only add quadrature
     noise).  Spatial terms use the central stencils.  Values are normalized
     by max |H_t| over the window.
+
+    The centres are walked in order, holding the solution part of H at the
+    previous, current and next sample only.
     """
     lo, hi = t_window
     if hi <= lo:
         raise WindowTooSmall("empty time window")
     g = trace.grid
     ts = trace.times
-    in_win = [i for i, t in enumerate(ts) if lo <= t <= hi]
+    in_win = window_indices(ts, t_window)
     if len(in_win) < 3:
         raise WindowTooSmall(
             f"need >= 3 samples in window, found {len(in_win)}")
-    centers = [i for i in in_win if 0 < i < len(ts) - 1]
-    if not centers:
+    centers = in_win[(in_win > 0) & (in_win < len(ts) - 1)]
+    if not len(centers):
         raise WindowTooSmall("no window sample has both time neighbors")
 
-    # solution-dependent part of H (H minus a/t), cached per sample index
-    s_cache: dict[int, np.ndarray] = {}
-
-    def s_at(i: int) -> np.ndarray:
-        if i not in s_cache:
-            u = np.log(trace.samples[i])
-            s_cache[i] = (k.alpha * laplacian_nd(u, g)
-                          + k.beta * grad_sq_nd(u, g)
-                          + k.c * np.exp(u * (p - 1.0)))
-        return s_cache[i]
-
-    abs_resid: list[np.ndarray] = []
-    ht_max = 0.0
-    for i in centers:
-        t = ts[i]
+    def log_and_part(i):
         u = np.log(trace.samples[i])
+        return u, _solution_part(u, g, k, p)
+
+    _, s_prev = log_and_part(centers[0] - 1)
+    u, s = log_and_part(centers[0])
+    abs_resid = np.empty((len(centers), *g.extents))
+    ht_max = 0.0
+    for row, i in zip(abs_resid, centers):
+        u_next, s_next = log_and_part(i + 1)
+        t = ts[i]
         x = np.exp(u * (p - 1.0))
-        s = s_at(i)
         phi = k.a / t
         h = s + phi
-        h_t = _dt_nonuniform(s_at(i - 1), s, s_at(i + 1),
+        h_t = _dt_nonuniform(s_prev, s, s_next,
                              ts[i - 1], t, ts[i + 1]) - k.a / t ** 2
         grad_u = gradient_nd(u, g)
         grad_h = gradient_nd(s, g)       # a/t is spatially constant
@@ -230,12 +237,12 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
                * grad_sq_nd(u, g)
                - (p - 1.0) * x * phi
                - k.a / t ** 2)
-        abs_resid.append(np.abs(h_t - rhs))
+        np.abs(h_t - rhs, out=row)
         ht_max = max(ht_max, float(np.abs(h_t).max()))
+        s_prev, u, s = s, u_next, s_next
 
-    stacked = np.stack(abs_resid)
-    return ResidualStats(max_abs=float(stacked.max()),
-                         mean_abs=float(stacked.mean()),
+    return ResidualStats(max_abs=float(abs_resid.max()),
+                         mean_abs=float(abs_resid.mean()),
                          normalizer=ht_max,
                          n_times=len(centers))
 
@@ -292,8 +299,7 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     """Minimum of H0 over grid x window, with argmin and per-sample curve."""
     if t_window is None:
         t_window = default_window(trace)
-    lo, hi = t_window
-    if lo <= 0:
+    if t_window[0] <= 0:
         raise NonPositiveTime("window must start at t > 0")
     g = trace.grid
     curve: list[tuple[float, float]] = []
@@ -301,15 +307,14 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     arg_x: tuple[float, ...] = ()
     arg_t = math.nan
     axes = g.axes()
-    for t, values in zip(trace.times, trace.samples):
-        if not lo <= t <= hi:
-            continue
-        h0 = harnack_h0(log_field(Field(g, values)), t, k, p)
-        m = h0.min()
+    for i in window_indices(trace.times, t_window):
+        t = trace.times[i]
+        h0 = _solution_part(np.log(trace.samples[i]), g, k, p) + k.a / t
+        m = float(h0.min())
         curve.append((t, m))
         if m < best:
             best = m
-            flat = int(np.argmin(h0.values))
+            flat = int(np.argmin(h0))
             idx = np.unravel_index(flat, g.extents)
             arg_x = tuple(float(axes[d][idx[d]]) for d in range(g.dim))
             arg_t = t

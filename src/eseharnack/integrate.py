@@ -29,8 +29,8 @@ class ConstantIC:
     level: float
 
     def __post_init__(self):
-        if self.level <= 0:
-            raise NonPositiveField("constant initial data must be positive")
+        if not self.level > 0:
+            raise NonPositiveField(f"constant initial data needs level > 0, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,11 @@ class GaussianIC:
     amplitude: float
     width: float
     center: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("amplitude", "width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"need {name} > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,15 @@ class ProblemSpec:
     reaction: bool = True  # False integrates the pure heat equation (sanity runs)
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("need p > 1")
-        if self.t_end <= 0:
-            raise ValueError("need t_end > 0")
+        if not self.p > 1:
+            raise ValueError(f"need p > 1, got {self.p}")
+        if not self.t_end > 0:
+            raise ValueError(f"need t_end > 0, got {self.t_end}")
+        ic = self.initial
+        if isinstance(ic, GaussianIC) and ic.center is not None \
+                and np.size(ic.center) != self.grid.dim:
+            raise ValueError(f"center has {np.size(ic.center)} coordinates, "
+                             f"the grid has {self.grid.dim} axes")
 
     @property
     def n(self) -> int:
@@ -78,10 +88,14 @@ class StepConfig:
     sample_stride: int = 4
 
     def __post_init__(self):
-        if not 0 < self.cfl_safety <= 1 or not 0 < self.reaction_safety <= 1:
-            raise ValueError("safety factors must lie in (0, 1]")
-        if self.dt_min <= 0 or self.f_cap <= 0 or self.sample_stride < 1:
-            raise ValueError("dt_min, f_cap must be positive and sample_stride >= 1")
+        for name in ("cfl_safety", "reaction_safety"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        for name in ("dt_min", "f_cap"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
 def initial_field(prob: ProblemSpec) -> Field:

@@ -126,4 +126,9 @@ def load_trace(outdir) -> SolveTrace:
     if samples.dtype != np.float64 or samples.shape != expected:
         raise ConfigError(f"{samples_path}: expected float64 of shape {expected} "
                           f"from metadata.json, found {samples.dtype} of shape {samples.shape}")
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError(f"{meta_path}: sample_times must be strictly increasing")
+    low = samples.min(initial=np.inf)
+    if not low > 0:
+        raise ConfigError(f"{samples_path}: samples must be positive, found min {low}")
     return SolveTrace(grid, p, times, samples, status, _load_npy(out / "steps.npy"))

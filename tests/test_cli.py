@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from eseharnack import Field, Grid, StepConfig, solve
-from eseharnack.cli import load_config, main
+from eseharnack import blowup as bl
+from eseharnack.blowup import tail_fit
+from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
 from eseharnack.traceio import load_field, load_trace, save_field, save_trace
 
@@ -123,10 +125,18 @@ def _drop_sample_times(path):
     path.write_text(json.dumps(meta))
 
 
+def _reverse_sample_times(path):
+    meta = json.loads(path.read_text())
+    meta["sample_times"].reverse()
+    path.write_text(json.dumps(meta))
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("samples.npy", lambda path: np.save(path, np.load(path)[:-1]), r"samples\.npy.*shape"),
     ("samples.npy", lambda path: path.unlink(), r"samples\.npy"),
     ("metadata.json", _drop_sample_times, r"metadata\.json.*missing key 'sample_times'"),
+    ("samples.npy", lambda path: np.save(path, -np.load(path)), r"samples\.npy.*positive"),
+    ("metadata.json", _reverse_sample_times, r"metadata\.json.*increasing"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -175,6 +185,31 @@ def test_config_rejects_preset_mismatch(tmp_path):
 def test_config_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ConfigError, match="line"):
         load_config(write(tmp_path, "bad.ini", "[problem]\n  broken line without key\n"))
+
+
+@pytest.mark.parametrize("key", ["t_end", "dt_min", "f_cap", "cfl_safety",
+                                 "reaction_safety"])
+def test_config_rejects_nan(tmp_path, key):
+    section = "problem" if key == "t_end" else "step"
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg, overrides=[(section, key, "nan")])
+
+
+def test_config_rejects_center_of_wrong_length(tmp_path):
+    bad = GAUSS_INI.replace("center = 0.0", "center = 0.0, 0.0")
+    with pytest.raises(ConfigError, match="center"):
+        load_config(write(tmp_path, "bad.ini", bad))
+
+
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    rc = load_config(write(tmp_path, "c.ini", CONST_INI.replace(
+        "sample_stride = 1\nreaction_safety = 0.02\n", "")))
+    assert rc.step == StepConfig()
+    assert rc.checks == CheckSettings()
+    assert rc.problem.reaction is True
+    assert rc.problem.grid.boundary == "periodic"
+    assert (rc.outdir, rc.trace_dir) == ("out", None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +348,28 @@ def test_cmd_verify_missing_trace_dir(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cmd_verify_zero_width_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "g.ini", GAUSS_INI.replace("width = 0.2", "width = 0"))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "width" in capsys.readouterr().err
+
+
+def test_cmd_verify_fits_the_blowup_tail_once(tmp_path, monkeypatch):
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return tail_fit(*args, **kwargs)
+
+    monkeypatch.setattr(bl, "tail_fit", counted)
+    cfg = write(tmp_path, "c.ini", CONST_INI + "\n[checks]\nenabled = blowup\n")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_estimate"] == summary["blowup"]["t_estimate"]
+    assert len(fits) == 1
+
+
 def test_cmd_solve_abort_exits_three(tmp_path):
     # heat-only decay with an absurd dt floor: the step cap dives under it
     # without growth, which is an abort, not a blowup
@@ -385,6 +442,21 @@ def test_cmd_sweep_rescale_axis(tmp_path):
     for i in range(2):
         summary = json.loads((out / f"point_{i:03d}" / "summary.json").read_text())
         assert summary["checks"]["rescale"] is True
+
+
+@pytest.mark.parametrize("ini, axis", [
+    (GAUSS_INI, "problem.width=0.2,-0.1"),
+    (CONST_INI, "problem.level=1.0,-1"),
+], ids=["width", "level"])
+def test_cmd_sweep_records_a_bad_point_and_runs_the_rest(tmp_path, ini, axis):
+    cfg = write(tmp_path, "s.ini", ini.replace(
+        "enabled = h0, residual, blowup, classical, rescale", "enabled = h0"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis]) == 2
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 3
+    assert ",config_error," not in rows[1]
+    assert ",config_error," in rows[2]
 
 
 def test_cmd_sweep_without_axis_is_error(tmp_path):

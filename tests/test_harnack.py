@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
                         harnack_h0, harnack_hr, localizer_min_b, log_field,
                         make_localizer, phi_r, preset, solve)
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
+from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
+                              laplacian_nd)
+from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
 
@@ -203,6 +207,67 @@ def test_residual_window_errors(gauss128):
     ts = gauss128.times
     with pytest.raises(WindowTooSmall):
         evolution_residual(gauss128, HAMILTON, 2.0, (ts[3], ts[3] + 1e-12))
+
+
+def _cached_residual(trace, k, p, window):
+    """The residual computed with every window sample's H - a/t cached and
+    the per-centre residuals stacked: the reference for the streaming code."""
+    g, ts = trace.grid, trace.times
+    centers = [i for i, t in enumerate(ts)
+               if window[0] <= t <= window[1] and 0 < i < len(ts) - 1]
+    cache = {}
+
+    def s_at(i):
+        if i not in cache:
+            u = np.log(trace.samples[i])
+            cache[i] = (k.alpha * laplacian_nd(u, g) + k.beta * grad_sq_nd(u, g)
+                        + k.c * np.exp(u * (p - 1.0)))
+        return cache[i]
+
+    resid, ht_max = [], 0.0
+    for i in centers:
+        t, u, s = ts[i], np.log(trace.samples[i]), s_at(i)
+        x = np.exp(u * (p - 1.0))
+        hm, hp = t - ts[i - 1], ts[i + 1] - t
+        h_t = (hm / hp * (s_at(i + 1) - s) + hp / hm * (s - s_at(i - 1))) / (hm + hp) \
+            - k.a / t ** 2
+        adv = sum(gh * gu for gh, gu in zip(gradient_nd(s, g), gradient_nd(u, g)))
+        rhs = (laplacian_nd(s, g) + 2.0 * adv + (p - 1.0) * x * (s + k.a / t)
+               + 2.0 * (k.alpha - k.beta) * hessian_sq_nd(u, g)
+               + (k.alpha * (p - 1.0) + k.beta - k.c * p) * (p - 1.0) * x
+               * grad_sq_nd(u, g)
+               - (p - 1.0) * x * (k.a / t) - k.a / t ** 2)
+        resid.append(np.abs(h_t - rhs))
+        ht_max = max(ht_max, float(np.abs(h_t).max()))
+    stacked = np.stack(resid)
+    return float(stacked.max()), float(stacked.mean()), ht_max, len(centers)
+
+
+def test_residual_matches_cached_reference(gauss128):
+    window = default_window(gauss128)
+    stats = evolution_residual(gauss128, IMPROVED, 2.0, window)
+    assert (stats.max_abs, stats.mean_abs, stats.normalizer, stats.n_times) == \
+        _cached_residual(gauss128, IMPROVED, 2.0, window)
+
+
+def test_residual_streams_its_samples():
+    # beside its (n_centres, *extents) result the residual holds a bounded
+    # number of field-sized arrays, however long the window
+    g = Grid.uniform(0.0, 2 * np.pi, 32, dim=2)
+    x, y = g.mesh()
+    ts = np.linspace(0.01, 1.2, 120)
+    samples = np.stack([2.0 + np.sin(x) * np.cos(y) * np.exp(-t) for t in ts])
+    trace = SolveTrace(g, 2.0, ts, samples, TraceStatus.reached(), np.zeros(0))
+    window = (ts[0], ts[-1])
+    stats = evolution_residual(trace, HAMILTON, 2.0, window)
+    assert stats.n_times == 118
+    tracemalloc.start()
+    try:
+        evolution_residual(trace, HAMILTON, 2.0, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (stats.n_times + 32) * samples[0].nbytes
 
 
 # ---------------------------------------------------------------------------
