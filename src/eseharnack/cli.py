@@ -286,9 +286,10 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
 
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
     best = math.inf
+    parts = ha.cutoff_parts(trace.grid, loc)
     for i in ha.window_indices(trace.times, window):
         hr = ha.harnack_hr(Field(trace.grid, np.log(trace.samples[i])),
-                           trace.times[i], k, p, loc)
+                           trace.times[i], k, p, loc, parts)
         finite = hr.values[np.isfinite(hr.values)]
         if finite.size:
             best = min(best, float(finite.min()))

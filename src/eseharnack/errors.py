@@ -59,3 +59,9 @@ class UnknownPreset(EseError):
 
 class ConfigError(EseError):
     """Malformed or inconsistent run configuration."""
+
+
+class CapBelowInitial(ConfigError, ValueError):
+    """[step] f_cap at or below the initial maximum, so the run would be
+    declared a blowup before its first step.  Also a ValueError, so callers
+    of `solve` that catch ValueError for a bad step config still catch it."""

@@ -2,14 +2,17 @@
 
 Fields live on a rectangular box in 1, 2 or 3 dimensions with a uniform
 boundary rule, either periodic (wrap) or reflecting (even extension about the
-boundary node).  All spatial derivatives use second-order central stencils;
+boundary node).  All spatial derivatives use second-order central stencils,
+applied by one operator per grid (`Stencil`) that owns the boundary rule;
 convergence order is verified in the test suite.  Fields are immutable after
 construction, so the operators are pure functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,11 +56,16 @@ class Grid:
     def dim(self) -> int:
         return len(self.box)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         if self.boundary == "periodic":
             return tuple((hi - lo) / n for (lo, hi), n in zip(self.box, self.extents))
         return tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(self.box, self.extents))
+
+    @cached_property
+    def stencil(self) -> "Stencil":
+        """The grid's stencil operator, built on first use."""
+        return Stencil(self)
 
     @property
     def size(self) -> int:
@@ -208,59 +216,106 @@ def gaussian_halfwidth(width: float, rtol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array-level stencils (shared by Field-level operators and the integrator)
+# the stencil operator and the array-level stencils built on it
 
-def fill_ghost(padded: np.ndarray, values: np.ndarray, boundary: str) -> np.ndarray:
-    """Copy values into the interior of `padded` (one cell larger on each side
-    of every axis) and fill its ghost cells by the boundary rule: periodic
-    copies the opposite edge, reflecting mirrors about the boundary node.
-    Returns `padded`."""
-    padded[(slice(1, -1),) * values.ndim] = values
-    lo_src, hi_src = (-2, 1) if boundary == "periodic" else (2, -3)
-    for ax in range(values.ndim):
-        view = padded.swapaxes(0, ax)
-        view[0] = view[lo_src]
-        view[-1] = view[hi_src]
-    return padded
+def _outside_neighbors(n: int, boundary: str) -> tuple[int, int]:
+    """The boundary rule: indices of the values that stand in for the points
+    just below index 0 and just above index n-1 of an axis of n points.
+    Periodic takes the opposite edge; reflecting mirrors about the boundary
+    node."""
+    return (n - 1, 0) if boundary == "periodic" else (1, n - 2)
 
 
-def _ghosted(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return fill_ghost(np.empty(tuple(n + 2 for n in values.shape)), values, grid.boundary)
+def _pair(i: int, j: int) -> slice:
+    """The basic slice that selects index i, then index j (i != j)."""
+    stop = j + 1 if j > i else j - 1
+    return slice(i, stop if stop >= 0 else None, j - i)
 
 
-def shift_slices(ndim: int, axis: int):
-    """(minus, center, plus) views of a ghosted array along one axis."""
-    lo = [slice(1, -1)] * ndim
-    hi = [slice(1, -1)] * ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return tuple(lo), (slice(1, -1),) * ndim, tuple(hi)
+class Stencil:
+    """Three-point central stencils on one grid, read straight from the
+    unpadded values (no ghost cells).
+
+    Built once per grid (see `Grid.stencil`).  For each axis it holds a plan
+    of (dst, minus, plus) views:
+    - one contiguous run of the flattened array, offset by the axis's
+      element stride, for the points whose neighbours are in the array;
+    - both edges of the axis (indices 0 and n-1) as one two-element strided
+      view, with their outside neighbours taken from `_outside_neighbors`.
+    On every axis but the first the run also covers the edge points, with
+    wrong neighbours; the edge views then overwrite them.
+    """
+
+    def __init__(self, grid: Grid):
+        self.shape = grid.extents
+        self.inv_h2 = tuple(1.0 / (h * h) for h in grid.spacing)
+        size = grid.size
+        plans = []
+        for axis, n in enumerate(self.shape):
+            s = math.prod(self.shape[axis + 1:])
+            run = (slice(s, size - s), slice(0, size - 2 * s), slice(2 * s, size))
+            below, above = _outside_neighbors(n, grid.boundary)
+            lead = (slice(None),) * axis
+            edges = (lead + (_pair(0, n - 1),), lead + (_pair(below, n - 2),),
+                     lead + (_pair(1, above),))
+            plans.append((run, edges))
+        self._plans = tuple(plans)
+
+    def apply(self, kernel: Callable, values: np.ndarray, axis: int,
+              out: np.ndarray, scale: float) -> np.ndarray:
+        """Run kernel(minus, center, plus, out, scale) over every point along
+        one axis, writing into `out`: C-contiguous, of the grid's shape, and
+        not sharing memory with `values`.  Returns `out`."""
+        v = np.ascontiguousarray(values, dtype=np.float64)
+        if v.shape != self.shape or out.shape != self.shape or not out.flags.c_contiguous:
+            raise ValueError(f"stencil needs values and a C-contiguous output of "
+                             f"shape {self.shape}")
+        (dst, minus, plus), (e_dst, e_minus, e_plus) = self._plans[axis]
+        flat, out_flat = v.reshape(-1), out.reshape(-1)
+        kernel(flat[minus], flat[dst], flat[plus], out_flat[dst], scale)
+        kernel(v[e_minus], v[e_dst], v[e_plus], out[e_dst], scale)
+        return out
+
+
+def _minus_first(minus, center, plus, out, h2):
+    """(f[i-1] - 2 f[i] + f[i+1]) / h^2, evaluated left to right."""
+    np.multiply(center, 2.0, out=out)
+    np.subtract(minus, out, out=out)
+    out += plus
+    out /= h2
+
+
+def _plus_first(minus, center, plus, out, h2):
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2, evaluated left to right."""
+    _minus_first(plus, center, minus, out, h2)
+
+
+def _difference(minus, center, plus, out, two_h):
+    """(f[i+1] - f[i-1]) / (2h)."""
+    np.subtract(plus, minus, out=out)
+    out /= two_h
 
 
 def second_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, ghost points per boundary rule."""
-    p = _ghosted(values, grid)
-    lo, mid, hi = shift_slices(values.ndim, axis)
+    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, neighbours per boundary rule."""
     h = grid.spacing[axis]
-    return (p[lo] - 2.0 * p[mid] + p[hi]) / (h * h)
+    return grid.stencil.apply(_minus_first, values, axis, np.empty(grid.extents), h * h)
 
 
 def central_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i+1] - f[i-1]) / (2h) along one axis."""
-    p = _ghosted(values, grid)
-    lo, _, hi = shift_slices(values.ndim, axis)
     h = grid.spacing[axis]
-    return (p[hi] - p[lo]) / (2.0 * h)
+    return grid.stencil.apply(_difference, values, axis, np.empty(grid.extents), 2.0 * h)
 
 
 def laplacian_nd(values: np.ndarray, grid: Grid) -> np.ndarray:
-    p = _ghosted(values, grid)
-    out = None
-    for axis in range(values.ndim):
-        minus, center, plus = shift_slices(values.ndim, axis)
-        h = grid.spacing[axis]
-        term = (p[plus] - 2.0 * p[center] + p[minus]) / (h * h)
-        out = term if out is None else out + term
+    op = grid.stencil
+    out = np.empty(grid.extents)
+    term = np.empty(grid.extents) if grid.dim > 1 else None
+    for axis, h in enumerate(grid.spacing):
+        op.apply(_plus_first, values, axis, out if axis == 0 else term, h * h)
+        if axis > 0:
+            out += term
     return out
 
 

@@ -128,33 +128,51 @@ def phi_r(x, t: float, loc: LocalizerSpec) -> float:
     return total
 
 
-def _phi_r_grid(grid, t: float, loc: LocalizerSpec) -> np.ndarray:
-    """phi_R sampled on a grid, +inf outside the open rectangle."""
-    out = np.full(grid.extents, loc.a / t)
+def cutoff_parts(grid: Grid, loc: LocalizerSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """The time-independent parts of phi_R on a grid: per axis the pole term
+    b/(x_k - lo_k)^2 + b/(hi_k - x_k)^2 (0 off the open interval), shaped to
+    broadcast along that axis, and the mask of points outside the open
+    rectangle."""
     inside = np.ones(grid.extents, dtype=bool)
-    for k, xk in enumerate(grid.mesh()):
+    poles = []
+    for k, xk in enumerate(grid.axes()):
+        xk = xk.reshape((1,) * k + (-1,) + (1,) * (grid.dim - k - 1))
         lo, hi = loc.rect[k]
         ok = (xk > lo) & (xk < hi)
         inside &= ok
         with np.errstate(divide="ignore", invalid="ignore"):
-            out += np.where(ok, loc.b / (xk - lo) ** 2 + loc.b / (hi - xk) ** 2, 0.0)
-    out[~inside] = math.inf
+            poles.append(np.where(ok, loc.b / (xk - lo) ** 2 + loc.b / (hi - xk) ** 2, 0.0))
+    return poles, ~inside
+
+
+def _phi_r_grid(grid: Grid, t: float, loc: LocalizerSpec,
+                parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """phi_R sampled on a grid, +inf outside the open rectangle: a/t plus the
+    pole terms of `parts` (cutoff_parts(grid, loc)) in axis order."""
+    poles, outside = cutoff_parts(grid, loc) if parts is None else parts
+    out = np.full(grid.extents, loc.a / t)
+    for pole in poles:
+        out += pole
+    out[outside] = math.inf
     return out
 
 
 def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float,
-               loc: LocalizerSpec) -> Field:
+               loc: LocalizerSpec,
+               parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> Field:
     """H0 with a/t replaced by phi_R; +inf outside the rectangle.
 
     Requires beta > 0: the admissible-b bound diverges at beta = 0 and the
-    localized statement is unavailable there.
+    localized statement is unavailable there.  A caller evaluating many
+    samples on one grid passes `parts = cutoff_parts(u.grid, loc)`, built
+    once.
     """
     if k.beta == 0:
         raise BetaZero("localized Harnack quantity needs beta > 0")
     if t <= 0:
         raise NonPositiveTime(f"H_R needs t > 0, got {t}")
     g = u.grid
-    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_grid(g, t, loc))
+    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_grid(g, t, loc, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Time integration of f_t = lap(f) + f^p with blowup detection and rescaling.
 
-Method of lines with classical 4-stage Runge-Kutta in time and the central
-stencils from `field` in space.  The step size obeys two caps,
+Method of lines with classical 4-stage Runge-Kutta in time and the grid's
+stencil operator (`field.Stencil`) in space: the right-hand side reads the
+neighbours straight from the state, with no ghost cells.  The step size
+obeys two caps,
 
     dt <= cfl_safety * h^2 / (2 n)            (diffusion stability)
     dt <= reaction_safety / (p * max f^{p-1}) (reaction stiffness)
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveField, OutOfWindow
-from .field import Field, Grid, fill_ghost, require_positive, shift_slices
+from .errors import CapBelowInitial, NonPositiveField, OutOfWindow
+from .field import Field, Grid, require_positive
 
 
 # ---------------------------------------------------------------------------
@@ -190,37 +192,39 @@ def _check_stage(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
+def _diffusion(minus, center, plus, out, inv_h2):
+    """((f[i+1] + f[i-1]) - f[i] - f[i]) * (1/h^2), evaluated left to right."""
+    np.add(plus, minus, out=out)
+    out -= center
+    out -= center
+    out *= inv_h2
+
+
 class _Workspace:
     """Preallocated buffers for the RK4 stepper.
 
     The solve loop runs tens of thousands of steps on mid-size arrays, so the
-    right-hand side is evaluated allocation-free: ghost cells are filled in
-    place and every stage writes into a reused buffer.
+    right-hand side is evaluated allocation-free: the grid's stencil operator
+    reads the neighbours straight from the state, and every stage writes into
+    a reused C-contiguous buffer.
     """
 
     def __init__(self, grid: Grid, p: float, reaction: bool):
-        self.grid = grid
+        self.op = grid.stencil
         self.p = p
         self.reaction = reaction
         shape = grid.extents
-        self.padded = np.empty(tuple(n + 2 for n in shape))
         self.tmp = np.empty(shape)
         self.stage = np.empty(shape)
         self.acc = np.empty(shape)
         self.k = [np.empty(shape) for _ in range(4)]
-        self._shifts = [shift_slices(grid.dim, ax) for ax in range(grid.dim)]
 
     def _rhs(self, values: np.ndarray, out: np.ndarray) -> None:
-        g = self.grid
-        p = fill_ghost(self.padded, values, g.boundary)
-        for ax, (minus, _, plus) in enumerate(self._shifts):
-            dst = out if ax == 0 else self.tmp
-            np.add(p[plus], p[minus], out=dst)
-            dst -= values
-            dst -= values
-            dst *= 1.0 / (g.spacing[ax] * g.spacing[ax])
+        op = self.op
+        for ax, inv_h2 in enumerate(op.inv_h2):
+            op.apply(_diffusion, values, ax, out if ax == 0 else self.tmp, inv_h2)
             if ax > 0:
-                out += dst
+                out += self.tmp
         if self.reaction:
             t = self.tmp
             if self.p == 2.0:
@@ -232,10 +236,10 @@ class _Workspace:
             out += t
 
     def rk4(self, y: np.ndarray, dt: float, out: np.ndarray) -> None:
-        """One step into `out` (distinct from y); checks stage positivity."""
+        """One step from the positive state y into `out` (distinct from y);
+        checks that every later stage and the result stay positive."""
         k1, k2, k3, k4 = self.k
         stage, acc = self.stage, self.acc
-        _check_stage(y, "step input")
         self._rhs(y, k1)
         np.multiply(k1, 0.5 * dt, out=stage)
         stage += y
@@ -256,11 +260,13 @@ class _Workspace:
 
 
 def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Field:
-    """One classical RK4 step; fails if any stage or the result loses positivity."""
+    """One classical RK4 step; fails if the input, any stage or the result
+    is not positive."""
     if dt < 0:
         raise ValueError("need dt >= 0")
     if dt == 0.0:
         return f
+    _check_stage(f.values, "step input")
     ws = _Workspace(f.grid, p, reaction)
     out = np.empty(f.grid.extents)
     ws.rk4(f.values, dt, out)
@@ -285,8 +291,10 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     """
     cfg = cfg or StepConfig()
     f0 = initial_field(prob)
-    if cfg.f_cap <= f0.max():
-        raise ValueError("f_cap must exceed the initial maximum")
+    fmax = f0.max()
+    if cfg.f_cap <= fmax:
+        raise CapBelowInitial(f"[step] f_cap = {cfg.f_cap} must exceed the initial "
+                              f"maximum {fmax}")
 
     grid = prob.grid
     ws = _Workspace(grid, prob.p, prob.reaction)
@@ -297,12 +305,11 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     times = [t]
     samples = [f0.values]
     step_log: list[float] = []
-    prev_max = f0.max()
+    prev_max = fmax
     status: TraceStatus | None = None
     accepted = 0
 
     while t < prob.t_end:
-        fmax = float(y.max())
         dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
         if dt_stable < cfg.dt_min:
             if fmax > prev_max:
@@ -324,7 +331,8 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         if accepted % cfg.sample_stride == 0:
             times.append(t)
             samples.append(y.copy())
-        if y.max() > cfg.f_cap:
+        fmax = float(y.max())      # also the next step's dt input
+        if fmax > cfg.f_cap:
             status = TraceStatus.blowup(t, criterion="f_cap")
             break
 

@@ -354,6 +354,16 @@ def test_cmd_verify_zero_width_exits_two(tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_f_cap_at_or_below_initial_maximum_exits_two(tmp_path, capsys, command):
+    ini = CONST_INI.replace("[step]\n", "[step]\nf_cap = 0.5\n") + \
+        "\n[checks]\nenabled = h0, blowup\n"
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "[step] f_cap = 0.5" in err and "initial maximum 1.0" in err
+
+
 def test_cmd_verify_fits_the_blowup_tail_once(tmp_path, monkeypatch):
     fits = []
 

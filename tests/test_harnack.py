@@ -14,6 +14,7 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
+from eseharnack.harnack import _solution_part, cutoff_parts
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -152,6 +153,37 @@ def test_hr_tiny_rectangle_is_pole_dominated(peaked_run):
     finite = hr.values[np.isfinite(hr.values)]
     assert finite.size >= 1
     assert np.all(finite > 0)
+
+
+def _per_sample_phi_r(grid, t, loc):
+    """phi_R built from the mesh for every sample, as the H_R check did before
+    it built the time-independent parts once."""
+    out = np.full(grid.extents, loc.a / t)
+    inside = np.ones(grid.extents, dtype=bool)
+    for k, xk in enumerate(grid.mesh()):
+        lo, hi = loc.rect[k]
+        ok = (xk > lo) & (xk < hi)
+        inside &= ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out += np.where(ok, loc.b / (xk - lo) ** 2 + loc.b / (hi - xk) ** 2, 0.0)
+    out[~inside] = math.inf
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hr_with_cutoff_built_once_matches_per_sample_construction(dim, boundary):
+    k, p = BLOWUP_K, 2.0
+    g = Grid(((-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0))[:dim], (16, 12, 9)[:dim], boundary)
+    rect = ((-1.0, 1.3), (0.1, 2.0), (0.25, 0.75))[:dim]
+    loc = make_localizer(rect, dim, BLOWUP_K)
+    parts = cutoff_parts(g, loc)
+    u = Field(g, np.random.default_rng(dim).standard_normal(g.extents))
+    for t in (0.01, 0.3, 2.0):
+        expected = _solution_part(u.values, g, k, p) + _per_sample_phi_r(g, t, loc)
+        assert np.array_equal(harnack_hr(u, t, k, p, loc, parts).values, expected)
+        assert np.array_equal(harnack_hr(u, t, k, p, loc).values, expected)
+        assert np.isinf(expected).any() and np.isfinite(expected).any()
 
 
 def test_hr_rejects_beta_zero(peaked_run):

@@ -1,0 +1,278 @@
+"""The per-grid stencil operator against the ghost-cell stencils it replaced.
+
+The reference functions below are the ghost-cell implementations as they
+stood before the operator: a padded copy of the values whose ghost cells
+follow the boundary rule, and shifted views of it.  The operator performs
+the same arithmetic per element in the same order, so every comparison is
+exact.
+"""
+
+import numpy as np
+import pytest
+
+from eseharnack import (Field, Grid, ProblemSpec, StepConfig, TabulatedIC,
+                        solve, step)
+from eseharnack.errors import NonPositiveField
+from eseharnack.field import (central_diff, grad_sq_nd, gradient_nd,
+                              hessian_sq_nd, laplacian_nd, second_diff)
+from eseharnack.integrate import _diffusion, _Workspace, stable_dt
+
+
+# ---------------------------------------------------------------------------
+# reference: ghost cells
+
+def _ref_fill_ghost(padded, values, boundary):
+    padded[(slice(1, -1),) * values.ndim] = values
+    lo_src, hi_src = (-2, 1) if boundary == "periodic" else (2, -3)
+    for ax in range(values.ndim):
+        view = padded.swapaxes(0, ax)
+        view[0] = view[lo_src]
+        view[-1] = view[hi_src]
+    return padded
+
+
+def _ref_ghosted(values, grid):
+    return _ref_fill_ghost(np.empty(tuple(n + 2 for n in values.shape)), values,
+                           grid.boundary)
+
+
+def _ref_shift_slices(ndim, axis):
+    lo = [slice(1, -1)] * ndim
+    hi = [slice(1, -1)] * ndim
+    lo[axis] = slice(0, -2)
+    hi[axis] = slice(2, None)
+    return tuple(lo), (slice(1, -1),) * ndim, tuple(hi)
+
+
+def _ref_second_diff(values, grid, axis):
+    p = _ref_ghosted(values, grid)
+    lo, mid, hi = _ref_shift_slices(values.ndim, axis)
+    h = grid.spacing[axis]
+    return (p[lo] - 2.0 * p[mid] + p[hi]) / (h * h)
+
+
+def _ref_central_diff(values, grid, axis):
+    p = _ref_ghosted(values, grid)
+    lo, _, hi = _ref_shift_slices(values.ndim, axis)
+    h = grid.spacing[axis]
+    return (p[hi] - p[lo]) / (2.0 * h)
+
+
+def _ref_laplacian_nd(values, grid):
+    p = _ref_ghosted(values, grid)
+    out = None
+    for axis in range(values.ndim):
+        minus, center, plus = _ref_shift_slices(values.ndim, axis)
+        h = grid.spacing[axis]
+        term = (p[plus] - 2.0 * p[center] + p[minus]) / (h * h)
+        out = term if out is None else out + term
+    return out
+
+
+def _ref_grad_sq_nd(values, grid):
+    out = _ref_central_diff(values, grid, 0) ** 2
+    for axis in range(1, grid.dim):
+        out += _ref_central_diff(values, grid, axis) ** 2
+    return out
+
+
+def _ref_hessian_sq_nd(values, grid):
+    out = _ref_second_diff(values, grid, 0) ** 2
+    for axis in range(1, grid.dim):
+        out += _ref_second_diff(values, grid, axis) ** 2
+    for i in range(grid.dim):
+        for j in range(i + 1, grid.dim):
+            mixed = _ref_central_diff(_ref_central_diff(values, grid, i), grid, j)
+            out += 2.0 * mixed ** 2
+    return out
+
+
+def _ref_rhs(values, grid, p, reaction):
+    """The ghost-cell RK4 right-hand side."""
+    shape = grid.extents
+    padded = _ref_fill_ghost(np.empty(tuple(n + 2 for n in shape)), values,
+                             grid.boundary)
+    out, tmp = np.empty(shape), np.empty(shape)
+    for ax in range(grid.dim):
+        minus, _, plus = _ref_shift_slices(grid.dim, ax)
+        dst = out if ax == 0 else tmp
+        np.add(padded[plus], padded[minus], out=dst)
+        dst -= values
+        dst -= values
+        dst *= 1.0 / (grid.spacing[ax] * grid.spacing[ax])
+        if ax > 0:
+            out += dst
+    if reaction:
+        if p == 2.0:
+            np.multiply(values, values, out=tmp)
+        elif p == int(p) and 1 < p <= 8:
+            np.power(values, int(p), out=tmp)
+        else:
+            np.power(values, p, out=tmp)
+        out += tmp
+    return out
+
+
+def _ref_rk4(y, dt, grid, p, reaction):
+    """The RK4 step with the ghost-cell right-hand side and its stage checks."""
+    def check(v, label):
+        if v.min() <= 0.0:
+            raise NonPositiveField(f"{label} went nonpositive (min={v.min()})")
+        return v
+
+    k1 = _ref_rhs(y, grid, p, reaction)
+    k2 = _ref_rhs(check(y + k1 * (0.5 * dt), "RK stage 2"), grid, p, reaction)
+    k3 = _ref_rhs(check(y + k2 * (0.5 * dt), "RK stage 3"), grid, p, reaction)
+    check(y + k3 * dt, "RK stage 4")
+    raise AssertionError("reference step did not lose positivity")
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+SHAPES = {1: (13,), 2: (7, 9), 3: (5, 6, 4)}
+
+
+def _grid(dim, boundary):
+    return Grid(((-1.0, 2.0), (0.0, 1.5), (-0.5, 0.5))[:dim], SHAPES[dim], boundary)
+
+
+def _values(grid, seed=0, positive=False):
+    rng = np.random.default_rng(seed)
+    if positive:
+        return 0.5 + rng.random(grid.extents)
+    return rng.standard_normal(grid.extents)
+
+
+GRIDS = [(dim, boundary) for dim in (1, 2, 3) for boundary in ("periodic", "reflecting")]
+
+
+# ---------------------------------------------------------------------------
+# the integrator's right-hand side
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+@pytest.mark.parametrize("reaction", [True, False])
+def test_rhs_matches_ghost_cell_reference(dim, boundary, p, reaction):
+    g = _grid(dim, boundary)
+    y = _values(g, seed=dim, positive=True)
+    ws = _Workspace(g, p, reaction)
+    out = np.empty(g.extents)
+    ws._rhs(y, out)
+    assert np.array_equal(out, _ref_rhs(y, g, p, reaction))
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+def test_workspace_buffers_are_c_contiguous(dim, boundary):
+    ws = _Workspace(_grid(dim, boundary), 2.0, True)
+    for buf in (ws.tmp, ws.stage, ws.acc, *ws.k):
+        assert buf.flags.c_contiguous
+
+
+def test_step_rejects_nonpositive_input():
+    g = Grid.line(0.0, 1.0, 16)
+    vals = np.ones(16)
+    vals[3] = 0.0
+    with pytest.raises(NonPositiveField, match="step input"):
+        step(Field(g, vals), 0.0, 1e-6, 2.0)
+
+
+@pytest.mark.parametrize("dim,boundary", [(1, "periodic"), (2, "reflecting")])
+def test_solve_aborts_with_the_reference_stage_failure(dim, boundary):
+    # a unit spike on a 1e-20 floor at the widest CFL cap: RK stage 4 dips
+    # below zero in the first step
+    g = Grid(((0.0, 1.0),) * dim, (16,) * dim, boundary)
+    y0 = np.full(g.extents, 1e-20)
+    y0[(8,) * dim] = 1.0
+    cfg = StepConfig(cfl_safety=1.0, sample_stride=1)
+    trace = solve(ProblemSpec(g, 2.0, TabulatedIC(y0), 0.01), cfg)
+    with pytest.raises(NonPositiveField) as ref:
+        _ref_rk4(y0, stable_dt(g, 2.0, 1.0, cfg), g, 2.0, True)
+    assert trace.status.kind == "aborted"
+    assert trace.status.t_detect == 0.0
+    assert trace.status.reason == str(ref.value)
+    assert str(ref.value).startswith("RK stage 4")
+
+
+# ---------------------------------------------------------------------------
+# the Field-level stencils
+
+STENCILS = [
+    (lambda v, g: second_diff(v, g, g.dim - 1), lambda v, g: _ref_second_diff(v, g, g.dim - 1)),
+    (lambda v, g: second_diff(v, g, 0), lambda v, g: _ref_second_diff(v, g, 0)),
+    (lambda v, g: central_diff(v, g, g.dim - 1), lambda v, g: _ref_central_diff(v, g, g.dim - 1)),
+    (lambda v, g: central_diff(v, g, 0), lambda v, g: _ref_central_diff(v, g, 0)),
+    (laplacian_nd, _ref_laplacian_nd),
+    (grad_sq_nd, _ref_grad_sq_nd),
+    (hessian_sq_nd, _ref_hessian_sq_nd),
+]
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+@pytest.mark.parametrize("which", range(len(STENCILS)))
+def test_field_stencils_match_ghost_cell_reference(dim, boundary, which):
+    fn, ref = STENCILS[which]
+    g = _grid(dim, boundary)
+    v = _values(g, seed=which)
+    assert np.array_equal(fn(v, g), ref(v, g))
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+def test_gradient_matches_ghost_cell_reference(dim, boundary):
+    g = _grid(dim, boundary)
+    v = _values(g)
+    for got, axis in zip(gradient_nd(v, g), range(dim)):
+        assert np.array_equal(got, _ref_central_diff(v, g, axis))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+def test_minimum_extent_matches_reference(boundary):
+    # four points per axis: the reflecting edge neighbours 1 and n-2 are adjacent
+    g = Grid(((0.0, 1.0), (0.0, 2.0)), (4, 4), boundary)
+    v = _values(g)
+    assert np.array_equal(laplacian_nd(v, g), _ref_laplacian_nd(v, g))
+    assert np.array_equal(hessian_sq_nd(v, g), _ref_hessian_sq_nd(v, g))
+
+
+# ---------------------------------------------------------------------------
+# buffers
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+def test_operator_writes_into_the_callers_buffer(dim, boundary):
+    g = _grid(dim, boundary)
+    v = _values(g, positive=True)
+    op = g.stencil
+    for axis, inv_h2 in enumerate(op.inv_h2):
+        out = np.full(g.extents, np.nan)
+        assert op.apply(_diffusion, v, axis, out, inv_h2) is out
+        assert not np.isnan(out).any()
+    assert g.stencil is op                  # built once per grid
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_operator_rejects_a_non_contiguous_output(dim):
+    g = _grid(dim, "reflecting")
+    v = _values(g)
+    for out in (np.empty(g.extents, order="F"),
+                np.empty(tuple(n + 1 for n in g.extents))[(slice(0, -1),) * dim],
+                np.empty(g.extents[:-1] + (g.extents[-1] + 1,))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            g.stencil.apply(_diffusion, v, 0, out, 1.0)
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+def test_non_contiguous_input_gives_the_reference(dim, boundary):
+    g = _grid(dim, boundary)
+    # every second element of a larger positive array, and in 2-D and 3-D a
+    # Fortran-ordered copy
+    wide = _values(Grid(g.box, tuple(2 * n for n in g.extents), boundary), 5, True)
+    inputs = [wide[(slice(None, None, 2),) * dim]]
+    if dim > 1:
+        inputs.append(np.asfortranarray(_values(g, seed=6, positive=True)))
+    for v in inputs:
+        assert not v.flags.c_contiguous
+        assert np.array_equal(laplacian_nd(v, g), _ref_laplacian_nd(v, g))
+        assert np.array_equal(hessian_sq_nd(v, g), _ref_hessian_sq_nd(v, g))
+        out = np.empty(g.extents)
+        _Workspace(g, 2.5, True)._rhs(v, out)
+        assert np.array_equal(out, _ref_rhs(v, g, 2.5, True))
