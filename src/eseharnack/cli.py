@@ -8,7 +8,8 @@ Commands
     preset-list  show the constant-preset catalog
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage/config error,
-3 solver abort.  Reports are deterministic for a fixed config and seed.
+3 solver abort, 4 internal error (an unexpected exception; the traceback
+goes to stderr).  Reports are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -472,21 +474,31 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _parse_grid_spec(raw: str) -> np.ndarray:
+def _parse_grid_spec(flag: str, raw: str) -> np.ndarray:
+    """A `lo:hi:count` flag value as count evenly spaced points; ConfigError
+    naming the flag and the value if it is malformed."""
     parts = raw.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid spec {raw!r} must look like lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise ConfigError(f"{flag} {raw!r} must look like lo:hi:count")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(f"{flag} {raw!r} must look like lo:hi:count with numbers "
+                          f"lo, hi and an integer count") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{flag} {raw!r} needs finite lo and hi")
     if count < 1:
-        raise ConfigError("grid spec needs count >= 1")
+        raise ConfigError(f"{flag} {raw!r} needs count >= 1")
     return np.linspace(lo, hi, count)
 
 
 def cmd_region(args) -> int:
-    alphas = _parse_grid_spec(args.alpha)
-    betas = _parse_grid_spec(args.beta)
-    if args.p <= 1:
-        raise ConfigError("need p > 1")
+    if args.n < 1:
+        raise ConfigError(f"--n {args.n} must be at least 1")
+    if not (math.isfinite(args.p) and args.p > 1):
+        raise ConfigError(f"--p {args.p} must be a finite number > 1")
+    alphas = _parse_grid_spec("--alpha", args.alpha)
+    betas = _parse_grid_spec("--beta", args.beta)
     rows = []
     any_valid = False
     for alpha in alphas:
@@ -639,6 +651,10 @@ def main(argv=None) -> int:
     except EseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not a verdict: keep it apart from exit 1
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 def entry() -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NonPositiveField
 
 BOUNDARIES = ("periodic", "reflecting")
+_F8 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -237,13 +238,17 @@ class Stencil:
     unpadded values (no ghost cells).
 
     Built once per grid (see `Grid.stencil`).  For each axis it holds a plan
-    of (dst, minus, plus) views:
+    of (dst, minus, plus) slices:
     - one contiguous run of the flattened array, offset by the axis's
       element stride, for the points whose neighbours are in the array;
     - both edges of the axis (indices 0 and n-1) as one two-element strided
       view, with their outside neighbours taken from `_outside_neighbors`.
     On every axis but the first the run also covers the edge points, with
     wrong neighbours; the edge views then overwrite them.
+
+    `bind` turns one axis's plan into views of a given (values, out) pair
+    and `run` applies a kernel to them, so a caller that reuses its buffers
+    binds once and runs many times; `apply` binds on the spot.
     """
 
     def __init__(self, grid: Grid):
@@ -261,19 +266,36 @@ class Stencil:
             plans.append((run, edges))
         self._plans = tuple(plans)
 
+    def bind(self, values: np.ndarray, axis: int, out: np.ndarray) -> tuple:
+        """The (run, edges) views of `values` and `out` along one axis, each
+        a (minus, center, plus, dst) tuple.  `values` must be C-contiguous
+        float64 and `out` C-contiguous, both of the grid's shape and not
+        sharing memory; the views stay valid for as long as the arrays do."""
+        if (values.shape != self.shape or out.shape != self.shape or values.dtype != _F8
+                or not (values.flags.c_contiguous and out.flags.c_contiguous)):
+            raise ValueError(f"stencil needs C-contiguous float64 values and a "
+                             f"C-contiguous output of shape {self.shape}")
+        (dst, minus, plus), (e_dst, e_minus, e_plus) = self._plans[axis]
+        flat, out_flat = values.reshape(-1), out.reshape(-1)
+        return ((flat[minus], flat[dst], flat[plus], out_flat[dst]),
+                (values[e_minus], values[e_dst], values[e_plus], out[e_dst]))
+
+    @staticmethod
+    def run(kernel: Callable, bound: tuple, scale: float) -> None:
+        """kernel(minus, center, plus, out, scale) over the views from `bind`:
+        the run, then the edges."""
+        run, edges = bound
+        kernel(*run, scale)
+        kernel(*edges, scale)
+
     def apply(self, kernel: Callable, values: np.ndarray, axis: int,
               out: np.ndarray, scale: float) -> np.ndarray:
         """Run kernel(minus, center, plus, out, scale) over every point along
         one axis, writing into `out`: C-contiguous, of the grid's shape, and
-        not sharing memory with `values`.  Returns `out`."""
+        not sharing memory with `values`.  `values` is copied once if it is
+        not C-contiguous float64.  Returns `out`."""
         v = np.ascontiguousarray(values, dtype=np.float64)
-        if v.shape != self.shape or out.shape != self.shape or not out.flags.c_contiguous:
-            raise ValueError(f"stencil needs values and a C-contiguous output of "
-                             f"shape {self.shape}")
-        (dst, minus, plus), (e_dst, e_minus, e_plus) = self._plans[axis]
-        flat, out_flat = v.reshape(-1), out.reshape(-1)
-        kernel(flat[minus], flat[dst], flat[plus], out_flat[dst], scale)
-        kernel(v[e_minus], v[e_dst], v[e_plus], out[e_dst], scale)
+        self.run(kernel, self.bind(v, axis, out), scale)
         return out
 
 

@@ -15,6 +15,7 @@ never proved: the trace status records which criterion fired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,10 @@ class _Workspace:
     The solve loop runs tens of thousands of steps on mid-size arrays, so the
     right-hand side is evaluated allocation-free: the grid's stencil operator
     reads the neighbours straight from the state, and every stage writes into
-    a reused C-contiguous buffer.
+    a reused C-contiguous buffer.  The workspace owns the two state buffers
+    the solve loop alternates between and the stage buffer, and binds the
+    stencil views of each of them into its k buffer once (`_bind`); arrays
+    from outside are bound on the spot.
     """
 
     def __init__(self, grid: Grid, p: float, reaction: bool):
@@ -218,11 +222,24 @@ class _Workspace:
         self.stage = np.empty(shape)
         self.acc = np.empty(shape)
         self.k = [np.empty(shape) for _ in range(4)]
+        self.states = (np.empty(shape), np.empty(shape))
+        self._state_plans = tuple(self._bind(y, self.k[0]) for y in self.states)
+        self._stage_plans = tuple(self._bind(self.stage, k) for k in self.k[1:])
 
-    def _rhs(self, values: np.ndarray, out: np.ndarray) -> None:
+    def _bind(self, values: np.ndarray, out: np.ndarray) -> tuple:
+        """The diffusion term's stencil views of `values`, per axis: axis 0
+        writes into `out`, every later axis into `tmp`."""
+        return tuple(self.op.bind(values, ax, out if ax == 0 else self.tmp)
+                     for ax in range(len(self.op.inv_h2)))
+
+    def _rhs(self, values: np.ndarray, out: np.ndarray, plan: tuple | None = None) -> None:
+        """lap(values) + values^p into `out`; `plan` is `_bind(values, out)`,
+        bound on the spot when not given."""
+        if plan is None:
+            plan = self._bind(np.ascontiguousarray(values, dtype=np.float64), out)
         op = self.op
-        for ax, inv_h2 in enumerate(op.inv_h2):
-            op.apply(_diffusion, values, ax, out if ax == 0 else self.tmp, inv_h2)
+        for ax, (bound, inv_h2) in enumerate(zip(plan, op.inv_h2)):
+            op.run(_diffusion, bound, inv_h2)
             if ax > 0:
                 out += self.tmp
         if self.reaction:
@@ -235,21 +252,24 @@ class _Workspace:
                 np.power(values, self.p, out=t)
             out += t
 
-    def rk4(self, y: np.ndarray, dt: float, out: np.ndarray) -> None:
+    def rk4(self, y: np.ndarray, dt: float, out: np.ndarray,
+            plan: tuple | None = None) -> None:
         """One step from the positive state y into `out` (distinct from y);
-        checks that every later stage and the result stay positive."""
+        checks that every later stage and the result stay positive.  `plan`
+        is `_bind(y, k[0])`, bound on the spot when not given."""
         k1, k2, k3, k4 = self.k
+        plan2, plan3, plan4 = self._stage_plans
         stage, acc = self.stage, self.acc
-        self._rhs(y, k1)
+        self._rhs(y, k1, plan)
         np.multiply(k1, 0.5 * dt, out=stage)
         stage += y
-        self._rhs(_check_stage(stage, "RK stage 2"), k2)
+        self._rhs(_check_stage(stage, "RK stage 2"), k2, plan2)
         np.multiply(k2, 0.5 * dt, out=stage)
         stage += y
-        self._rhs(_check_stage(stage, "RK stage 3"), k3)
+        self._rhs(_check_stage(stage, "RK stage 3"), k3, plan3)
         np.multiply(k3, dt, out=stage)
         stage += y
-        self._rhs(_check_stage(stage, "RK stage 4"), k4)
+        self._rhs(_check_stage(stage, "RK stage 4"), k4, plan4)
         np.add(k2, k3, out=acc)
         acc *= 2.0
         acc += k1
@@ -257,6 +277,12 @@ class _Workspace:
         acc *= dt / 6.0
         np.add(y, acc, out=out)
         _check_stage(out, "RK4 result")
+
+    def advance(self, i: int, dt: float) -> int:
+        """One step from states[i] into the other state buffer, through the
+        plans bound at construction; returns the other buffer's index."""
+        self.rk4(self.states[i], dt, self.states[1 - i], self._state_plans[i])
+        return 1 - i
 
 
 def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Field:
@@ -282,12 +308,32 @@ def stable_dt(grid: Grid, p: float, fmax: float, cfg: StepConfig,
     return dt
 
 
+# Reserved rows beyond the written ones are never touched, so they cost
+# address space, not memory; the cap bounds the reservation of a run that
+# ends long before t_end at a small first dt.
+_RESERVE_BYTES = 1 << 28
+
+
+def _capacity(t_end: float, dt: float, stride: int, row_bytes: int) -> int:
+    """Rows to reserve for a run's samples: the steps a run at constant dt
+    would take, one sample per stride, plus the initial and final samples.
+    Capped at `_RESERVE_BYTES`; a run that needs more rows grows the array."""
+    rows = t_end / dt / stride + 2.0 if dt > 0 else math.inf
+    return math.ceil(min(rows, max(2, _RESERVE_BYTES // row_bytes)))
+
+
 def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     """Integrate until t_end, blowup declaration, or abort.
 
     Blowup is declared when max f exceeds cfg.f_cap, or when the stable dt
     falls below cfg.dt_min while max f is still rising.  A positivity failure
     aborts with the timestamp attached.
+
+    Each sample is written once, into one array of shape
+    (capacity, *extents).  The capacity comes from the first step's dt, which
+    the diffusion cap keeps for the whole run; a reaction-capped run takes
+    smaller steps, and the array then grows in place (doubling).  It is cut
+    to the sample count at the end and handed to the trace as it is.
     """
     cfg = cfg or StepConfig()
     f0 = initial_field(prob)
@@ -298,16 +344,28 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
 
     grid = prob.grid
     ws = _Workspace(grid, prob.p, prob.reaction)
-    y = np.array(f0.values)          # writable working copy
-    y_next = np.empty(grid.extents)
+    cur = 0
+    y = ws.states[cur]
+    y[...] = f0.values
 
+    capacity = _capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
+                         cfg.sample_stride, 8 * grid.size)
+    samples = np.empty((capacity, *grid.extents))
+    samples[0] = y
     t = 0.0
     times = [t]
-    samples = [f0.values]
     step_log: list[float] = []
     prev_max = fmax
     status: TraceStatus | None = None
     accepted = 0
+
+    def record(at: float, values: np.ndarray) -> None:
+        n = len(times)
+        if n == len(samples):
+            # no view of the array exists, so realloc may move it
+            samples.resize((2 * n, *grid.extents), refcheck=False)
+        samples[n] = values
+        times.append(at)
 
     while t < prob.t_end:
         dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
@@ -319,18 +377,17 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
             break
         dt = min(dt_stable, prob.t_end - t)
         try:
-            ws.rk4(y, dt, y_next)
+            cur = ws.advance(cur, dt)
         except NonPositiveField as exc:
             status = TraceStatus.aborted(str(exc), t)
             break
+        y = ws.states[cur]
         prev_max = fmax
-        y, y_next = y_next, y
         t += dt
         accepted += 1
         step_log.append(dt)
         if accepted % cfg.sample_stride == 0:
-            times.append(t)
-            samples.append(y.copy())
+            record(t, y)
         fmax = float(y.max())      # also the next step's dt input
         if fmax > cfg.f_cap:
             status = TraceStatus.blowup(t, criterion="f_cap")
@@ -339,9 +396,9 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     if status is None:
         status = TraceStatus.reached()
     if times[-1] != t:
-        times.append(t)
-        samples.append(y)           # the stepping is over; np.stack copies it
-    return SolveTrace(grid, prob.p, np.array(times), np.stack(samples), status,
+        record(t, y)
+    samples.resize((len(times), *grid.extents), refcheck=False)
+    return SolveTrace(grid, prob.p, np.array(times), samples, status,
                       np.asarray(step_log))
 
 

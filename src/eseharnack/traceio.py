@@ -116,6 +116,7 @@ def load_trace(outdir) -> SolveTrace:
         st = meta["status"]
         status = TraceStatus(st["kind"], st["t_detect"], st["reason"], st["criterion"])
         p = float(meta["p"])
+        n_steps = int(meta["n_steps"])
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -131,4 +132,11 @@ def load_trace(outdir) -> SolveTrace:
     low = samples.min(initial=np.inf)
     if not low > 0:
         raise ConfigError(f"{samples_path}: samples must be positive, found min {low}")
-    return SolveTrace(grid, p, times, samples, status, _load_npy(out / "steps.npy"))
+    steps_path = out / "steps.npy"
+    steps = _load_npy(steps_path)
+    if steps.dtype != np.float64 or steps.shape != (n_steps,):
+        raise ConfigError(f"{steps_path}: expected float64 of shape ({n_steps},) "
+                          f"from metadata.json, found {steps.dtype} of shape {steps.shape}")
+    if not np.all(np.isfinite(steps) & (steps > 0)):
+        raise ConfigError(f"{steps_path}: step sizes must be finite and positive")
+    return SolveTrace(grid, p, times, samples, status, steps)

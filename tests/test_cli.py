@@ -5,6 +5,7 @@ import pytest
 
 from eseharnack import Field, Grid, StepConfig, solve
 from eseharnack import blowup as bl
+from eseharnack import cli
 from eseharnack.blowup import tail_fit
 from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
@@ -125,6 +126,12 @@ def _drop_sample_times(path):
     path.write_text(json.dumps(meta))
 
 
+def _drop_n_steps(path):
+    meta = json.loads(path.read_text())
+    del meta["n_steps"]
+    path.write_text(json.dumps(meta))
+
+
 def _reverse_sample_times(path):
     meta = json.loads(path.read_text())
     meta["sample_times"].reverse()
@@ -137,6 +144,17 @@ def _reverse_sample_times(path):
     ("metadata.json", _drop_sample_times, r"metadata\.json.*missing key 'sample_times'"),
     ("samples.npy", lambda path: np.save(path, -np.load(path)), r"samples\.npy.*positive"),
     ("metadata.json", _reverse_sample_times, r"metadata\.json.*increasing"),
+    ("steps.npy", lambda path: np.save(path, np.stack([np.load(path)] * 2)),
+     r"steps\.npy.*shape"),
+    ("steps.npy", lambda path: np.save(path, np.load(path)[:-1]), r"steps\.npy.*shape"),
+    ("steps.npy", lambda path: np.save(path, np.load(path).astype(np.float32)),
+     r"steps\.npy.*float64"),
+    ("steps.npy", lambda path: np.save(path, -np.load(path)), r"steps\.npy.*positive"),
+    ("steps.npy", lambda path: np.save(path, np.where(np.arange(len(np.load(path))) == 3,
+                                                      np.inf, np.load(path))),
+     r"steps\.npy.*finite"),
+    ("steps.npy", lambda path: path.unlink(), r"steps\.npy"),
+    ("metadata.json", _drop_n_steps, r"metadata\.json.*missing key 'n_steps'"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -423,6 +441,40 @@ def test_cmd_region_degenerate_grid_is_error(tmp_path):
     assert main(["region", "--n", "1", "--p", "2.0",
                  "--alpha", "1.0:1.0:1", "--beta", "1.0:1.0:1",
                  "--out", str(tmp_path / "reg")]) == 2
+
+
+@pytest.mark.parametrize("change, message", [
+    (("--alpha", "x:1:3"), "--alpha 'x:1:3'"),
+    (("--alpha", "0:1:2.5"), "--alpha '0:1:2.5'"),
+    (("--beta", "0:1"), "--beta '0:1'"),
+    (("--beta", "0:inf:3"), "--beta '0:inf:3'"),
+    (("--alpha", "0.5:2:0"), "--alpha '0.5:2:0'"),
+    (("--n", "0"), "--n 0"),
+    (("--p", "nan"), "--p nan"),
+    (("--p", "1.0"), "--p 1.0"),
+])
+def test_cmd_region_bad_argument_exits_two(tmp_path, capsys, change, message):
+    args = {"--n": "1", "--p": "2.0", "--alpha": "0.5:2.0:4", "--beta": "0.0:0.9:4"}
+    args[change[0]] = change[1]
+    out = tmp_path / "reg"
+    argv = ["region", "--out", str(out)] + [x for kv in args.items() for x in kv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "region.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+
+def test_uncaught_exception_exits_four(monkeypatch, capsys):
+    def broken(_args):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setattr(cli, "cmd_preset_list", broken)
+    assert main(["preset-list"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: deliberate fault" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from eseharnack import (ConstantIC, Field, GaussianIC, Grid, ProblemSpec,
                         rescale_problem, rescale_trace, solve, step)
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack.errors import NonPositiveField, OutOfWindow
+from eseharnack.integrate import (TraceStatus, _capacity, _Workspace,
+                                  initial_field, stable_dt)
 
 from conftest import constant_problem, gaussian_problem
 
@@ -129,6 +133,119 @@ def test_dt_floor_declares_blowup_only_while_rising():
 def test_solve_validates_f_cap_against_initial_data():
     with pytest.raises(ValueError):
         solve(constant_problem(level=2.0), StepConfig(f_cap=1.5))
+
+
+# ---------------------------------------------------------------------------
+# the sample array
+
+def _ref_solve(prob, cfg):
+    """The solve loop as it stood with a list of sample copies stacked at the
+    end; it steps through `_Workspace.rk4`, which binds on the spot."""
+    f0 = initial_field(prob)
+    fmax = f0.max()
+    grid = prob.grid
+    ws = _Workspace(grid, prob.p, prob.reaction)
+    y = np.array(f0.values)
+    y_next = np.empty(grid.extents)
+    t = 0.0
+    times = [t]
+    samples = [f0.values]
+    step_log = []
+    prev_max = fmax
+    status = None
+    accepted = 0
+    while t < prob.t_end:
+        dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
+        if dt_stable < cfg.dt_min:
+            if fmax > prev_max:
+                status = TraceStatus.blowup(t, criterion="dt_floor")
+            else:
+                status = TraceStatus.aborted("dt underflow without growth", t)
+            break
+        dt = min(dt_stable, prob.t_end - t)
+        try:
+            ws.rk4(y, dt, y_next)
+        except NonPositiveField as exc:
+            status = TraceStatus.aborted(str(exc), t)
+            break
+        prev_max = fmax
+        y, y_next = y_next, y
+        t += dt
+        accepted += 1
+        step_log.append(dt)
+        if accepted % cfg.sample_stride == 0:
+            times.append(t)
+            samples.append(y.copy())
+        fmax = float(y.max())
+        if fmax > cfg.f_cap:
+            status = TraceStatus.blowup(t, criterion="f_cap")
+            break
+    if status is None:
+        status = TraceStatus.reached()
+    if times[-1] != t:
+        times.append(t)
+        samples.append(y)
+    return np.array(times), np.stack(samples), status, np.asarray(step_log)
+
+
+@pytest.mark.parametrize("cfg", [
+    StepConfig(reaction_safety=0.05, sample_stride=1),             # f_cap
+    StepConfig(reaction_safety=0.05, sample_stride=3),             # off-stride last sample
+    StepConfig(reaction_safety=0.05, dt_min=1e-6, sample_stride=2),  # dt_floor
+])
+def test_reaction_capped_run_grows_the_sample_array(cfg):
+    # constant data blows up at t = 1 while dt shrinks like 1/f, so the run
+    # takes far more steps than the first dt predicts and the array grows
+    prob = constant_problem(t_end=2.0)
+    trace = solve(prob, cfg)
+    f0 = initial_field(prob)
+    first = _capacity(prob.t_end, stable_dt(prob.grid, prob.p, f0.max(), cfg),
+                      cfg.sample_stride, f0.values.nbytes)
+    assert len(trace.samples) > 2 * first
+    times, samples, status, step_log = _ref_solve(prob, cfg)
+    assert trace.status == status and status.kind == "blowup"
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.samples, samples)
+    assert np.array_equal(trace.step_log, step_log)
+    assert trace.samples.flags.c_contiguous and not trace.samples.flags.writeable
+
+
+def test_diffusion_bound_run_matches_the_list_and_stack_loop():
+    prob = gaussian_problem(64, t_end=0.05, dim=2, box=(-2.0, 2.0))
+    cfg = StepConfig(sample_stride=5)
+    trace = solve(prob, cfg)
+    times, samples, status, step_log = _ref_solve(prob, cfg)
+    assert trace.status == status
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.samples, samples)
+    assert np.array_equal(trace.step_log, step_log)
+
+
+def test_solve_holds_each_sample_once():
+    # 64^2 diffusion-bound run, one sample per step: 200 samples
+    prob = gaussian_problem(64, t_end=0.2, dim=2)
+    cfg = StepConfig(sample_stride=1)
+    field_bytes = 8 * prob.grid.size
+    tracemalloc.start()
+    try:
+        trace = solve(prob, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(trace.samples)
+    assert n >= 200
+    assert trace.status.kind == "reached_t_end"
+    # the samples, the workspace's nine buffers and the initial field
+    assert peak <= (n + 16) * field_bytes
+
+
+def test_capacity_estimate():
+    assert _capacity(1.0, 0.01, 1, 8) == 102
+    assert _capacity(1.0, 0.01, 4, 8) == 27
+    # the reservation is capped, and never below the initial and final rows
+    assert _capacity(1.0, 1e-300, 1, 8) == (1 << 28) // 8
+    assert _capacity(1.0, 1e-300, 1, 1 << 40) == 2
+    assert _capacity(1.0, 0.0, 1, 1 << 20) == (1 << 28) // (1 << 20)
 
 
 def test_stepconfig_validation():

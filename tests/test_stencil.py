@@ -123,8 +123,8 @@ def _ref_rk4(y, dt, grid, p, reaction):
     k1 = _ref_rhs(y, grid, p, reaction)
     k2 = _ref_rhs(check(y + k1 * (0.5 * dt), "RK stage 2"), grid, p, reaction)
     k3 = _ref_rhs(check(y + k2 * (0.5 * dt), "RK stage 3"), grid, p, reaction)
-    check(y + k3 * dt, "RK stage 4")
-    raise AssertionError("reference step did not lose positivity")
+    k4 = _ref_rhs(check(y + k3 * dt, "RK stage 4"), grid, p, reaction)
+    return check(y + (k1 + 2.0 * (k2 + k3) + k4) * (dt / 6.0), "RK4 result")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,41 @@ def test_workspace_buffers_are_c_contiguous(dim, boundary):
     ws = _Workspace(_grid(dim, boundary), 2.0, True)
     for buf in (ws.tmp, ws.stage, ws.acc, *ws.k):
         assert buf.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_rk4_through_bound_plans_matches_ghost_cell_reference(dim, boundary, p):
+    # consecutive steps alternate between the two state buffers, each
+    # stepping through the stencil views bound when the workspace was built
+    g = _grid(dim, boundary)
+    ws = _Workspace(g, p, True)
+    y = _values(g, seed=dim, positive=True)
+    ws.states[0][...] = y
+    dt = stable_dt(g, p, float(y.max()), StepConfig())
+    cur = 0
+    for _ in range(6):
+        ref = _ref_rk4(y, dt, g, p, True)
+        nxt = ws.advance(cur, dt)
+        assert nxt == 1 - cur
+        assert np.array_equal(ws.states[nxt], ref)
+        y, cur = ref, nxt
+    assert cur == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bind_refuses_arrays_it_cannot_view(dim):
+    # bound views must alias the caller's arrays, so bind never copies
+    g = _grid(dim, "periodic")
+    out = np.empty(g.extents)
+    strided = _values(Grid(g.box, tuple(2 * n for n in g.extents)))[(slice(None, None, 2),) * dim]
+    for values in (strided, np.ones(g.extents, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            g.stencil.bind(values, 0, out)
+    v = _values(g)
+    run, edges = g.stencil.bind(v, dim - 1, out)
+    assert all(np.shares_memory(view, v) for view in run[:3] + edges[:3])
+    assert np.shares_memory(run[3], out) and np.shares_memory(edges[3], out)
 
 
 def test_step_rejects_nonpositive_input():
