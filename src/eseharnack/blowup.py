@@ -102,10 +102,7 @@ def estimate_blowup_time(trace: SolveTrace, p: float, k_tail: int = 8) -> float:
 
 def _argmax_at(trace: SolveTrace, i: int) -> tuple[tuple[float, ...], float]:
     """Grid point where sample i peaks, and the sample's time."""
-    g = trace.grid
-    idx = np.unravel_index(int(np.argmax(trace.samples[i])), g.extents)
-    axes = g.axes()
-    return tuple(float(axes[d][idx[d]]) for d in range(g.dim)), float(trace.times[i])
+    return trace.grid.point(int(np.argmax(trace.samples[i]))), float(trace.times[i])
 
 
 def first_threshold_hit(trace: SolveTrace, threshold: float) -> tuple[tuple[float, ...], float]:

@@ -28,6 +28,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
+from .harnack import default_window
 from .integrate import SolveTrace
 
 
@@ -175,8 +176,7 @@ def random_pairs(trace: SolveTrace, n_pairs: int, seed: int,
     """Seeded admissible endpoint pairs inside the trace's box and window."""
     rng = np.random.default_rng(seed)
     if t_window is None:
-        tf = trace.t_final
-        t_window = (0.05 * tf, 0.9 * tf)
+        t_window = default_window(trace)
     t_lo, t_hi = t_window
     gap = min_gap_frac * (t_hi - t_lo)
     box = trace.grid.box

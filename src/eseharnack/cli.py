@@ -75,6 +75,38 @@ class RunConfig:
     trace_dir: str | None = None
 
 
+SECTIONS = ("problem", "step", "constants", "checks", "output", "verify")
+
+
+class _Parser(configparser.ConfigParser):
+    """A ConfigParser that records every (section, key) read through `get`,
+    so that keys nobody read can be rejected."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"))
+        self.read_keys: set[tuple[str, str]] = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
+def _check_section(section: str) -> None:
+    if section not in SECTIONS:
+        raise ConfigError(f"unknown section [{section}]; known: {', '.join(SECTIONS)}")
+
+
+def _reject_unread(cp: _Parser) -> None:
+    """ConfigError naming the first section outside SECTIONS, or the first
+    key that a section sets and `build_config` never read."""
+    for section in cp.sections():
+        _check_section(section)
+        for key in cp.options(section):
+            if (section, key) not in cp.read_keys:
+                raise ConfigError(f"[{section}] {key}: unknown key, or unused given "
+                                  f"the section's other keys")
+
+
 def _get(cp, section, key, cast):
     """A required key, cast; ConfigError naming the key if it is missing or bad."""
     if not cp.has_option(section, key):
@@ -121,7 +153,7 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _Parser()
     try:
         with open(path) as fh:
             cp.read_file(fh, source=str(path))
@@ -131,13 +163,16 @@ def load_config(path, overrides=()) -> RunConfig:
         # configparser messages carry line numbers
         raise ConfigError(f"config parse error: {exc}") from None
     for section, key, value in overrides:
+        _check_section(section)
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, key, value)
     return build_config(cp)
 
 
-def build_config(cp: configparser.ConfigParser) -> RunConfig:
+def build_config(cp: _Parser) -> RunConfig:
+    """The run config that `cp` describes; ConfigError naming the first bad,
+    missing, unknown or unused key."""
     if not cp.has_section("problem"):
         raise ConfigError("config needs a [problem] section")
 
@@ -166,10 +201,8 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
                                  _get(cp, "problem", "width", float),
                                  **_optional(cp, "problem", center=_parse_floats))
         elif kind == "file":
-            _, f = traceio.load_field(_get(cp, "problem", "file", str))
-            if f.grid != grid:
-                raise ConfigError("[problem] file grid does not match configured grid")
-            initial = TabulatedIC(f.values)
+            initial = TabulatedIC(traceio.load_array(_get(cp, "problem", "file", str),
+                                                     grid.extents))
         else:
             raise ConfigError(
                 f"[problem] initial must be constant/gaussian/file, got {kind!r}")
@@ -212,9 +245,11 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
         hr_rect=_parse_intervals, hr_b_margin=float, residual_tol=float,
         classical_pairs=int, classical_tol=float, rescale_lambda=float,
         rescale_tol=float, blowup_c=float))
-    return RunConfig(problem, step, k, source, checks,
-                     cp.get("output", "dir", fallback=RunConfig.outdir),
-                     cp.get("verify", "trace_dir", fallback=None))
+    rc = RunConfig(problem, step, k, source, checks,
+                   cp.get("output", "dir", fallback=RunConfig.outdir),
+                   cp.get("verify", "trace_dir", fallback=None))
+    _reject_unread(cp)
+    return rc
 
 
 # ---------------------------------------------------------------------------

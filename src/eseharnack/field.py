@@ -83,6 +83,11 @@ class Grid:
     def axes(self) -> tuple[np.ndarray, ...]:
         return tuple(self.axis(k) for k in range(self.dim))
 
+    def point(self, flat: int) -> tuple[float, ...]:
+        """Coordinates of the grid point at C-order flat index `flat`."""
+        idx = np.unravel_index(flat, self.extents)
+        return tuple(float(self.axis(k)[i]) for k, i in enumerate(idx))
+
     def mesh(self) -> list[np.ndarray]:
         """Coordinate arrays of shape `extents`, one per axis ('ij' indexing)."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))

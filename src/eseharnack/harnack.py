@@ -324,7 +324,6 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     best = math.inf
     arg_x: tuple[float, ...] = ()
     arg_t = math.nan
-    axes = g.axes()
     for i in window_indices(trace.times, t_window):
         t = trace.times[i]
         h0 = _solution_part(np.log(trace.samples[i]), g, k, p) + k.a / t
@@ -332,9 +331,7 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
         curve.append((t, m))
         if m < best:
             best = m
-            flat = int(np.argmin(h0))
-            idx = np.unravel_index(flat, g.extents)
-            arg_x = tuple(float(axes[d][idx[d]]) for d in range(g.dim))
+            arg_x = g.point(int(np.argmin(h0)))
             arg_t = t
     if not curve:
         raise WindowTooSmall("no trace samples inside the window")

@@ -326,8 +326,10 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     """Integrate until t_end, blowup declaration, or abort.
 
     Blowup is declared when max f exceeds cfg.f_cap, or when the stable dt
-    falls below cfg.dt_min while max f is still rising.  A positivity failure
-    aborts with the timestamp attached.
+    falls below cfg.dt_min, or below the float spacing at t, while max f is
+    still rising.  A positivity failure,
+    or a step whose result is not finite (an overflow), aborts with the
+    timestamp attached; the failed step is not recorded.
 
     Each sample is written once, into one array of shape
     (capacity, *extents).  The capacity comes from the first step's dt, which
@@ -369,7 +371,9 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
 
     while t < prob.t_end:
         dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
-        if dt_stable < cfg.dt_min:
+        # t + dt == t: the step lies below the float spacing at t, so time
+        # would stop advancing while f still grows
+        if dt_stable < cfg.dt_min or t + dt_stable == t:
             if fmax > prev_max:
                 status = TraceStatus.blowup(t, criterion="dt_floor")
             else:
@@ -377,18 +381,23 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
             break
         dt = min(dt_stable, prob.t_end - t)
         try:
-            cur = ws.advance(cur, dt)
+            nxt = ws.advance(cur, dt)
         except NonPositiveField as exc:
             status = TraceStatus.aborted(str(exc), t)
             break
+        new_max = float(ws.states[nxt].max())   # also the next step's dt input
+        if not math.isfinite(new_max):
+            # y, the last finite state, stays the trace's end
+            status = TraceStatus.aborted(f"RK4 result is not finite (max={new_max})", t)
+            break
+        cur = nxt
         y = ws.states[cur]
-        prev_max = fmax
+        prev_max, fmax = fmax, new_max
         t += dt
         accepted += 1
         step_log.append(dt)
         if accepted % cfg.sample_stride == 0:
             record(t, y)
-        fmax = float(y.max())      # also the next step's dt input
         if fmax > cfg.f_cap:
             status = TraceStatus.blowup(t, criterion="f_cap")
             break

@@ -1,7 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eseharnack import Field, Grid, StepConfig, solve
 from eseharnack import blowup as bl
@@ -9,7 +13,7 @@ from eseharnack import cli
 from eseharnack.blowup import tail_fit
 from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
-from eseharnack.traceio import load_field, load_trace, save_field, save_trace
+from eseharnack.traceio import load_trace, save_trace
 
 from conftest import constant_problem, gaussian_problem
 
@@ -66,17 +70,6 @@ def write(tmp_path, name, text):
 # ---------------------------------------------------------------------------
 # trace I/O
 
-def test_field_snapshot_roundtrip(tmp_path):
-    g = Grid(((-4.0, 4.0),), (64,), "reflecting")
-    f = Field(g, np.linspace(0.5, 2.0, 64))
-    path = tmp_path / "snap.fld"
-    save_field(path, 0.125, f)
-    t, back = load_field(path)
-    assert t == 0.125
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
 def test_trace_roundtrip(tmp_path):
     tr = solve(constant_problem(t_end=2.0), StepConfig(sample_stride=1))
     save_trace(tmp_path / "trace", tr)
@@ -98,26 +91,93 @@ def test_load_trace_missing_dir(tmp_path):
         load_trace(tmp_path / "nowhere")
 
 
-@pytest.mark.parametrize("damage, message", [
-    (lambda raw: raw[:-8], r"snap\.fld.*expected 128 bytes.*found 120"),
-    (lambda raw: raw.replace(b"boundary=periodic\n", b""), r"snap\.fld.*missing key 'boundary'"),
-])
-def test_load_field_malformed_names_file_and_fault(tmp_path, damage, message):
-    path = tmp_path / "snap.fld"
-    save_field(path, 0.0, Field.constant(Grid.line(0.0, 1.0, 16), 1.0))
-    path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(ConfigError, match=message):
-        load_field(path)
+def _initial_file_ini(path) -> str:
+    return CONST_INI.replace("initial = constant\nlevel = 1.0",
+                             f"initial = file\nfile = {path}")
+
+
+def test_initial_file_matches_gaussian_initial(tmp_path):
+    values = Field.gaussian(Grid(((-4.0, 4.0),), (128,), "reflecting"),
+                            1.0, 0.2, (0.0,)).values
+    path = tmp_path / "f0.npy"
+    np.save(path, values)
+    tabulated = GAUSS_INI.replace(
+        "initial = gaussian\namplitude = 1.0\nwidth = 0.2\ncenter = 0.0",
+        f"initial = file\nfile = {path}")
+    outs = []
+    for name, ini in (("gauss", GAUSS_INI), ("file", tabulated)):
+        outs.append(tmp_path / name)
+        cfg = write(tmp_path, f"{name}.ini", ini)
+        assert main(["verify", "--config", cfg, "--out", str(outs[-1])]) == 0
+    for name in ("summary.json", "h0_curve.csv", "classical_pairs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_truncated_initial_file_exits_two(tmp_path, capsys):
-    path = tmp_path / "snap.fld"
-    save_field(path, 0.0, Field.constant(Grid.line(0.0, 100.0, 16), 1.0))
+    path = tmp_path / "f0.npy"
+    np.save(path, np.ones(16))
     path.write_bytes(path.read_bytes()[:-1])
-    cfg = write(tmp_path, "c.ini", CONST_INI.replace(
-        "initial = constant\nlevel = 1.0", f"initial = file\nfile = {path}"))
+    cfg = write(tmp_path, "c.ini", _initial_file_ini(path))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
-    assert "snap.fld" in capsys.readouterr().err
+    assert "f0.npy" in capsys.readouterr().err
+
+
+def _save_npz(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, np.ones(16))
+
+
+def _one_bad(value):
+    values = np.ones(16)
+    values[5] = value
+    return values
+
+
+@pytest.mark.parametrize("write_bad, message", [
+    (lambda path: path.write_text("1.0 " * 16), "f0.npy"),
+    (lambda path: np.save(path, np.ones(16, dtype=np.float32)), "float64 of shape"),
+    (lambda path: np.save(path, np.ones(15)), r"shape \(16,\).*shape \(15,\)"),
+    (lambda path: np.save(path, _one_bad(np.nan)), "finite and positive"),
+    (lambda path: np.save(path, _one_bad(np.inf)), "finite and positive"),
+    (lambda path: np.save(path, _one_bad(0.0)), "finite and positive"),
+    (lambda path: np.save(path, _one_bad(-1.0)), "finite and positive"),
+    (_save_npz, r"\.npz archive"),
+], ids=["text", "float32", "wrong-shape", "nan", "inf", "zero", "negative", "npz"])
+def test_malformed_initial_file_exits_two(tmp_path, capsys, write_bad, message):
+    path = tmp_path / "f0.npy"
+    write_bad(path)
+    cfg = write(tmp_path, "c.ini", _initial_file_ini(path))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}" in err
+    assert re.search(message, err)
+    assert "Traceback" not in err and not out.exists()
+
+
+# float64 of the grid's extents half the time, so that valid arrays reach the solver
+_DTYPES = st.one_of(st.just(np.float64), st.sampled_from(
+    [np.float32, np.int64, np.complex128, np.bool_, np.dtype(">f8")]))
+_SHAPES = st.one_of(st.just((16,)), st.sampled_from(
+    [(15,), (17,), (), (0,), (1, 16), (16, 1), (2, 16)]))
+_VALUES = st.one_of(st.floats(min_value=5e-324, max_value=1e9),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(dtype=_DTYPES, shape=_SHAPES, positive=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_initial_file_fuzz_never_exits_four(tmp_path, dtype, shape, positive, data):
+    size = int(np.prod(shape))
+    element = st.floats(min_value=5e-324, max_value=1e7) if positive else _VALUES
+    values = data.draw(st.lists(element, min_size=size, max_size=size))
+    with np.errstate(all="ignore"):     # a cast to a narrower dtype may overflow
+        arr = np.array(values, dtype=np.float64).astype(dtype).reshape(shape)
+    path = tmp_path / "f0.npy"
+    np.save(path, arr)
+    cfg = write(tmp_path, "c.ini", _initial_file_ini(path).replace(
+        "t_end = 5.0", "t_end = 0.01"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) in (0, 2, 3)
 
 
 def _drop_sample_times(path):
@@ -130,6 +190,14 @@ def _drop_n_steps(path):
     meta = json.loads(path.read_text())
     del meta["n_steps"]
     path.write_text(json.dumps(meta))
+
+
+def _set_sample_times(value):
+    def damage(path):
+        meta = json.loads(path.read_text())
+        meta["sample_times"] = value
+        path.write_text(json.dumps(meta))
+    return damage
 
 
 def _reverse_sample_times(path):
@@ -155,6 +223,10 @@ def _reverse_sample_times(path):
      r"steps\.npy.*finite"),
     ("steps.npy", lambda path: path.unlink(), r"steps\.npy"),
     ("metadata.json", _drop_n_steps, r"metadata\.json.*missing key 'n_steps'"),
+    ("samples.npy", lambda path: np.save(path, np.load(path) * np.inf), r"samples\.npy.*finite"),
+    ("samples.npy", lambda path: np.save(path, np.load(path) * np.nan), r"samples\.npy.*finite"),
+    ("metadata.json", _set_sample_times([]), r"metadata\.json.*nonempty"),
+    ("metadata.json", _set_sample_times(0.5), r"metadata\.json.*nonempty"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -230,6 +302,36 @@ def test_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert (rc.outdir, rc.trace_dir) == ("out", None)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("problem", "levl"), ("step", "sample_strid"), ("constants", "alpah"),
+    ("checks", "enabeld"), ("output", "dri"), ("verify", "trace_dri"),
+])
+def test_config_typo_key_exits_two(tmp_path, capsys, section, key):
+    head = f"[{section}]\n{key} = 1\n"
+    ini = CONST_INI.replace(f"[{section}]\n", head) if f"[{section}]" in CONST_INI \
+        else CONST_INI + "\n" + head
+    cfg = write(tmp_path, "c.ini", ini)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ini, named", [
+    (GAUSS_INI.replace("width = 0.2", "width = 0.2\nlevel = 1.0"), "[problem] level"),
+    (CONST_INI.replace("level = 1.0", "level = 1.0\nwidth = 0.2"), "[problem] width"),
+    (GAUSS_INI.replace("preset = hamilton_1d", "preset = hamilton_1d\nalpha = 1.0"),
+     "[constants] alpha"),
+    (CONST_INI + "\n[check]\nenabled = h0\n", "unknown section [check]"),
+    (CONST_INI + "\n[check]\n", "unknown section [check]"),
+], ids=["level-under-gaussian", "width-under-constant", "alpha-next-to-preset",
+        "unknown-section", "empty-unknown-section"])
+def test_config_unused_key_or_unknown_section_exits_two(tmp_path, capsys, ini, named):
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert named in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -242,6 +344,28 @@ def test_cmd_solve_constant_blowup(tmp_path):
     assert summary["t_estimate"] == pytest.approx(1.0, rel=1e-2)
     back = load_trace(out / "trace")
     assert back.status.kind == "blowup"
+
+
+def test_cmd_solve_overflow_aborts_before_the_nonfinite_state(tmp_path):
+    # p = 1.02 blows up at T* = 50; max f passes 1e307 about 3.5e-5 before
+    # T*, where time is still resolved, and the next step's f^p overflows
+    root = Path(__file__).resolve().parents[1]
+    ini = (root / "configs" / "constant_blowup.ini").read_text()
+    for old, new in (("p = 2.0", "p = 1.02"), ("t_end = 2.0", "t_end = 100.0"),
+                     ("reaction_safety = 0.02", "reaction_safety = 0.2\nf_cap = 1e308"),
+                     ("preset = hamilton_1d", "alpha = 1.0\nbeta = 0.0\nc = 0.5\na = 0.5")):
+        ini = ini.replace(old, new)
+    cfg = write(tmp_path, "c.ini", ini)
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "aborted"
+    assert "RK4 result is not finite" in summary["abort_reason"]
+    back = load_trace(out / "trace")
+    assert np.isfinite(back.samples).all() and back.samples.max() > 1e300
+    assert back.t_final == back.status.t_detect
+    assert len(back.step_log) == len(back.samples) - 1
 
 
 def test_cmd_solve_short_gaussian_exits_zero(tmp_path):
@@ -360,6 +484,16 @@ def test_cmd_verify_loads_saved_trace(tmp_path):
     assert main(["verify", "--config", cfg2, "--out", str(out)]) == 0
 
 
+def test_cmd_verify_trace_from_another_grid_exits_two(tmp_path, capsys):
+    cfg_path = write(tmp_path, "g.ini", GAUSS_INI.replace("extents = 128", "extents = 64"))
+    solve_out = tmp_path / "solved"
+    assert main(["solve", "--config", cfg_path, "--out", str(solve_out)]) == 0
+    reuse = GAUSS_INI + f"\n[verify]\ntrace_dir = {solve_out / 'trace'}\n"
+    cfg2 = write(tmp_path, "g2.ini", reuse)
+    assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "run")]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_cmd_verify_missing_trace_dir(tmp_path):
     reuse = GAUSS_INI + "\n[verify]\ntrace_dir = /nonexistent/trace\n"
     cfg = write(tmp_path, "g.ini", reuse)
@@ -401,11 +535,8 @@ def test_cmd_verify_fits_the_blowup_tail_once(tmp_path, monkeypatch):
 def test_cmd_solve_abort_exits_three(tmp_path):
     # heat-only decay with an absurd dt floor: the step cap dives under it
     # without growth, which is an abort, not a blowup
-    ini = GAUSS_INI.replace("[step]", "[problem2]") + """
-[step]
-dt_min = 1.0
-sample_stride = 1
-"""
+    ini = GAUSS_INI.replace("[step]\nsample_stride = 4",
+                            "[step]\ndt_min = 1.0\nsample_stride = 1")
     ini = ini.replace("t_end = 0.5", "t_end = 0.5\nreaction = off")
     cfg = write(tmp_path, "g.ini", ini)
     out = tmp_path / "run"
@@ -546,3 +677,14 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])            # --config is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("axis", ["step.sample_strid=1,2", "setp.sample_stride=1,2",
+                                  "DEFAULT.level=1,2"])
+def test_cmd_sweep_over_a_typo_key_is_a_config_error_at_every_point(tmp_path, capsys, axis):
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis]) == 2
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(",config_error," in row for row in rows)
+    assert capsys.readouterr().out.count("config_error exit 2") == 2

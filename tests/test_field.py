@@ -24,6 +24,14 @@ def test_grid_spacing_reflecting_includes_endpoints():
     assert g.axis(0)[0] == 0.0 and g.axis(0)[-1] == 1.0
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+def test_grid_point_maps_a_flat_index_to_its_mesh_coordinates(boundary):
+    g = Grid(((-1.0, 1.0), (0.0, 2.0), (3.0, 4.0)), (5, 4, 6), boundary)
+    mesh = g.mesh()
+    for flat in (0, 7, 61, g.size - 1):
+        assert g.point(flat) == tuple(float(m.flat[flat]) for m in mesh)
+
+
 @pytest.mark.parametrize("bad", [
     dict(box=((0, 1),) * 4, extents=(8,) * 4),          # dim > 3
     dict(box=((0, 1),), extents=(3,)),                  # too few points

@@ -130,6 +130,19 @@ def test_dt_floor_declares_blowup_only_while_rising():
     assert tr2.status.kind == "aborted"
 
 
+def test_time_floor_declares_blowup_where_t_stops_advancing():
+    # p = 3 blows up near T* = 0.5.  With dt_min = 1e-300 the reaction cap
+    # falls below half the float spacing at t (at max f ~ 1.1e7) long before
+    # f_cap, and one more step would leave t where it is
+    cfg = StepConfig(reaction_safety=0.02, dt_min=1e-300, f_cap=1e300, sample_stride=1)
+    tr = solve(constant_problem(p=3.0), cfg)
+    assert (tr.status.kind, tr.status.criterion) == ("blowup", "dt_floor")
+    assert np.all(np.diff(tr.times) > 0) and np.isfinite(tr.samples).all()
+    fmax = float(tr.samples[-1].max())
+    assert 1e6 < fmax < 1e8
+    assert tr.t_final + stable_dt(tr.grid, 3.0, fmax, cfg) == tr.t_final
+
+
 def test_solve_validates_f_cap_against_initial_data():
     with pytest.raises(ValueError):
         solve(constant_problem(level=2.0), StepConfig(f_cap=1.5))
