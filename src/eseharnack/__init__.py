@@ -18,9 +18,8 @@ from .harnack import (HarnackReport, LocalizerSpec, ResidualStats,
                       certify_verdict, default_window, evolution_residual,
                       f_form, h0_report, harnack_h0, harnack_hr,
                       localizer_min_b, make_localizer, phi_r)
-from .integrate import (ConstantIC, GaussianIC, ProblemSpec, RescaleSpec,
-                        SolveTrace, StepConfig, TabulatedIC, TraceStatus,
-                        initial_field, rescale_field, rescale_problem,
+from .integrate import (ProblemSpec, RescaleSpec, SolveTrace, StepConfig,
+                        TraceStatus, rescale_field, rescale_problem,
                         rescale_trace, solve, step)
 
 __version__ = "0.1.0"

@@ -38,9 +38,9 @@ from .errors import (BetaZero, ConfigError, EseError, NonPositiveField,
 # log_field and rescale_trace are not called here, but bench/tracing.py
 # times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
 from .field import Field, Grid, log_field  # noqa: F401
-from .integrate import (ConstantIC, GaussianIC, ProblemSpec, RescaleSpec,  # noqa: F401
-                        SolveTrace, StepConfig, TabulatedIC, rescale_field,
-                        rescale_problem, rescale_trace, solve)
+from .integrate import (ProblemSpec, RescaleSpec, SolveTrace,  # noqa: F401
+                        StepConfig, rescale_field, rescale_problem,
+                        rescale_trace, solve)
 
 KNOWN_CHECKS = ("h0", "hr", "residual", "blowup", "classical", "rescale")
 
@@ -62,6 +62,23 @@ class CheckSettings:
     rescale_lambda: float = 2.0
     rescale_tol: float = 1e-3
     blowup_c: float | None = None
+
+    def __post_init__(self):
+        if not 0 < self.t_min_frac < self.t_max_frac <= 1:
+            raise ValueError(f"need 0 < t_min_frac < t_max_frac <= 1, got t_min_frac = "
+                             f"{self.t_min_frac} and t_max_frac = {self.t_max_frac}")
+        for name in ("h0_tol", "residual_tol", "classical_tol", "rescale_tol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.classical_pairs < 1:
+            raise ValueError(f"classical_pairs must be >= 1, got {self.classical_pairs}")
+        if not 0 < self.rescale_lambda < math.inf:
+            raise ValueError(f"rescale_lambda must be finite and > 0, "
+                             f"got {self.rescale_lambda}")
+        if not 1 < self.hr_b_margin < math.inf:
+            raise ValueError(f"hr_b_margin must be finite and > 1, got {self.hr_b_margin}")
+        if self.blowup_c is not None and not math.isfinite(self.blowup_c):
+            raise ValueError(f"blowup_c must be finite, got {self.blowup_c}")
 
 
 @dataclass
@@ -195,14 +212,16 @@ def build_config(cp: _Parser) -> RunConfig:
     t_end = _get(cp, "problem", "t_end", float)
     try:
         if kind == "constant":
-            initial = ConstantIC(_get(cp, "problem", "level", float))
+            level = _get(cp, "problem", "level", float)
+            if not level > 0:
+                raise ValueError(f"constant initial data needs level > 0, got {level}")
+            initial = Field.constant(grid, level).values
         elif kind == "gaussian":
-            initial = GaussianIC(_get(cp, "problem", "amplitude", float),
-                                 _get(cp, "problem", "width", float),
-                                 **_optional(cp, "problem", center=_parse_floats))
+            initial = Field.gaussian(grid, _get(cp, "problem", "amplitude", float),
+                                     _get(cp, "problem", "width", float),
+                                     **_optional(cp, "problem", center=_parse_floats)).values
         elif kind == "file":
-            initial = TabulatedIC(traceio.load_array(_get(cp, "problem", "file", str),
-                                                     grid.extents))
+            initial = traceio.load_array(_get(cp, "problem", "file", str), grid.extents)
         else:
             raise ConfigError(
                 f"[problem] initial must be constant/gaussian/file, got {kind!r}")
@@ -240,11 +259,14 @@ def build_config(cp: _Parser) -> RunConfig:
     for name in enabled:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"[checks] unknown check {name!r}; known: {KNOWN_CHECKS}")
-    checks = CheckSettings(enabled, **_optional(
-        cp, "checks", t_min_frac=float, t_max_frac=float, h0_tol=float,
-        hr_rect=_parse_intervals, hr_b_margin=float, residual_tol=float,
-        classical_pairs=int, classical_tol=float, rescale_lambda=float,
-        rescale_tol=float, blowup_c=float))
+    try:
+        checks = CheckSettings(enabled, **_optional(
+            cp, "checks", t_min_frac=float, t_max_frac=float, h0_tol=float,
+            hr_rect=_parse_intervals, hr_b_margin=float, residual_tol=float,
+            classical_pairs=int, classical_tol=float, rescale_lambda=float,
+            rescale_tol=float, blowup_c=float))
+    except ValueError as exc:
+        raise ConfigError(f"[checks]: {exc}") from None
     rc = RunConfig(problem, step, k, source, checks,
                    cp.get("output", "dir", fallback=RunConfig.outdir),
                    cp.get("verify", "trace_dir", fallback=None))
@@ -590,6 +612,8 @@ def cmd_sweep(args) -> int:
         axes.append((section.strip(), key.strip(), values))
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs} must be at least 1")
     load_config(args.config)  # validate template before spawning workers
 
     out = Path(args.out)
@@ -601,8 +625,10 @@ def cmd_sweep(args) -> int:
         jobs.append((args.config, overrides, str(subdir), args.seed,
                      args.allow_inadmissible))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method forks every worker at the first submit
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]

@@ -205,7 +205,11 @@ def preset(name: str) -> tuple[int, float, HarnackConstants]:
         return _FIXED_PRESETS[name]
     m = _BLOWUP_RE.match(name.strip())
     if m:
-        n, p, c = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        try:
+            n, p, c = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        except ValueError:
+            raise UnknownPreset(f"malformed preset {name!r}: blowup(n,p,c) needs an "
+                                f"integer n and numbers p and c") from None
         return blowup_preset(n, p, c)
     raise UnknownPreset(f"unknown preset {name!r}; known: {preset_names()}")
 

@@ -48,6 +48,8 @@ class Grid:
             raise ValueError("extents and box must have the same length")
         if any(n < 4 for n in extents):
             raise ValueError("need at least 4 points per axis")
+        if not all(math.isfinite(v) for iv in box for v in iv):
+            raise ValueError(f"box bounds must be finite, got {box}")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("each box interval needs hi > lo")
         if self.boundary not in BOUNDARIES:
@@ -199,13 +201,15 @@ class Field:
     def gaussian(cls, grid: Grid, amplitude: float, width: float,
                  center=None) -> "Field":
         """amplitude * exp(-|x - center|^2 / (2 width^2)); positive everywhere."""
-        if amplitude <= 0 or width <= 0:
-            raise ValueError("gaussian needs amplitude > 0 and width > 0")
+        for name, value in (("amplitude", amplitude), ("width", width)):
+            if not value > 0:
+                raise ValueError(f"gaussian needs {name} > 0, got {value}")
         if center is None:
             center = tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (grid.dim,):
-            raise ValueError("center must have one coordinate per axis")
+            raise ValueError(f"gaussian center {center.tolist()} has {center.size} "
+                             f"coordinates, the grid has {grid.dim} axes")
         r2 = sum((xk - ck) ** 2 for xk, ck in zip(grid.mesh(), center))
         return cls(grid, amplitude * np.exp(-r2 / (2.0 * width ** 2)))
 

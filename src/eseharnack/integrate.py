@@ -27,55 +27,27 @@ from .field import Field, Grid, require_positive
 # ---------------------------------------------------------------------------
 # problem description
 
-@dataclass(frozen=True)
-class ConstantIC:
-    level: float
-
-    def __post_init__(self):
-        if not self.level > 0:
-            raise NonPositiveField(f"constant initial data needs level > 0, got {self.level}")
-
-
-@dataclass(frozen=True)
-class GaussianIC:
-    amplitude: float
-    width: float
-    center: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        for name in ("amplitude", "width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"need {name} > 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class TabulatedIC:
-    values: np.ndarray
-
-
-InitialData = ConstantIC | GaussianIC | TabulatedIC
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Cauchy problem: grid, exponent p > 1, positive initial data, horizon."""
+    """Cauchy problem: grid, exponent p > 1, positive initial data, horizon.
+
+    `initial` is f0 itself, copied into a read-only float64 array of the
+    grid's extents; every value must be > 0.
+    """
 
     grid: Grid
     p: float
-    initial: InitialData
+    initial: np.ndarray
     t_end: float
     reaction: bool = True  # False integrates the pure heat equation (sanity runs)
 
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError(f"need p > 1, got {self.p}")
-        if not self.t_end > 0:
-            raise ValueError(f"need t_end > 0, got {self.t_end}")
-        ic = self.initial
-        if isinstance(ic, GaussianIC) and ic.center is not None \
-                and np.size(ic.center) != self.grid.dim:
-            raise ValueError(f"center has {np.size(ic.center)} coordinates, "
-                             f"the grid has {self.grid.dim} axes")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"need a finite t_end > 0, got {self.t_end}")
+        f0 = require_positive(Field(self.grid, self.initial), "initial data")
+        object.__setattr__(self, "initial", f0.values)
 
     @property
     def n(self) -> int:
@@ -99,19 +71,6 @@ class StepConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-
-
-def initial_field(prob: ProblemSpec) -> Field:
-    ic = prob.initial
-    if isinstance(ic, ConstantIC):
-        f = Field.constant(prob.grid, ic.level)
-    elif isinstance(ic, GaussianIC):
-        f = Field.gaussian(prob.grid, ic.amplitude, ic.width, ic.center)
-    elif isinstance(ic, TabulatedIC):
-        f = Field(prob.grid, ic.values)
-    else:
-        raise TypeError(f"unknown initial data {ic!r}")
-    return require_positive(f, "initial data")
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +168,8 @@ class _Workspace:
     reads the neighbours straight from the state, and every stage writes into
     a reused C-contiguous buffer.  The workspace owns the two state buffers
     the solve loop alternates between and the stage buffer, and binds the
-    stencil views of each of them into its k buffer once (`_bind`); arrays
-    from outside are bound on the spot.
+    stencil views of each of them into its k buffer once (`_bind`), so every
+    step runs through views bound at construction.
     """
 
     def __init__(self, grid: Grid, p: float, reaction: bool):
@@ -232,11 +191,8 @@ class _Workspace:
         return tuple(self.op.bind(values, ax, out if ax == 0 else self.tmp)
                      for ax in range(len(self.op.inv_h2)))
 
-    def _rhs(self, values: np.ndarray, out: np.ndarray, plan: tuple | None = None) -> None:
-        """lap(values) + values^p into `out`; `plan` is `_bind(values, out)`,
-        bound on the spot when not given."""
-        if plan is None:
-            plan = self._bind(np.ascontiguousarray(values, dtype=np.float64), out)
+    def _rhs(self, values: np.ndarray, out: np.ndarray, plan: tuple) -> None:
+        """lap(values) + values^p into `out`; `plan` is `_bind(values, out)`."""
         op = self.op
         for ax, (bound, inv_h2) in enumerate(zip(plan, op.inv_h2)):
             op.run(_diffusion, bound, inv_h2)
@@ -245,22 +201,21 @@ class _Workspace:
         if self.reaction:
             t = self.tmp
             if self.p == 2.0:
+                # numpy 1.24's np.power has no squaring fast path
                 np.multiply(values, values, out=t)
-            elif self.p == int(self.p) and 1 < self.p <= 8:
-                np.power(values, int(self.p), out=t)
             else:
                 np.power(values, self.p, out=t)
             out += t
 
-    def rk4(self, y: np.ndarray, dt: float, out: np.ndarray,
-            plan: tuple | None = None) -> None:
-        """One step from the positive state y into `out` (distinct from y);
-        checks that every later stage and the result stay positive.  `plan`
-        is `_bind(y, k[0])`, bound on the spot when not given."""
+    def advance(self, i: int, dt: float) -> int:
+        """One step from the positive state states[i] into the other state
+        buffer; checks that every later stage and the result stay positive.
+        Returns the other buffer's index."""
+        y, out = self.states[i], self.states[1 - i]
         k1, k2, k3, k4 = self.k
         plan2, plan3, plan4 = self._stage_plans
         stage, acc = self.stage, self.acc
-        self._rhs(y, k1, plan)
+        self._rhs(y, k1, self._state_plans[i])
         np.multiply(k1, 0.5 * dt, out=stage)
         stage += y
         self._rhs(_check_stage(stage, "RK stage 2"), k2, plan2)
@@ -277,11 +232,6 @@ class _Workspace:
         acc *= dt / 6.0
         np.add(y, acc, out=out)
         _check_stage(out, "RK4 result")
-
-    def advance(self, i: int, dt: float) -> int:
-        """One step from states[i] into the other state buffer, through the
-        plans bound at construction; returns the other buffer's index."""
-        self.rk4(self.states[i], dt, self.states[1 - i], self._state_plans[i])
         return 1 - i
 
 
@@ -294,9 +244,8 @@ def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Fiel
         return f
     _check_stage(f.values, "step input")
     ws = _Workspace(f.grid, p, reaction)
-    out = np.empty(f.grid.extents)
-    ws.rk4(f.values, dt, out)
-    return Field(f.grid, out)
+    ws.states[0][...] = f.values
+    return Field(f.grid, ws.states[ws.advance(0, dt)])
 
 
 def stable_dt(grid: Grid, p: float, fmax: float, cfg: StepConfig,
@@ -338,8 +287,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     to the sample count at the end and handed to the trace as it is.
     """
     cfg = cfg or StepConfig()
-    f0 = initial_field(prob)
-    fmax = f0.max()
+    fmax = float(prob.initial.max())
     if cfg.f_cap <= fmax:
         raise CapBelowInitial(f"[step] f_cap = {cfg.f_cap} must exceed the initial "
                               f"maximum {fmax}")
@@ -348,7 +296,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     ws = _Workspace(grid, prob.p, prob.reaction)
     cur = 0
     y = ws.states[cur]
-    y[...] = f0.values
+    y[...] = prob.initial
 
     capacity = _capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
                          cfg.sample_stride, 8 * grid.size)
@@ -438,10 +386,11 @@ def rescale_field(f: Field, t: float, spec: RescaleSpec) -> tuple[Field, float]:
 
 
 def rescale_problem(prob: ProblemSpec, spec: RescaleSpec) -> ProblemSpec:
-    """The rescaled Cauchy problem (initial data tabulated on the scaled grid)."""
-    f0, _ = rescale_field(initial_field(prob), 0.0, spec)
-    return ProblemSpec(grid=f0.grid, p=prob.p, initial=TabulatedIC(f0.values),
-                       t_end=spec.lam ** 2 * prob.t_end, reaction=prob.reaction)
+    """The rescaled Cauchy problem: initial data scaled by lam^delta on the
+    scaled grid, horizon by lam^2."""
+    return ProblemSpec(prob.grid.scaled(spec.lam), prob.p,
+                       prob.initial * spec.lam ** spec.delta,
+                       spec.lam ** 2 * prob.t_end, prob.reaction)
 
 
 def rescale_trace(trace: SolveTrace, spec: RescaleSpec) -> SolveTrace:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from eseharnack import (ConstantIC, GaussianIC, Grid, ProblemSpec, StepConfig,
-                        solve)
+from eseharnack import Field, Grid, ProblemSpec, StepConfig, solve
 
 # the width-0.2 Gaussian on [-4, 4] with reflecting walls is the shared
 # baseline run for the Harnack / residual / classical checks
@@ -16,13 +15,14 @@ def gaussian_problem(n_points, t_end=1.0, dim=1, box=BASE_BOX, width=BASE_WIDTH,
                      reaction=True):
     grid = Grid((box,) * dim, (n_points,) * dim, boundary)
     center = (0.0,) * dim
-    return ProblemSpec(grid, p, GaussianIC(amplitude, width, center), t_end,
-                       reaction=reaction)
+    return ProblemSpec(grid, p, Field.gaussian(grid, amplitude, width, center).values,
+                       t_end, reaction=reaction)
 
 
 def constant_problem(level=1.0, t_end=2.0, n_points=16, box=(0.0, 100.0), p=2.0):
     # wide box so the CFL cap never binds and the reaction cap rules the step
-    return ProblemSpec(Grid.line(*box, n_points), p, ConstantIC(level), t_end)
+    grid = Grid.line(*box, n_points)
+    return ProblemSpec(grid, p, Field.constant(grid, level).values, t_end)
 
 
 @pytest.fixture(scope="session")

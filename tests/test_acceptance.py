@@ -23,7 +23,6 @@ from eseharnack import (Field, Grid, HarnackConstants, ProblemSpec,
                         normalize_threshold_time, preset, random_pairs,
                         rescale_problem, solve)
 from eseharnack.cli import rescale_commutation_discrepancy
-from eseharnack.integrate import ConstantIC
 
 from conftest import constant_problem, gaussian_problem, record_acceptance
 
@@ -31,8 +30,8 @@ from conftest import constant_problem, gaussian_problem, record_acceptance
 def test_criterion_01_ode_anchor():
     # n=1, p=2, f0 = 1 on a periodic box at N=128: T* = 1 exactly
     start = time.perf_counter()
-    prob = ProblemSpec(Grid.line(0.0, 12.8, 128, "periodic"), 2.0,
-                       ConstantIC(1.0), t_end=2.0)
+    grid = Grid.line(0.0, 12.8, 128, "periodic")
+    prob = ProblemSpec(grid, 2.0, Field.constant(grid, 1.0).values, t_end=2.0)
     trace = solve(prob, StepConfig(sample_stride=1))
     est = estimate_blowup_time(trace, 2.0)
     elapsed = time.perf_counter() - start

@@ -286,6 +286,46 @@ def test_config_rejects_nan(tmp_path, key):
         load_config(cfg, overrides=[(section, key, "nan")])
 
 
+@pytest.mark.parametrize("key, value", [("box", "0:inf"), ("box", "nan:100"),
+                                        ("box", "-inf:0"), ("t_end", "inf")])
+def test_config_rejects_non_finite_box_and_t_end(tmp_path, key, value):
+    # t_end = inf with reaction = off would never end, so only load the config
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    with pytest.raises(ConfigError, match=rf"\[problem\].*{key}"):
+        load_config(cfg, overrides=[("problem", key, value)])
+
+
+@pytest.mark.parametrize("ini, message", [
+    (CONST_INI.replace("level = 1.0", "level = 0"), "level > 0, got 0.0"),
+    (CONST_INI.replace("level = 1.0", "level = nan"), "level > 0, got nan"),
+    (GAUSS_INI.replace("amplitude = 1.0", "amplitude = -1"), "amplitude > 0, got -1.0"),
+    (GAUSS_INI.replace("width = 0.2", "width = nan"), "width > 0, got nan"),
+    (GAUSS_INI.replace("center = 0.0", "center = 0.0, 1.0"), "center [0.0, 1.0]"),
+], ids=["level-zero", "level-nan", "amplitude", "width-nan", "center"])
+def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, message):
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "[problem]" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("classical_pairs", "0"), ("rescale_lambda", "0"), ("rescale_lambda", "-2"),
+    ("h0_tol", "nan"), ("residual_tol", "-1"), ("hr_b_margin", "0.5"),
+    ("t_min_frac", "0"), ("t_max_frac", "1.5"), ("blowup_c", "inf"),
+    ("preset", "blowup(1.5, 2, 0.5)"), ("preset", "blowup(x, 2, 0.5)"),
+])
+def test_malformed_check_setting_or_preset_exits_two(tmp_path, capsys, key, value):
+    if key == "preset":
+        ini = CONST_INI.replace("preset = hamilton_1d", f"preset = {value}")
+    else:
+        ini = CONST_INI + f"\n[checks]\nenabled = h0\n{key} = {value}\n"
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and value in err and "Traceback" not in err
+
+
 def test_config_rejects_center_of_wrong_length(tmp_path):
     bad = GAUSS_INI.replace("center = 0.0", "center = 0.0, 0.0")
     with pytest.raises(ConfigError, match="center"):
@@ -650,6 +690,42 @@ def test_cmd_sweep_records_a_bad_point_and_runs_the_rest(tmp_path, ini, axis):
     assert len(rows) == 3
     assert ",config_error," not in rows[1]
     assert ",config_error," in rows[2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cmd_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs,
+                 "--axis", "problem.level=0.5,1.0"]) == 2
+    assert f"--jobs {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels, pools", [("0.5,1.0,2.0", [3]), ("1.0", [])])
+def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, levels, pools):
+    # a stand-in pool that records its size and maps serially: a real pool
+    # forks every worker at the first submit
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"),
+                 "--jobs", "64", "--axis", f"problem.level={levels}"]) == 0
+    assert made == pools
 
 
 def test_cmd_sweep_without_axis_is_error(tmp_path):

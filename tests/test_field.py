@@ -44,6 +44,26 @@ def test_grid_validation(bad):
         Grid(**bad)
 
 
+@pytest.mark.parametrize("box", [((0.0, np.inf),), ((np.nan, 1.0),),
+                                 ((0.0, 1.0), (-np.inf, 0.0))])
+def test_grid_refuses_non_finite_bounds(box):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(box, (8,) * len(box))
+
+
+@pytest.mark.parametrize("amplitude, width, center, message", [
+    (np.nan, 0.2, None, "amplitude > 0, got nan"),
+    (0.0, 0.2, None, "amplitude > 0, got 0.0"),
+    (1.0, np.nan, None, "width > 0, got nan"),
+    (1.0, -0.2, None, "width > 0, got -0.2"),
+    (1.0, 0.2, (0.0, 0.0), r"center \[0.0, 0.0\] has 2 coordinates"),
+])
+def test_gaussian_checks_its_parameters(amplitude, width, center, message):
+    # NaN fails every comparison, so it is refused too
+    with pytest.raises(ValueError, match=message):
+        Field.gaussian(Grid.line(-1.0, 1.0, 8), amplitude, width, center)
+
+
 def test_field_shape_validation_and_immutability():
     g = Grid.line(0.0, 1.0, 8)
     with pytest.raises(ValueError):

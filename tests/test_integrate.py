@@ -1,18 +1,19 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eseharnack import (ConstantIC, Field, GaussianIC, Grid, ProblemSpec,
-                        RescaleSpec, StepConfig, TabulatedIC, initial_field,
+from eseharnack import (Field, Grid, ProblemSpec, RescaleSpec, StepConfig,
                         ode_blowup_time, ode_oracle, rescale_field,
                         rescale_problem, rescale_trace, solve, step)
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack.errors import NonPositiveField, OutOfWindow
 from eseharnack.integrate import (TraceStatus, _capacity, _Workspace,
-                                  initial_field, stable_dt)
+                                  stable_dt)
 
 from conftest import constant_problem, gaussian_problem
+from test_stencil import _ref_rk4
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_reaction_slows_the_maximum_decay():
     # one step on Gaussian data: the source term keeps the peak higher than
     # the pure-heat step on the same data
     prob = gaussian_problem(128, t_end=0.1)
-    f = initial_field(prob)
+    f = Field(prob.grid, prob.initial)
     dt = 1e-4
     with_reaction = step(f, 0.0, dt, 2.0, reaction=True)
     heat_only = step(f, 0.0, dt, 2.0, reaction=False)
@@ -59,6 +60,19 @@ def test_step_rejects_negative_dt():
     g = Grid.line(0.0, 1.0, 16)
     with pytest.raises(ValueError):
         step(Field.constant(g, 1.0), 0.0, -1e-3, 2.0)
+
+
+@pytest.mark.parametrize("dim, reaction", [(1, True), (2, True), (2, False)])
+def test_step_equals_one_advance_of_a_solve_workspace(dim, reaction):
+    # step() copies its input into states[0]; the solve loop also steps out
+    # of states[1], through the other bound plan
+    prob = gaussian_problem(32, dim=dim, reaction=reaction)
+    f = Field(prob.grid, prob.initial)
+    dt = stable_dt(prob.grid, prob.p, f.max(), StepConfig(), reaction)
+    ws = _Workspace(prob.grid, prob.p, reaction)
+    ws.states[1][...] = prob.initial
+    assert np.array_equal(step(f, 0.0, dt, prob.p, reaction).values,
+                          ws.states[ws.advance(1, dt)])
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +113,7 @@ def test_detection_converges_first_order_or_better():
     # wide so the CFL cap never binds for constant data
     errs = []
     for n, rs in ((16, 0.4), (32, 0.2), (64, 0.1)):
-        prob = ProblemSpec(Grid.line(0.0, 100.0, n), 2.0, ConstantIC(1.0), 2.0)
-        tr = solve(prob, StepConfig(reaction_safety=rs, sample_stride=1))
+        tr = solve(constant_problem(n_points=n), StepConfig(reaction_safety=rs, sample_stride=1))
         errs.append(abs(tr.status.t_detect - 1.0))
     assert errs[0] / errs[1] >= 2.0
     assert errs[1] / errs[2] >= 2.0
@@ -124,8 +137,7 @@ def test_dt_floor_declares_blowup_only_while_rising():
     assert tr.status.kind == "blowup"
     assert tr.status.criterion == "dt_floor"
     # shrinking run: same floor without growth is an abort, not blowup
-    heat = ProblemSpec(Grid.line(0.0, 1.0, 64), 2.0, ConstantIC(1.0), 1.0,
-                       reaction=False)
+    heat = ProblemSpec(Grid.line(0.0, 1.0, 64), 2.0, np.ones(64), 1.0, reaction=False)
     tr2 = solve(heat, StepConfig(dt_min=1.0, sample_stride=1))
     assert tr2.status.kind == "aborted"
 
@@ -152,17 +164,15 @@ def test_solve_validates_f_cap_against_initial_data():
 # the sample array
 
 def _ref_solve(prob, cfg):
-    """The solve loop as it stood with a list of sample copies stacked at the
-    end; it steps through `_Workspace.rk4`, which binds on the spot."""
-    f0 = initial_field(prob)
-    fmax = f0.max()
+    """The solve loop as it stood with a list of samples stacked at the end;
+    it steps with the ghost-cell RK4 reference, which returns a new array
+    every step."""
+    fmax = float(prob.initial.max())
     grid = prob.grid
-    ws = _Workspace(grid, prob.p, prob.reaction)
-    y = np.array(f0.values)
-    y_next = np.empty(grid.extents)
+    y = prob.initial
     t = 0.0
     times = [t]
-    samples = [f0.values]
+    samples = [y]
     step_log = []
     prev_max = fmax
     status = None
@@ -177,18 +187,17 @@ def _ref_solve(prob, cfg):
             break
         dt = min(dt_stable, prob.t_end - t)
         try:
-            ws.rk4(y, dt, y_next)
+            y = _ref_rk4(y, dt, grid, prob.p, prob.reaction)
         except NonPositiveField as exc:
             status = TraceStatus.aborted(str(exc), t)
             break
         prev_max = fmax
-        y, y_next = y_next, y
         t += dt
         accepted += 1
         step_log.append(dt)
         if accepted % cfg.sample_stride == 0:
             times.append(t)
-            samples.append(y.copy())
+            samples.append(y)
         fmax = float(y.max())
         if fmax > cfg.f_cap:
             status = TraceStatus.blowup(t, criterion="f_cap")
@@ -211,9 +220,8 @@ def test_reaction_capped_run_grows_the_sample_array(cfg):
     # takes far more steps than the first dt predicts and the array grows
     prob = constant_problem(t_end=2.0)
     trace = solve(prob, cfg)
-    f0 = initial_field(prob)
-    first = _capacity(prob.t_end, stable_dt(prob.grid, prob.p, f0.max(), cfg),
-                      cfg.sample_stride, f0.values.nbytes)
+    first = _capacity(prob.t_end, stable_dt(prob.grid, prob.p, prob.initial.max(), cfg),
+                      cfg.sample_stride, prob.initial.nbytes)
     assert len(trace.samples) > 2 * first
     times, samples, status, step_log = _ref_solve(prob, cfg)
     assert trace.status == status and status.kind == "blowup"
@@ -273,15 +281,31 @@ def test_stepconfig_validation():
 def test_problemspec_validation():
     g = Grid.line(0.0, 1.0, 16)
     with pytest.raises(ValueError):
-        ProblemSpec(g, 1.0, ConstantIC(1.0), 1.0)
+        ProblemSpec(g, 1.0, np.ones(16), 1.0)
     with pytest.raises(ValueError):
-        ProblemSpec(g, 2.0, ConstantIC(1.0), 0.0)
-    with pytest.raises(NonPositiveField):
-        ProblemSpec(g, 2.0, ConstantIC(-1.0), 1.0)
-    bad = np.ones(16)
-    bad[5] = -1.0
-    with pytest.raises(NonPositiveField):
-        initial_field(ProblemSpec(g, 2.0, TabulatedIC(bad), 1.0))
+        ProblemSpec(g, 2.0, np.ones(16), 0.0)
+    with pytest.raises(ValueError, match="t_end"):
+        ProblemSpec(g, 2.0, np.ones(16), math.inf)
+    with pytest.raises(ValueError, match="shape"):
+        ProblemSpec(g, 2.0, np.ones(15), 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+def test_problemspec_refuses_nonpositive_initial_data(bad):
+    values = np.ones(16)
+    values[5] = bad
+    with pytest.raises(NonPositiveField, match="initial data"):
+        ProblemSpec(Grid.line(0.0, 1.0, 16), 2.0, values, 1.0)
+
+
+def test_problemspec_holds_a_read_only_copy_of_the_initial_data():
+    values = np.ones(16, dtype=np.int64)
+    prob = ProblemSpec(Grid.line(0.0, 1.0, 16), 2.0, values, 1.0)
+    values[0] = 5
+    assert prob.initial.dtype == np.float64 and prob.initial[0] == 1.0
+    assert values.flags.writeable and not prob.initial.flags.writeable
+    with pytest.raises(ValueError):
+        prob.initial[0] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +370,14 @@ def test_rescale_trace_scales_status_and_steps(const_run):
     assert np.allclose(out.step_log, 4.0 * const_run.step_log)
     assert out.times[0] == 4.0 * const_run.times[0]
     assert np.allclose(out.samples[0], 0.25 * const_run.samples[0])
+
+
+def test_rescale_problem_scales_the_initial_data_grid_and_horizon():
+    prob = gaussian_problem(32, t_end=0.5)
+    out = rescale_problem(prob, RescaleSpec(2.0, 2.0))
+    assert out.grid == prob.grid.scaled(2.0)
+    assert np.array_equal(out.initial, prob.initial * 0.25)
+    assert (out.p, out.t_end, out.reaction) == (2.0, 2.0, True)
 
 
 def test_rescaled_problem_blowup_time_scales():

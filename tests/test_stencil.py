@@ -10,8 +10,7 @@ exact.
 import numpy as np
 import pytest
 
-from eseharnack import (Field, Grid, ProblemSpec, StepConfig, TabulatedIC,
-                        solve, step)
+from eseharnack import Field, Grid, ProblemSpec, StepConfig, solve, step
 from eseharnack.errors import NonPositiveField
 from eseharnack.field import (central_diff, grad_sq_nd, gradient_nd,
                               hessian_sq_nd, laplacian_nd, second_diff)
@@ -158,7 +157,7 @@ def test_rhs_matches_ghost_cell_reference(dim, boundary, p, reaction):
     y = _values(g, seed=dim, positive=True)
     ws = _Workspace(g, p, reaction)
     out = np.empty(g.extents)
-    ws._rhs(y, out)
+    ws._rhs(y, out, ws._bind(y, out))
     assert np.array_equal(out, _ref_rhs(y, g, p, reaction))
 
 
@@ -220,7 +219,7 @@ def test_solve_aborts_with_the_reference_stage_failure(dim, boundary):
     y0 = np.full(g.extents, 1e-20)
     y0[(8,) * dim] = 1.0
     cfg = StepConfig(cfl_safety=1.0, sample_stride=1)
-    trace = solve(ProblemSpec(g, 2.0, TabulatedIC(y0), 0.01), cfg)
+    trace = solve(ProblemSpec(g, 2.0, y0, 0.01), cfg)
     with pytest.raises(NonPositiveField) as ref:
         _ref_rk4(y0, stable_dt(g, 2.0, 1.0, cfg), g, 2.0, True)
     assert trace.status.kind == "aborted"
@@ -299,7 +298,7 @@ def test_operator_rejects_a_non_contiguous_output(dim):
 def test_non_contiguous_input_gives_the_reference(dim, boundary):
     g = _grid(dim, boundary)
     # every second element of a larger positive array, and in 2-D and 3-D a
-    # Fortran-ordered copy
+    # Fortran-ordered copy (a Field keeps the Fortran order)
     wide = _values(Grid(g.box, tuple(2 * n for n in g.extents), boundary), 5, True)
     inputs = [wide[(slice(None, None, 2),) * dim]]
     if dim > 1:
@@ -308,6 +307,6 @@ def test_non_contiguous_input_gives_the_reference(dim, boundary):
         assert not v.flags.c_contiguous
         assert np.array_equal(laplacian_nd(v, g), _ref_laplacian_nd(v, g))
         assert np.array_equal(hessian_sq_nd(v, g), _ref_hessian_sq_nd(v, g))
-        out = np.empty(g.extents)
-        _Workspace(g, 2.5, True)._rhs(v, out)
-        assert np.array_equal(out, _ref_rhs(v, g, 2.5, True))
+        dt = stable_dt(g, 2.5, float(v.max()), StepConfig())
+        assert np.array_equal(step(Field(g, v), 0.0, dt, 2.5).values,
+                              _ref_rk4(v, dt, g, 2.5, True))
