@@ -21,8 +21,10 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,6 +269,14 @@ def build_config(cp: _Parser) -> RunConfig:
             rescale_tol=float, blowup_c=float))
     except ValueError as exc:
         raise ConfigError(f"[checks]: {exc}") from None
+    if "rescale" in enabled:
+        # build the rescaled problem once here, so that a lambda whose powers
+        # or horizon overflow is refused before anything is solved
+        try:
+            rescale_problem(problem, RescaleSpec(checks.rescale_lambda, problem.p))
+        except (ValueError, NonPositiveField) as exc:
+            raise ConfigError(f"[checks] rescale_lambda = {checks.rescale_lambda}: "
+                              f"{exc}") from None
     rc = RunConfig(problem, step, k, source, checks,
                    cp.get("output", "dir", fallback=RunConfig.outdir),
                    cp.get("verify", "trace_dir", fallback=None))
@@ -379,6 +389,21 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
         raise ConfigError("[checks] hr needs beta > 0 (localizer bound diverges)")
 
     out.mkdir(parents=True, exist_ok=True)
+    worker = nullcontext()
+    if "rescale" in rc.checks.enabled:
+        # started first, so that it runs alongside the main solve and checks
+        worker = _rescaled_solve(rc.problem, rc.step,
+                                 RescaleSpec(rc.checks.rescale_lambda, p))
+    with worker as rescaled_trace:
+        return _solve_and_check(rc, out, seed, verdict, rescaled_trace)
+
+
+def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.AdmissibilityVerdict,
+                     rescaled_trace) -> tuple[int, dict]:
+    """`run_pipeline` after validation: solve (or load), run the enabled
+    checks and write the reports.  `rescaled_trace()` returns the solve of
+    the rescaled problem, which the rescale check compares with."""
+    n, p, k = rc.problem.n, rc.problem.p, rc.constants
     if rc.trace_dir:
         trace = traceio.load_trace(rc.trace_dir)
         if trace.grid != rc.problem.grid or trace.p != p:
@@ -470,7 +495,7 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
         all_pass &= summary["checks"]["classical"]
 
     if "rescale" in cs.enabled:
-        disc = rescale_commutation_discrepancy(trace, rc.problem, rc.step,
+        disc = rescale_commutation_discrepancy(trace, rescaled_trace(),
                                                RescaleSpec(cs.rescale_lambda, p))
         summary["rescale"] = {"lambda": cs.rescale_lambda, "max_rel_discrepancy": disc}
         summary["checks"]["rescale"] = disc <= cs.rescale_tol
@@ -480,15 +505,58 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
     return (0 if all_pass else 1), summary
 
 
-def rescale_commutation_discrepancy(trace: SolveTrace, prob: ProblemSpec,
-                                    cfg: StepConfig, spec: RescaleSpec) -> float:
+def _solve_and_save(prob: ProblemSpec, cfg: StepConfig, outdir: str) -> None:
+    """Solve `prob` under `cfg` and save the trace at `outdir` (the worker
+    process's job in `_rescaled_solve`)."""
+    traceio.save_trace(outdir, solve(prob, cfg))
+
+
+@contextmanager
+def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
+    """Solve `prob` rescaled by `spec` in one worker process while the caller
+    goes on; yields a function that waits for that solve and returns its
+    trace, read back from a temporary directory.
+
+    A config error of the rescaled solve is raised naming the rescale check.
+    On exit a worker still running is stopped, not waited for, and the
+    temporary directory is removed.
+    """
+    # built here, not in the worker: the pool pickles its arguments on a
+    # thread, so they must be objects the caller does not touch meanwhile.
+    # The pool takes the default start method, as sweep's does: a forked
+    # worker imports nothing and finishes before the caller's checks do
+    # (spawn works too, but its imports put it on the critical path).
+    rescaled = rescale_problem(prob, spec)
+    with tempfile.TemporaryDirectory(prefix="eseharnack-rescale-") as tmp, \
+            ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_solve_and_save, rescaled, cfg, tmp)
+
+        def trace() -> SolveTrace:
+            try:
+                future.result()
+            except ConfigError as exc:
+                raise ConfigError(f"[checks] rescale (rescale_lambda = {spec.lam}): "
+                                  f"{exc}") from None
+            return traceio.load_trace(tmp)
+
+        try:
+            yield trace
+        finally:
+            if not future.done():
+                # concurrent.futures has no public way to stop a running
+                # task before Python 3.14's terminate_workers
+                for proc in list(pool._processes.values()):
+                    proc.terminate()
+
+
+def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
+                                    spec: RescaleSpec) -> float:
     """max relative gap between solve-then-rescale and rescale-then-solve,
-    where `trace` is the solve of `prob` under `cfg`.
+    where `other` is the solve of the problem of `trace` rescaled by `spec`.
 
     The solved trace is rescaled one sample at a time, so no more than two
     whole traces are held at once.
     """
-    other = solve(rescale_problem(prob, spec), cfg)
     lo = max(spec.lam ** 2 * trace.times[0], other.times[0])
     hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
     worst = 0.0

@@ -322,7 +322,7 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     g = trace.grid
     curve: list[tuple[float, float]] = []
     best = math.inf
-    arg_x: tuple[float, ...] = ()
+    arg_flat = None
     arg_t = math.nan
     for i in window_indices(trace.times, t_window):
         t = trace.times[i]
@@ -331,10 +331,11 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
         curve.append((t, m))
         if m < best:
             best = m
-            arg_x = g.point(int(np.argmin(h0)))
+            arg_flat = int(np.argmin(h0))
             arg_t = t
     if not curve:
         raise WindowTooSmall("no trace samples inside the window")
+    arg_x = () if arg_flat is None else g.point(arg_flat)
     verdict = "consistent" if best >= -tol else "violated"
     return HarnackReport(best, arg_x, arg_t, curve, t_window, tol, verdict, k)
 

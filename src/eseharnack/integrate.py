@@ -372,6 +372,13 @@ class RescaleSpec:
             raise ValueError("need lambda > 0")
         if self.p <= 1:
             raise ValueError("need p > 1")
+        try:
+            factors = (self.lam ** 2, self.lam ** self.delta)
+        except OverflowError:
+            factors = (math.inf,)
+        if not all(0 < f < math.inf for f in factors):
+            raise ValueError(f"lambda = {self.lam} makes lambda^2 or lambda^delta "
+                             f"(delta = {self.delta}) overflow or underflow")
 
     @property
     def delta(self) -> float:

@@ -184,7 +184,8 @@ def test_criterion_07_blowup_threshold():
 def test_criterion_08_rescaling():
     spec = RescaleSpec(2.0, 2.0)
     prob, cfg = gaussian_problem(128, t_end=0.5), StepConfig(sample_stride=4)
-    disc = rescale_commutation_discrepancy(solve(prob, cfg), prob, cfg, spec)
+    disc = rescale_commutation_discrepancy(solve(prob, cfg),
+                                           solve(rescale_problem(prob, spec), cfg), spec)
     cfg = StepConfig(sample_stride=1)
     base = estimate_blowup_time(solve(constant_problem(t_end=5.0), cfg), 2.0)
     scaled = estimate_blowup_time(

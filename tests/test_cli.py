@@ -1,5 +1,9 @@
 import json
+import multiprocessing
 import re
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eseharnack import Field, Grid, StepConfig, solve
+from eseharnack import Field, Grid, RescaleSpec, StepConfig, rescale_problem, solve
 from eseharnack import blowup as bl
 from eseharnack import cli
 from eseharnack.blowup import tail_fit
@@ -587,6 +591,141 @@ def test_cmd_solve_abort_exits_three(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the rescale check's worker process
+
+GAUSS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gaussian_hamilton.ini"
+REPORTS = ("summary.json", "h0_curve.csv", "classical_pairs.csv")
+
+
+@pytest.fixture
+def private_tempdir(tmp_path, monkeypatch):
+    """A directory that `tempfile` uses for this test only, so a test can see
+    what a run leaves behind there."""
+    path = tmp_path / "tempdir"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def gauss_rescale_reference():
+    """The rescale check of gaussian_hamilton.ini, all in this process: solve,
+    then rescale_problem, then the discrepancy."""
+    rc = load_config(GAUSS_CONFIG)
+    spec = RescaleSpec(rc.checks.rescale_lambda, rc.problem.p)
+    disc = cli.rescale_commutation_discrepancy(
+        solve(rc.problem, rc.step), solve(rescale_problem(rc.problem, spec), rc.step), spec)
+    return {"lambda": rc.checks.rescale_lambda, "max_rel_discrepancy": disc}, \
+        disc <= rc.checks.rescale_tol
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_rescale_worker_reports_equal_the_in_process_reference(
+        tmp_path, private_tempdir, gauss_rescale_reference, seed):
+    out = tmp_path / "worker"
+    assert main(["verify", "--config", str(GAUSS_CONFIG), "--out", str(out),
+                 "--seed", seed]) == 0
+    # the other checks, run without the rescale check and so without a worker
+    ref = tmp_path / "reference"
+    cfg = write(tmp_path, "g.ini", GAUSS_CONFIG.read_text().replace(
+        "enabled = h0, residual, blowup, classical, rescale",
+        "enabled = h0, residual, blowup, classical"))
+    assert main(["verify", "--config", cfg, "--out", str(ref), "--seed", seed]) == 0
+    summary = json.loads((ref / "summary.json").read_text())
+    summary["rescale"], summary["checks"]["rescale"] = gauss_rescale_reference
+    cli.write_summary(ref / "summary.json", summary)
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert list(private_tempdir.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_rescale_worker_runs_under_spawn(tmp_path, monkeypatch):
+    # the worker's callable and arguments must survive pickling into a fresh
+    # interpreter, which forkserver (Python 3.14's default) also needs
+    cfg = write(tmp_path, "g.ini", GAUSS_INI)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
+    pools = []
+
+    def spawn_pool(max_workers):
+        spawn = multiprocessing.get_context("spawn")
+        pools.append(ProcessPoolExecutor(max_workers, mp_context=spawn))
+        return pools[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "spawn")]) == 0
+    assert len(pools) == 1
+    for name in REPORTS:
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "spawn" / name).read_bytes()), name
+
+
+def _solve_and_save_after_two_minutes(prob, cfg, outdir):
+    time.sleep(120)
+    cli.traceio.save_trace(outdir, solve(prob, cfg))
+
+
+def _abort_at_the_first_step(ini, monkeypatch):
+    # heat-only decay with an absurd dt floor
+    return ini.replace("[step]\nsample_stride = 4", "[step]\ndt_min = 1.0\nsample_stride = 4"
+                       ).replace("t_end = 0.5", "t_end = 0.5\nreaction = off")
+
+
+def _fail_the_hr_check(ini, monkeypatch):
+    # a rectangle with no grid point inside is a config error after the solve
+    return ini.replace("preset = hamilton_1d", "preset = blowup(1,2,1)").replace(
+        "classical_pairs = 25", "classical_pairs = 25\nhr_rect = 0.001:0.002").replace(
+        "enabled = h0, residual, blowup, classical, rescale", "enabled = hr, rescale")
+
+
+def _raise_in_the_h0_check(ini, monkeypatch):
+    def h0_report(*args):
+        raise RuntimeError("a bug in a check")
+    monkeypatch.setattr(cli.ha, "h0_report", h0_report)
+    return ini
+
+
+@pytest.mark.parametrize("change, code", [
+    (_abort_at_the_first_step, 3), (_fail_the_hr_check, 2), (_raise_in_the_h0_check, 4),
+], ids=["aborted-solve", "check-config-error", "internal-error"])
+def test_early_exit_stops_the_rescaled_solve(tmp_path, monkeypatch, private_tempdir,
+                                            change, code):
+    monkeypatch.setattr(cli, "_solve_and_save", _solve_and_save_after_two_minutes)
+    cfg = write(tmp_path, "g.ini", change(GAUSS_INI, monkeypatch))
+    start = time.monotonic()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+    assert time.monotonic() - start < 60
+    assert multiprocessing.active_children() == []
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys,
+                                                             private_tempdir):
+    # lambda = 0.25 scales the level-1 data to 16, above f_cap; the main solve
+    # runs, and the rescaled one fails in the worker
+    ini = CONST_INI.replace("[step]\n", "[step]\nf_cap = 10\n") + \
+        "\n[checks]\nenabled = rescale\nrescale_lambda = 0.25\n"
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: [checks] rescale (rescale_lambda = 0.25): [step] f_cap = 10.0 "
+            "must exceed the initial maximum 16.0") in err
+    assert "Traceback" not in err
+    assert list(private_tempdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["1e200", "1e-200", "1e154"])
+def test_rescale_lambda_out_of_float_range_exits_two(tmp_path, capsys, lam):
+    # lambda^2 overflows, lambda^delta overflows, lambda^2 * t_end overflows
+    ini = CONST_INI + f"\n[checks]\nenabled = rescale\nrescale_lambda = {lam}\n"
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"[checks] rescale_lambda = {float(lam)}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------------------
 # region command
 
 def test_cmd_region_feasible_map(tmp_path):
@@ -675,6 +814,18 @@ def test_cmd_sweep_rescale_axis(tmp_path):
     for i in range(2):
         summary = json.loads((out / f"point_{i:03d}" / "summary.json").read_text())
         assert summary["checks"]["rescale"] is True
+
+
+def test_cmd_sweep_points_in_worker_processes_start_their_own_rescale_worker(tmp_path):
+    ini = GAUSS_INI.replace("enabled = h0, residual, blowup, classical, rescale",
+                            "enabled = h0, rescale")
+    cfg = write(tmp_path, "g.ini", ini)
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / jobs), "--jobs", jobs,
+                     "--axis", "checks.rescale_lambda=1.5,0.5"]) == 0
+    for i in range(2):
+        name = f"point_{i:03d}/summary.json"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @pytest.mark.parametrize("ini, axis", [

@@ -14,7 +14,7 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
-from eseharnack.harnack import _solution_part, cutoff_parts
+from eseharnack.harnack import _solution_part, cutoff_parts, window_indices
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -338,6 +338,42 @@ def test_h0_report_structure(gauss256):
     curve_min = min(m for _, m in rep.curve)
     assert curve_min == rep.min_h0
     assert len(rep.argmin_x) == 1
+
+
+def _h0_argmin_per_sample(trace, k, p, window):
+    """The argmin search as it was: a `Grid.point` call at every drop of the
+    running minimum.  Returns (argmin_x, argmin_t, every argmin_x taken)."""
+    best, arg_x, arg_t, taken = math.inf, (), math.nan, []
+    for i in window_indices(trace.times, window):
+        t = trace.times[i]
+        h0 = _solution_part(np.log(trace.samples[i]), trace.grid, k, p) + k.a / t
+        m = float(h0.min())
+        if m < best:
+            best, arg_x, arg_t = m, trace.grid.point(int(np.argmin(h0))), t
+            taken.append(arg_x)
+    return arg_x, arg_t, taken
+
+
+def test_h0_argmin_converts_the_best_sample_once(monkeypatch):
+    # positive samples on a non-square 2-D grid whose log gets rougher with
+    # t, so the running minimum drops many times, each at another point
+    grid = Grid(((-1.0, 1.0), (0.0, 3.0)), (12, 9), "reflecting")
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.1, 1.0, 24)
+    rough = np.linspace(0.1, 1.0, len(times))[:, None, None]
+    samples = np.exp(rough * rng.standard_normal((len(times), *grid.extents)))
+    trace = SolveTrace(grid, 2.0, times, samples, TraceStatus.reached(), np.full(5, 0.1))
+    window = (0.1, 1.0)
+    arg_x, arg_t, taken = _h0_argmin_per_sample(trace, HAMILTON, 2.0, window)
+    assert len(set(taken)) >= 8
+
+    calls = []
+    point = Grid.point
+    monkeypatch.setattr(Grid, "point",
+                        lambda self, flat: calls.append(flat) or point(self, flat))
+    rep = h0_report(trace, HAMILTON, 2.0, window)
+    assert rep.argmin_x == arg_x and rep.argmin_t == arg_t
+    assert len(calls) == 1
 
 
 def test_h0_report_flags_violations(gauss256):

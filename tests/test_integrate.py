@@ -353,13 +353,18 @@ def test_rescale_spec_validation():
         RescaleSpec(1.0, 1.0)
     assert RescaleSpec(2.0, 2.0).delta == -2.0
     assert RescaleSpec(2.0, 3.0).delta == -1.0
+    # lambda^2 or lambda^delta out of float range: overflow, or underflow to 0
+    for lam, p in ((1e200, 2.0), (1e-200, 2.0), (2.0, 1.0001), (math.inf, 2.0)):
+        with pytest.raises(ValueError, match="overflow or underflow"):
+            RescaleSpec(lam, p)
 
 
 def test_solve_commutes_with_rescaling():
     prob = gaussian_problem(128, t_end=0.5)
     cfg = StepConfig(sample_stride=4)
-    disc = rescale_commutation_discrepancy(solve(prob, cfg), prob, cfg,
-                                           RescaleSpec(2.0, 2.0))
+    spec = RescaleSpec(2.0, 2.0)
+    disc = rescale_commutation_discrepancy(solve(prob, cfg),
+                                           solve(rescale_problem(prob, spec), cfg), spec)
     assert disc <= 1e-3
 
 
