@@ -215,8 +215,9 @@ def build_config(cp: _Parser) -> RunConfig:
     try:
         if kind == "constant":
             level = _get(cp, "problem", "level", float)
-            if not level > 0:
-                raise ValueError(f"constant initial data needs level > 0, got {level}")
+            if not 0 < level < math.inf:
+                raise ValueError(f"constant initial data needs a finite level > 0, "
+                                 f"got {level}")
             initial = Field.constant(grid, level).values
         elif kind == "gaussian":
             initial = Field.gaussian(grid, _get(cp, "problem", "amplitude", float),

@@ -52,6 +52,9 @@ class Grid:
             raise ValueError(f"box bounds must be finite, got {box}")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("each box interval needs hi > lo")
+        # every squared distance between two points of the box stays finite
+        if not sum((hi - lo) * (hi - lo) for lo, hi in box) < math.inf:
+            raise ValueError(f"box {box} is too large: its squared diagonal overflows")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
@@ -202,16 +205,20 @@ class Field:
                  center=None) -> "Field":
         """amplitude * exp(-|x - center|^2 / (2 width^2)); positive everywhere."""
         for name, value in (("amplitude", amplitude), ("width", width)):
-            if not value > 0:
-                raise ValueError(f"gaussian needs {name} > 0, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"gaussian needs a finite {name} > 0, got {value}")
         if center is None:
             center = tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (grid.dim,):
             raise ValueError(f"gaussian center {center.tolist()} has {center.size} "
                              f"coordinates, the grid has {grid.dim} axes")
+        try:
+            spread = 2.0 * width ** 2
+        except OverflowError:
+            raise ValueError(f"gaussian width {width} is too large to square") from None
         r2 = sum((xk - ck) ** 2 for xk, ck in zip(grid.mesh(), center))
-        return cls(grid, amplitude * np.exp(-r2 / (2.0 * width ** 2)))
+        return cls(grid, amplitude * np.exp(-r2 / spread))
 
 
 def require_positive(f: Field, what: str = "field") -> Field:

@@ -21,6 +21,7 @@ pure discretization error and must shrink under refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,6 +202,102 @@ def _dt_nonuniform(fm, f0, fp, tm, t0, tp) -> np.ndarray:
     return (hm / hp * (fp - f0) + hp / hm * (f0 - fm)) / (hm + hp)
 
 
+# numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) sums a run
+# of at most this many elements in one fixed order and splits a longer one
+_PW_BLOCKSIZE = 128
+
+# the residual's rows are reduced a block of about this many bytes at a time;
+# every block costs a walk of the summation tree in Python
+_RESIDUAL_BLOCK_BYTES = 1 << 20
+
+
+@functools.cache
+def _reduce_block() -> int | None:
+    """How many elements of a contiguous float64 array `np.add.reduce` sums
+    as one pairwise tree, or None for the whole array.
+
+    numpy's iterator may hand a long reduction to the loop in pieces of its
+    buffer size and add the pieces' sums left to right (older releases do),
+    or hand it over whole (numpy 2.4 does).  The probe tells the two apart:
+    in one tree it sums to 1 + (u + u) = 1 + 2u, in pieces of b to
+    (1 + u) + u = 1 (u = 2^-53).
+    """
+    b = np.getbufsize()
+    probe = np.zeros(3 * b)
+    probe[[0, 2 * b - 1, 3 * b - 1]] = 1.0, 2.0 ** -53, 2.0 ** -53
+    return None if np.add.reduce(probe) > 1.0 else b
+
+
+class PairwiseSum:
+    """`np.add.reduce` of a float64 sequence of known size, bit for bit,
+    from its elements fed in order, one contiguous 1-D piece at a time.
+
+    numpy adds a contiguous array with its `pairwise_sum`: a run of more
+    than 128 elements splits at n2 = n//2 - (n//2) % 8, and the sums of the
+    two halves are added left + right.  This walks that tree as the pieces
+    arrive.  A node that lies inside one piece, or has at most 128 elements,
+    goes to `np.add.reduce` whole, which sums it in numpy's order; any other
+    node is split as numpy splits it.  A node of at most 128 elements that
+    straddles two pieces keeps its head until the next piece comes.  The
+    sum starts from 0.0, as numpy's reduction does, and adds the trees of
+    consecutive `_reduce_block()` elements left to right.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._block = _reduce_block() or size
+        # nodes (start, n) still to sum, the next one last; None adds the
+        # top two partial sums
+        self._todo: list = []
+        self._sums = [0.0]
+        self._roots = 0             # start of the next tree
+        self._fed = 0
+        self._head = np.empty(0)    # the elements fed so far of a straddling node
+
+    def add(self, piece: np.ndarray) -> None:
+        lo, hi = self._fed, self._fed + len(piece)
+        if hi > self.size:
+            raise ValueError(f"{hi} elements fed to a sum of {self.size}")
+        self._fed = hi
+        todo, sums = self._todo, self._sums
+        while todo or self._roots < self.size:
+            if not todo:
+                start = self._roots
+                self._roots = min(start + self._block, self.size)
+                todo += [None, (start, self._roots - start)]
+            node = todo[-1]
+            if node is None:
+                todo.pop()
+                right = sums.pop()
+                sums[-1] += right
+                continue
+            start, n = node
+            end = start + n
+            if n > _PW_BLOCKSIZE and not lo <= start <= end <= hi:
+                if start >= hi:
+                    break
+                half = n // 2
+                half -= half % 8
+                todo[-1:] = [None, (start + half, n - half), (start, half)]
+                continue
+            if end > hi:
+                if start < lo:
+                    self._head = np.concatenate((self._head, piece))
+                elif start < hi:
+                    self._head = piece[start - lo:].copy()
+                break
+            todo.pop()
+            run = (piece[start - lo:end - lo] if start >= lo
+                   else np.concatenate((self._head, piece[:end - lo])))
+            sums.append(float(np.add.reduce(run)))
+
+    @property
+    def total(self) -> float:
+        if self._fed != self.size:
+            raise ValueError(f"{self._fed} of {self.size} elements fed")
+        return self._sums[0]
+
+
 def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
                        t_window: tuple[float, float]) -> ResidualStats:
     """Residual of the evolution identity over a time window of a trace.
@@ -213,7 +310,13 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     by max |H_t| over the window.
 
     The centres are walked in order, holding the solution part of H at the
-    previous, current and next sample only.
+    previous, current and next sample only.  The residual's statistics are
+    reduced as it goes: |residual| is written into a reused block of rows,
+    and each full block updates the max and a `PairwiseSum`.  So `mean_abs`
+    is the sum over all centres and points in numpy's exact pairwise order
+    (the order of `np.mean` of the stacked rows) divided by their count, and
+    the residual holds one block of about `_RESIDUAL_BLOCK_BYTES`, never a
+    whole (n_centres, *extents) array.
     """
     lo, hi = t_window
     if hi <= lo:
@@ -234,9 +337,14 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
 
     _, s_prev = log_and_part(centers[0] - 1)
     u, s = log_and_part(centers[0])
-    abs_resid = np.empty((len(centers), *g.extents))
+    n_rows = min(len(centers), max(1, _RESIDUAL_BLOCK_BYTES // (8 * g.size)))
+    rows = np.empty((n_rows, *g.extents))
+    abs_sum = PairwiseSum(len(centers) * g.size)
+    block_max = []
     ht_max = 0.0
-    for row, i in zip(abs_resid, centers):
+    for j, i in enumerate(centers):
+        filled = j % n_rows + 1
+        row = rows[filled - 1]
         u_next, s_next = log_and_part(i + 1)
         t = ts[i]
         x = np.exp(u * (p - 1.0))
@@ -258,9 +366,13 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
         np.abs(h_t - rhs, out=row)
         ht_max = max(ht_max, float(np.abs(h_t).max()))
         s_prev, u, s = s, u_next, s_next
+        if filled == n_rows or j == len(centers) - 1:
+            block = rows[:filled].reshape(-1)
+            abs_sum.add(block)
+            block_max.append(block.max())
 
-    return ResidualStats(max_abs=float(abs_resid.max()),
-                         mean_abs=float(abs_resid.mean()),
+    return ResidualStats(max_abs=float(np.max(block_max)),
+                         mean_abs=abs_sum.total / abs_sum.size,
                          normalizer=ht_max,
                          n_times=len(centers))
 

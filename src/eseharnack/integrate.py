@@ -32,7 +32,7 @@ class ProblemSpec:
     """Cauchy problem: grid, exponent p > 1, positive initial data, horizon.
 
     `initial` is f0 itself, copied into a read-only float64 array of the
-    grid's extents; every value must be > 0.
+    grid's extents; every value must be finite and > 0.
     """
 
     grid: Grid
@@ -42,11 +42,14 @@ class ProblemSpec:
     reaction: bool = True  # False integrates the pure heat equation (sanity runs)
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"need p > 1, got {self.p}")
+        # the evolution identity's coefficients are quadratic in p
+        if not (1 < self.p and self.p * self.p < math.inf):
+            raise ValueError(f"need p > 1 with p^2 finite, got {self.p}")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"need a finite t_end > 0, got {self.t_end}")
         f0 = require_positive(Field(self.grid, self.initial), "initial data")
+        if not f0.max() < math.inf:
+            raise ValueError(f"initial data must be finite, found max {f0.max()}")
         object.__setattr__(self, "initial", f0.values)
 
     @property
@@ -253,7 +256,14 @@ def stable_dt(grid: Grid, p: float, fmax: float, cfg: StepConfig,
     h_min = min(grid.spacing)
     dt = cfg.cfl_safety * h_min * h_min / (2.0 * grid.dim)
     if reaction:
-        dt = min(dt, cfg.reaction_safety / (p * fmax ** (p - 1.0)))
+        # for a large p the rate p f^(p-1) underflows to 0, which sets no
+        # cap, or overflows, which sets a zero step that the dt floor stops
+        try:
+            rate = p * fmax ** (p - 1.0)
+        except OverflowError:
+            rate = math.inf
+        if rate > 0:
+            dt = min(dt, cfg.reaction_safety / rate)
     return dt
 
 
@@ -394,9 +404,13 @@ def rescale_field(f: Field, t: float, spec: RescaleSpec) -> tuple[Field, float]:
 
 def rescale_problem(prob: ProblemSpec, spec: RescaleSpec) -> ProblemSpec:
     """The rescaled Cauchy problem: initial data scaled by lam^delta on the
-    scaled grid, horizon by lam^2."""
-    return ProblemSpec(prob.grid.scaled(spec.lam), prob.p,
-                       prob.initial * spec.lam ** spec.delta,
+    scaled grid, horizon by lam^2.  ValueError if the scaled data would
+    overflow, checked before it is multiplied."""
+    factor = spec.lam ** spec.delta
+    fmax = float(prob.initial.max())
+    if not factor * fmax < math.inf:
+        raise ValueError(f"lambda^delta * max f0 = {factor} * {fmax} overflows")
+    return ProblemSpec(prob.grid.scaled(spec.lam), prob.p, prob.initial * factor,
                        spec.lam ** 2 * prob.t_end, prob.reaction)
 
 

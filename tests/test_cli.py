@@ -3,6 +3,7 @@ import multiprocessing
 import re
 import tempfile
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -184,6 +185,54 @@ def test_initial_file_fuzz_never_exits_four(tmp_path, dtype, shape, positive, da
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) in (0, 2, 3)
 
 
+# Every numeric [problem] key: a usable value most of the time, so that runs
+# get past the config, and otherwise a value at or past the edge of its range.
+_EDGE_VALUES = ("inf", "-inf", "nan", "0", "-1", "1e308")
+
+
+def _problem_number(usable):
+    return st.one_of(st.just(usable), st.sampled_from(_EDGE_VALUES))
+
+
+@given(initial=st.sampled_from(["gaussian", "constant"]),
+       amplitude=_problem_number("1.0"), width=_problem_number("0.5"),
+       level=_problem_number("1.0"), t_end=_problem_number("0.3"),
+       lo=_problem_number("-4"), hi=_problem_number("4"), p=_problem_number("2.0"))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_problem_number_fuzz_never_exits_four(tmp_path, initial, amplitude, width, level,
+                                              t_end, lo, hi, p):
+    data = (f"amplitude = {amplitude}\nwidth = {width}" if initial == "gaussian"
+            else f"level = {level}")
+    ini = f"""
+[problem]
+dim = 1
+p = {p}
+box = {lo}:{hi}
+extents = 16
+boundary = reflecting
+initial = {initial}
+{data}
+t_end = {t_end}
+
+[step]
+sample_stride = 1
+
+[constants]
+alpha = 1.0
+beta = 0.0
+c = 0.5
+a = 0.6666666666666666
+
+[checks]
+enabled = h0, residual, blowup, classical
+classical_pairs = 10
+"""
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run"),
+                 "--allow-inadmissible"]) in (0, 1, 2, 3)
+
+
 def _drop_sample_times(path):
     meta = json.loads(path.read_text())
     del meta["sample_times"]
@@ -305,7 +354,12 @@ def test_config_rejects_non_finite_box_and_t_end(tmp_path, key, value):
     (GAUSS_INI.replace("amplitude = 1.0", "amplitude = -1"), "amplitude > 0, got -1.0"),
     (GAUSS_INI.replace("width = 0.2", "width = nan"), "width > 0, got nan"),
     (GAUSS_INI.replace("center = 0.0", "center = 0.0, 1.0"), "center [0.0, 1.0]"),
-], ids=["level-zero", "level-nan", "amplitude", "width-nan", "center"])
+    # inf used to pass as positive and reach the f_cap comparison
+    (CONST_INI.replace("level = 1.0", "level = inf"), "level > 0, got inf"),
+    (GAUSS_INI.replace("amplitude = 1.0", "amplitude = inf"), "amplitude > 0, got inf"),
+    (GAUSS_INI.replace("width = 0.2", "width = 1e200"), "width 1e+200 is too large"),
+], ids=["level-zero", "level-nan", "amplitude", "width-nan", "center", "level-inf",
+        "amplitude-inf", "width-too-large"])
 def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, message):
     cfg = write(tmp_path, "c.ini", ini)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -723,6 +777,21 @@ def test_rescale_lambda_out_of_float_range_exits_two(tmp_path, capsys, lam):
     err = capsys.readouterr().err
     assert f"[checks] rescale_lambda = {float(lam)}" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_rescaled_initial_data_overflow_exits_two_before_multiplying(tmp_path, capsys):
+    # lambda^delta = 1e10 takes the 1e300 peak past the float range
+    ini = GAUSS_CONFIG.read_text()
+    for old, new in (("amplitude = 1.0", "amplitude = 1e300"), ("f_cap = 1e8", "f_cap = 1e305"),
+                     ("rescale_lambda = 2.0", "rescale_lambda = 1e-5")):
+        ini = ini.replace(old, new)
+    cfg = write(tmp_path, "g.ini", ini)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "[checks] rescale_lambda = 1e-05" in err and "overflows" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

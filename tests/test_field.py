@@ -51,12 +51,20 @@ def test_grid_refuses_non_finite_bounds(box):
         Grid(box, (8,) * len(box))
 
 
+@pytest.mark.parametrize("box", [((-4.0, 1e308),), ((0.0, 1e154), (0.0, 1e154))])
+def test_grid_refuses_a_box_whose_squared_diagonal_overflows(box):
+    with pytest.raises(ValueError, match="squared diagonal overflows"):
+        Grid(box, (8,) * len(box))
+
+
 @pytest.mark.parametrize("amplitude, width, center, message", [
     (np.nan, 0.2, None, "amplitude > 0, got nan"),
     (0.0, 0.2, None, "amplitude > 0, got 0.0"),
     (1.0, np.nan, None, "width > 0, got nan"),
     (1.0, -0.2, None, "width > 0, got -0.2"),
     (1.0, 0.2, (0.0, 0.0), r"center \[0.0, 0.0\] has 2 coordinates"),
+    (np.inf, 0.2, None, "amplitude > 0, got inf"),
+    (1.0, 1e200, None, "width 1e[+]200 is too large to square"),
 ])
 def test_gaussian_checks_its_parameters(amplitude, width, center, message):
     # NaN fails every comparison, so it is refused too

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eseharnack import harnack
+
 from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
                         LocalizerSpec, StepConfig, certify_verdict,
                         default_window, evolution_residual, f_form, h0_report,
@@ -14,7 +16,8 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
-from eseharnack.harnack import _solution_part, cutoff_parts, window_indices
+from eseharnack.harnack import (PairwiseSum, _solution_part, cutoff_parts,
+                                window_indices)
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -300,6 +303,91 @@ def test_residual_streams_its_samples():
     finally:
         tracemalloc.stop()
     assert peak <= (stats.n_times + 32) * samples[0].nbytes
+
+
+def test_residual_peak_stays_flat_as_the_centres_grow():
+    # the statistics are reduced as the residual goes, so at 30 centres as at
+    # 120 it holds one block of rows and a fixed number of field-sized arrays
+    g = Grid.uniform(0.0, 2 * np.pi, 64, dim=2)
+    x, y = g.mesh()
+    field_bytes = 8 * g.size
+    block_rows = harnack._RESIDUAL_BLOCK_BYTES // field_bytes
+    for n_centres in (30, 120):
+        ts = np.linspace(0.01, 1.2, n_centres + 2)
+        samples = np.stack([2.0 + np.sin(x) * np.cos(y) * np.exp(-t) for t in ts])
+        trace = SolveTrace(g, 2.0, ts, samples, TraceStatus.reached(), np.zeros(0))
+        tracemalloc.start()
+        try:
+            stats = evolution_residual(trace, HAMILTON, 2.0, (ts[0], ts[-1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.n_times == n_centres
+        assert peak <= (block_rows + 28) * field_bytes
+
+
+# ---------------------------------------------------------------------------
+# the streamed sum behind the residual's mean
+
+def _random_values(size, seed):
+    """Positive values over 16 decades, so that any change of summation
+    order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.random(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+
+
+def _streamed(pieces, size):
+    total = PairwiseSum(size)
+    for piece in pieces:
+        total.add(piece)
+    return total.total
+
+
+@given(n_rows=st.integers(1, 40), row_len=st.integers(1, 700),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pairwise_sum_equals_numpy_reduce_of_the_joined_rows(n_rows, row_len, seed, data):
+    # pieces of whole rows, as the residual feeds them, or cut anywhere,
+    # empty pieces included
+    size = n_rows * row_len
+    flat = _random_values(size, seed)
+    cuts = data.draw(st.one_of(
+        st.integers(1, n_rows).map(lambda k: list(range(k * row_len, size, k * row_len))),
+        st.lists(st.integers(0, size), max_size=12).map(sorted)))
+    assert _streamed(np.split(flat, cuts), size) == np.add.reduce(flat)
+
+
+@pytest.mark.parametrize("n_rows, row_len, rows_per_piece", [
+    (1, 1000, 1), (37, 16, 5), (9, 130, 2), (3, 7, 2), (1727, 256, 512), (64, 16384, 8),
+], ids=["one-row", "rows-under-128", "length-not-multiple-of-8", "tiny",
+        "gauss-1d-residual", "gauss-2d-rows"])
+def test_pairwise_sum_mean_equals_numpy_mean(n_rows, row_len, rows_per_piece):
+    rows = _random_values(n_rows * row_len, n_rows).reshape(n_rows, row_len)
+    pieces = [rows[i:i + rows_per_piece].reshape(-1)
+              for i in range(0, n_rows, rows_per_piece)]
+    assert _streamed(pieces, rows.size) / rows.size == rows.mean()
+
+
+@pytest.mark.parametrize("piece", [1, 999, 1000, 1001, 4096])
+def test_pairwise_sum_folds_trees_of_one_reduce_block(monkeypatch, piece):
+    # a numpy that reduces a long array a buffer at a time adds the pieces'
+    # sums left to right; that path is exercised here on any numpy
+    monkeypatch.setattr(harnack, "_reduce_block", lambda: 1000)
+    flat = _random_values(5500, 7)
+    expected = 0.0
+    for start in range(0, flat.size, 1000):
+        expected += float(np.add.reduce(flat[start:start + 1000]))
+    pieces = [flat[i:i + piece] for i in range(0, flat.size, piece)]
+    assert _streamed(pieces, flat.size) == expected
+
+
+def test_pairwise_sum_needs_exactly_its_size():
+    total = PairwiseSum(10)
+    total.add(np.ones(4))
+    with pytest.raises(ValueError, match="4 of 10"):
+        total.total
+    with pytest.raises(ValueError, match="11 elements fed"):
+        total.add(np.ones(7))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,14 @@ def test_step_equals_one_advance_of_a_solve_workspace(dim, reaction):
                           ws.states[ws.advance(1, dt)])
 
 
+@pytest.mark.parametrize("level, status", [(0.1, "reached_t_end"), (10.0, "aborted")])
+def test_reaction_rate_out_of_float_range_sets_no_cap_or_a_zero_step(level, status):
+    # p f^(p-1) at p = 400 underflows to 0 for f = 0.1 (the reaction is
+    # negligible) and overflows for f = 10 (no step is small enough)
+    prob = ProblemSpec(Grid.line(0.0, 1.0, 16), 400.0, np.full(16, level), 0.01)
+    assert solve(prob, StepConfig(f_cap=100.0)).status.kind == status
+
+
 # ---------------------------------------------------------------------------
 # solve: blowup detection and ODE agreement
 
@@ -288,6 +296,9 @@ def test_problemspec_validation():
         ProblemSpec(g, 2.0, np.ones(16), math.inf)
     with pytest.raises(ValueError, match="shape"):
         ProblemSpec(g, 2.0, np.ones(15), 1.0)
+    for p in (math.inf, 1e200):
+        with pytest.raises(ValueError, match=r"p > 1 with p\^2 finite"):
+            ProblemSpec(g, p, np.ones(16), 1.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
@@ -295,6 +306,13 @@ def test_problemspec_refuses_nonpositive_initial_data(bad):
     values = np.ones(16)
     values[5] = bad
     with pytest.raises(NonPositiveField, match="initial data"):
+        ProblemSpec(Grid.line(0.0, 1.0, 16), 2.0, values, 1.0)
+
+
+def test_problemspec_refuses_infinite_initial_data():
+    values = np.ones(16)
+    values[5] = math.inf
+    with pytest.raises(ValueError, match="initial data must be finite, found max inf"):
         ProblemSpec(Grid.line(0.0, 1.0, 16), 2.0, values, 1.0)
 
 
