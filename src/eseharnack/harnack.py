@@ -21,7 +21,6 @@ pure discretization error and must shrink under refinement.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -211,23 +210,6 @@ _PW_BLOCKSIZE = 128
 _RESIDUAL_BLOCK_BYTES = 1 << 20
 
 
-@functools.cache
-def _reduce_block() -> int | None:
-    """How many elements of a contiguous float64 array `np.add.reduce` sums
-    as one pairwise tree, or None for the whole array.
-
-    numpy's iterator may hand a long reduction to the loop in pieces of its
-    buffer size and add the pieces' sums left to right (older releases do),
-    or hand it over whole (numpy 2.4 does).  The probe tells the two apart:
-    in one tree it sums to 1 + (u + u) = 1 + 2u, in pieces of b to
-    (1 + u) + u = 1 (u = 2^-53).
-    """
-    b = np.getbufsize()
-    probe = np.zeros(3 * b)
-    probe[[0, 2 * b - 1, 3 * b - 1]] = 1.0, 2.0 ** -53, 2.0 ** -53
-    return None if np.add.reduce(probe) > 1.0 else b
-
-
 class PairwiseSum:
     """`np.add.reduce` of a float64 sequence of known size, bit for bit,
     from its elements fed in order, one contiguous 1-D piece at a time.
@@ -239,18 +221,15 @@ class PairwiseSum:
     goes to `np.add.reduce` whole, which sums it in numpy's order; any other
     node is split as numpy splits it.  A node of at most 128 elements that
     straddles two pieces keeps its head until the next piece comes.  The
-    sum starts from 0.0, as numpy's reduction does, and adds the trees of
-    consecutive `_reduce_block()` elements left to right.
+    tree's sum is added to 0.0, as numpy's reduction adds it to the identity.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self._block = _reduce_block() or size
         # nodes (start, n) still to sum, the next one last; None adds the
         # top two partial sums
-        self._todo: list = []
+        self._todo: list = [None, (0, size)]
         self._sums = [0.0]
-        self._roots = 0             # start of the next tree
         self._fed = 0
         self._head = np.empty(0)    # the elements fed so far of a straddling node
 
@@ -260,11 +239,7 @@ class PairwiseSum:
             raise ValueError(f"{hi} elements fed to a sum of {self.size}")
         self._fed = hi
         todo, sums = self._todo, self._sums
-        while todo or self._roots < self.size:
-            if not todo:
-                start = self._roots
-                self._roots = min(start + self._block, self.size)
-                todo += [None, (start, self._roots - start)]
+        while todo:
             node = todo[-1]
             if node is None:
                 todo.pop()

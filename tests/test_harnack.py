@@ -368,19 +368,6 @@ def test_pairwise_sum_mean_equals_numpy_mean(n_rows, row_len, rows_per_piece):
     assert _streamed(pieces, rows.size) / rows.size == rows.mean()
 
 
-@pytest.mark.parametrize("piece", [1, 999, 1000, 1001, 4096])
-def test_pairwise_sum_folds_trees_of_one_reduce_block(monkeypatch, piece):
-    # a numpy that reduces a long array a buffer at a time adds the pieces'
-    # sums left to right; that path is exercised here on any numpy
-    monkeypatch.setattr(harnack, "_reduce_block", lambda: 1000)
-    flat = _random_values(5500, 7)
-    expected = 0.0
-    for start in range(0, flat.size, 1000):
-        expected += float(np.add.reduce(flat[start:start + 1000]))
-    pieces = [flat[i:i + piece] for i in range(0, flat.size, piece)]
-    assert _streamed(pieces, flat.size) == expected
-
-
 def test_pairwise_sum_needs_exactly_its_size():
     total = PairwiseSum(10)
     total.add(np.ones(4))
