@@ -38,7 +38,11 @@ def blowup_threshold(n: int, p: float, c: float) -> float:
     """(4n/(2-c))^{1/(p-1)}, defined for n(p-1) <= c < 2."""
     if not n * (p - 1.0) <= c < 2.0:
         raise InvalidC(f"need n(p-1) <= c < 2, got c={c} for n={n}, p={p}")
-    return (4.0 * n / (2.0 - c)) ** (1.0 / (p - 1.0))
+    try:
+        return (4.0 * n / (2.0 - c)) ** (1.0 / (p - 1.0))
+    except OverflowError:
+        raise InvalidC(f"the threshold (4n/(2-c))^(1/(p-1)) overflows for c={c}, "
+                       f"n={n}, p={p}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,19 @@ from . import classical as cl
 from . import constants as co
 from . import harnack as ha
 from . import traceio
-from .errors import (BetaZero, ConfigError, EseError, NonPositiveField,
-                     ThresholdNeverMet)
+from .errors import (BetaZero, ConfigError, EseError, InvalidC, NonPositiveField,
+                     ThresholdNeverMet, WindowTooSmall)
 # log_field and rescale_trace are not called here, but bench/tracing.py
 # times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
 from .field import Field, Grid, log_field  # noqa: F401
 from .integrate import (ProblemSpec, RescaleSpec, SolveTrace,  # noqa: F401
-                        StepConfig, rescale_field, rescale_problem,
-                        rescale_trace, solve)
+                        StepConfig, rescale_problem, rescale_trace, solve)
 
 KNOWN_CHECKS = ("h0", "hr", "residual", "blowup", "classical", "rescale")
+
+# the classical check takes a fraction of a millisecond per pair and keeps
+# every pair's verdict for its CSV, so this many pairs take tens of seconds
+MAX_CLASSICAL_PAIRS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +72,15 @@ class CheckSettings:
         if not 0 < self.t_min_frac < self.t_max_frac <= 1:
             raise ValueError(f"need 0 < t_min_frac < t_max_frac <= 1, got t_min_frac = "
                              f"{self.t_min_frac} and t_max_frac = {self.t_max_frac}")
-        for name in ("h0_tol", "residual_tol", "classical_tol", "rescale_tol"):
+        for name in ("h0_tol", "residual_tol", "rescale_tol"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.classical_pairs < 1:
-            raise ValueError(f"classical_pairs must be >= 1, got {self.classical_pairs}")
+        if not 0 <= self.classical_tol < 1:
+            raise ValueError(f"classical_tol must lie in [0, 1), since a pair passes when "
+                             f"its slack is >= 1 - classical_tol; got {self.classical_tol}")
+        if not 1 <= self.classical_pairs <= MAX_CLASSICAL_PAIRS:
+            raise ValueError(f"classical_pairs must lie in [1, {MAX_CLASSICAL_PAIRS}], "
+                             f"got {self.classical_pairs}")
         if not 0 < self.rescale_lambda < math.inf:
             raise ValueError(f"rescale_lambda must be finite and > 0, "
                              f"got {self.rescale_lambda}")
@@ -355,17 +362,19 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
 
 
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
-    best = math.inf
-    parts = ha.cutoff_parts(trace.grid, loc)
-    for i in ha.window_indices(trace.times, window):
-        hr = ha.harnack_hr(Field(trace.grid, np.log(trace.samples[i])),
-                           trace.times[i], k, p, loc, parts)
-        finite = hr.values[np.isfinite(hr.values)]
-        if finite.size:
-            best = min(best, float(finite.min()))
-    if best is math.inf:
+    best = ha.hr_window_min(trace, k, p, loc, window)
+    if best == math.inf:
         raise ConfigError("hr check: no grid point strictly inside the rectangle")
     return best
+
+
+def _blowup_c(rc: RunConfig) -> float | None:
+    """The c of the blowup check's threshold: `[checks] blowup_c`, else the
+    constants' c when it lies in n(p-1) <= c < 2, else None."""
+    c = rc.checks.blowup_c
+    if c is None and rc.problem.n * (rc.problem.p - 1.0) <= rc.constants.c < 2.0:
+        c = rc.constants.c
+    return c
 
 
 def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
@@ -388,6 +397,13 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
                 ", ".join(v.name for v in hyp.violated))
     if "hr" in rc.checks.enabled and k.beta == 0:
         raise ConfigError("[checks] hr needs beta > 0 (localizer bound diverges)")
+    c = _blowup_c(rc)
+    if "blowup" in rc.checks.enabled and c is not None:
+        try:
+            bl.blowup_threshold(n, p, c)
+        except InvalidC as exc:
+            key = "[constants] c" if rc.checks.blowup_c is None else "[checks] blowup_c"
+            raise ConfigError(f"{key} = {c}: {exc}") from None
 
     out.mkdir(parents=True, exist_ok=True)
     worker = nullcontext()
@@ -395,8 +411,24 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
         # started first, so that it runs alongside the main solve and checks
         worker = _rescaled_solve(rc.problem, rc.step,
                                  RescaleSpec(rc.checks.rescale_lambda, p))
-    with worker as rescaled_trace:
+    with worker as rescaled_trace, _naming_the_window_keys(rc):
         return _solve_and_check(rc, out, seed, verdict, rescaled_trace)
+
+
+@contextmanager
+def _naming_the_window_keys(rc: RunConfig):
+    """A window error of a trace check, raised as a ConfigError that also
+    names the keys that set the window and the sample spacing."""
+    try:
+        yield
+    except WindowTooSmall as exc:
+        cs = rc.checks
+        samples = (f"the trace at [verify] trace_dir = {rc.trace_dir} sets the samples"
+                   if rc.trace_dir else f"[step] sample_stride = {rc.step.sample_stride} "
+                   f"steps lie between samples")
+        raise ConfigError(f"{exc}.  The window is [checks] t_min_frac = {cs.t_min_frac} "
+                          f"to t_max_frac = {cs.t_max_frac} of the final time, and "
+                          f"{samples}") from None
 
 
 def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.AdmissibilityVerdict,
@@ -414,10 +446,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
 
     cs = rc.checks
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
-    c = cs.blowup_c
-    if c is None and n * (p - 1.0) <= k.c < 2.0:
-        c = k.c
-    blowup = bl.blowup_report(trace, n, p, c if check_blowup else None)
+    blowup = bl.blowup_report(trace, n, p, _blowup_c(rc) if check_blowup else None)
     summary: dict = {
         **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,
@@ -555,17 +584,31 @@ def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
     """max relative gap between solve-then-rescale and rescale-then-solve,
     where `other` is the solve of the problem of `trace` rescaled by `spec`.
 
-    The solved trace is rescaled one sample at a time, so no more than two
-    whole traces are held at once.
+    The solved trace is rescaled a block of samples at a time
+    (`harnack.block_len`), and `other` interpolated at the block's rescaled
+    times with one weight per row, so no more than two whole traces are
+    held at once.  A rescaled time that hits a sample of `other` exactly
+    takes that sample, as (1 - 0) * sample + 0 * sample.
     """
     lo = max(spec.lam ** 2 * trace.times[0], other.times[0])
     hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
+    idx = ha.window_indices(spec.lam ** 2 * trace.times, (lo, hi))
     worst = 0.0
-    for i in ha.window_indices(spec.lam ** 2 * trace.times, (lo, hi)):
-        f, st = rescale_field(Field(trace.grid, trace.samples[i]), trace.times[i], spec)
-        g = other.field_at(st)
-        denom = float(np.abs(f.values).max())
-        worst = max(worst, float(np.abs(f.values - g.values).max()) / denom)
+    step = ha.block_len(trace.grid)
+    for start in range(0, len(idx), step):
+        block = idx[start:start + step]
+        rows = slice(block[0], block[-1] + 1)
+        f = trace.samples[rows] * spec.lam ** spec.delta
+        brackets = [other.bracket(spec.lam ** 2 * t) for t in trace.times[rows]]
+        hit = np.array([i for i, _ in brackets])
+        below = np.array([i if w is None else i - 1 for i, w in brackets])
+        w = [0.0 if w is None else w for _, w in brackets]
+        g = (ha.column([1.0 - wj for wj in w], trace.grid) * other.samples[below]
+             + ha.column(w, trace.grid) * other.samples[hit])
+        n = len(brackets)
+        gaps = np.abs(f - g).reshape(n, -1).max(axis=1)
+        for gap, denom in zip(gaps, np.abs(f).reshape(n, -1).max(axis=1)):
+            worst = max(worst, float(gap) / float(denom))
     return worst
 
 

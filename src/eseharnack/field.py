@@ -217,8 +217,33 @@ class Field:
             spread = 2.0 * width ** 2
         except OverflowError:
             raise ValueError(f"gaussian width {width} is too large to square") from None
+        if spread == 0.0:
+            raise ValueError(f"gaussian width {width} is too small to square")
+        # the largest |x - center|^2 on the grid, at the corner farthest from
+        # the centre, summed in the order of the mesh below
+        far = sum(max(d * d for d in (float(ax[0]) - ck, float(ax[-1]) - ck))
+                  for ax, ck in zip(grid.axes(), center.tolist()))
+        if any(not lo <= ck <= hi for (lo, hi), ck in zip(grid.box, center.tolist())):
+            cause = f"center {center.tolist()} lies outside the box {list(grid.box)} and"
+        else:
+            cause = f"width {width} is so small that"
+        if not far < math.inf:
+            raise ValueError(f"gaussian center {center.tolist()} is so far from the box "
+                             f"{list(grid.box)} that |x - center|^2 overflows")
+        if not far / spread < math.inf:
+            raise ValueError(f"gaussian {cause} |x - center|^2 / (2 width^2) overflows "
+                             f"on the grid")
         r2 = sum((xk - ck) ** 2 for xk, ck in zip(grid.mesh(), center))
-        return cls(grid, amplitude * np.exp(-r2 / spread))
+        shape = np.exp(-r2 / spread)
+        if not shape.min() > 0.0:
+            raise ValueError(f"gaussian {cause} the Gaussian underflows to 0 at the grid "
+                             f"point {far ** 0.5!r} from the centre")
+        values = amplitude * shape
+        if not values.min() > 0.0:
+            raise ValueError(f"gaussian amplitude {amplitude} is so small that the Gaussian "
+                             f"underflows to 0 at the grid point {far ** 0.5!r} from the "
+                             f"centre")
+        return cls(grid, values)
 
 
 def require_positive(f: Field, what: str = "field") -> Field:
@@ -233,7 +258,9 @@ def gaussian_halfwidth(width: float, rtol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the stencil operator and the array-level stencils built on it
+# the stencil operator and the array-level stencils built on it.  The
+# array-level stencils take one sample of the grid's shape or a stack of
+# samples (batch, *extents), and work on each sample of a stack alone.
 
 def _outside_neighbors(n: int, boundary: str) -> tuple[int, int]:
     """The boundary rule: indices of the values that stand in for the points
@@ -253,14 +280,17 @@ class Stencil:
     """Three-point central stencils on one grid, read straight from the
     unpadded values (no ghost cells).
 
-    Built once per grid (see `Grid.stencil`).  For each axis it holds a plan
-    of (dst, minus, plus) slices:
-    - one contiguous run of the flattened array, offset by the axis's
-      element stride, for the points whose neighbours are in the array;
+    Built once per grid (see `Grid.stencil`).  It takes one sample of the
+    grid's shape, or a stack of samples with a leading batch axis.  For each
+    axis it holds a plan of
+    - the axis's element stride, which offsets one contiguous run of the
+      flattened array for the points whose neighbours are in the array;
     - both edges of the axis (indices 0 and n-1) as one two-element strided
       view, with their outside neighbours taken from `_outside_neighbors`.
-    On every axis but the first the run also covers the edge points, with
-    wrong neighbours; the edge views then overwrite them.
+    On every axis but the first of an unbatched sample the run also covers
+    the edge points, with wrong neighbours; the edge views then overwrite
+    them.  Behind a batch axis every spatial axis is such a later axis, so
+    each element gets the same arithmetic as in a sample of its own.
 
     `bind` turns one axis's plan into views of a given (values, out) pair
     and `run` applies a kernel to them, so a caller that reuses its buffers
@@ -270,31 +300,37 @@ class Stencil:
     def __init__(self, grid: Grid):
         self.shape = grid.extents
         self.inv_h2 = tuple(1.0 / (h * h) for h in grid.spacing)
-        size = grid.size
+        # per axis: the element stride, and the (dst, minus, plus) edge
+        # indices without and with a batch axis in front
         plans = []
         for axis, n in enumerate(self.shape):
-            s = math.prod(self.shape[axis + 1:])
-            run = (slice(s, size - s), slice(0, size - 2 * s), slice(2 * s, size))
             below, above = _outside_neighbors(n, grid.boundary)
-            lead = (slice(None),) * axis
-            edges = (lead + (_pair(0, n - 1),), lead + (_pair(below, n - 2),),
-                     lead + (_pair(1, above),))
-            plans.append((run, edges))
+            pairs = (_pair(0, n - 1), _pair(below, n - 2), _pair(1, above))
+            plans.append((math.prod(self.shape[axis + 1:]),
+                          tuple(tuple((slice(None),) * (lead + axis) + (pair,) for pair in pairs)
+                                for lead in (0, 1))))
         self._plans = tuple(plans)
 
     def bind(self, values: np.ndarray, axis: int, out: np.ndarray) -> tuple:
-        """The (run, edges) views of `values` and `out` along one axis, each
-        a (minus, center, plus, dst) tuple.  `values` must be C-contiguous
-        float64 and `out` C-contiguous, both of the grid's shape and not
-        sharing memory; the views stay valid for as long as the arrays do."""
-        if (values.shape != self.shape or out.shape != self.shape or values.dtype != _F8
+        """The (run, edges) views of `values` and `out` along one spatial
+        axis, each a (minus, center, plus, dst) tuple.  `values` must be
+        C-contiguous float64 and `out` C-contiguous, both of the grid's shape
+        or both of one (batch, *grid shape), and not sharing memory; the views
+        stay valid for as long as the arrays do."""
+        lead = values.ndim - len(self.shape)
+        if (lead not in (0, 1) or values.shape[lead:] != self.shape
+                or out.shape != values.shape or values.dtype != _F8
                 or not (values.flags.c_contiguous and out.flags.c_contiguous)):
             raise ValueError(f"stencil needs C-contiguous float64 values and a "
-                             f"C-contiguous output of shape {self.shape}")
-        (dst, minus, plus), (e_dst, e_minus, e_plus) = self._plans[axis]
+                             f"C-contiguous output of shape {self.shape} or "
+                             f"(batch, *{self.shape})")
+        s, edges = self._plans[axis]
+        dst, minus, plus = edges[lead]
+        size = values.size
         flat, out_flat = values.reshape(-1), out.reshape(-1)
-        return ((flat[minus], flat[dst], flat[plus], out_flat[dst]),
-                (values[e_minus], values[e_dst], values[e_plus], out[e_dst]))
+        run = slice(s, size - s)
+        return ((flat[:size - 2 * s], flat[run], flat[2 * s:], out_flat[run]),
+                (values[minus], values[dst], values[plus], out[dst]))
 
     @staticmethod
     def run(kernel: Callable, bound: tuple, scale: float) -> None:
@@ -307,9 +343,9 @@ class Stencil:
     def apply(self, kernel: Callable, values: np.ndarray, axis: int,
               out: np.ndarray, scale: float) -> np.ndarray:
         """Run kernel(minus, center, plus, out, scale) over every point along
-        one axis, writing into `out`: C-contiguous, of the grid's shape, and
-        not sharing memory with `values`.  `values` is copied once if it is
-        not C-contiguous float64.  Returns `out`."""
+        one spatial axis, writing into `out`: C-contiguous, of the shape of
+        `values`, and not sharing memory with `values`.  `values` is copied
+        once if it is not C-contiguous float64.  Returns `out`."""
         v = np.ascontiguousarray(values, dtype=np.float64)
         self.run(kernel, self.bind(v, axis, out), scale)
         return out
@@ -337,19 +373,20 @@ def _difference(minus, center, plus, out, two_h):
 def second_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, neighbours per boundary rule."""
     h = grid.spacing[axis]
-    return grid.stencil.apply(_minus_first, values, axis, np.empty(grid.extents), h * h)
+    return grid.stencil.apply(_minus_first, values, axis, np.empty(np.shape(values)), h * h)
 
 
 def central_diff(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i+1] - f[i-1]) / (2h) along one axis."""
     h = grid.spacing[axis]
-    return grid.stencil.apply(_difference, values, axis, np.empty(grid.extents), 2.0 * h)
+    return grid.stencil.apply(_difference, values, axis, np.empty(np.shape(values)),
+                              2.0 * h)
 
 
 def laplacian_nd(values: np.ndarray, grid: Grid) -> np.ndarray:
     op = grid.stencil
-    out = np.empty(grid.extents)
-    term = np.empty(grid.extents) if grid.dim > 1 else None
+    out = np.empty(np.shape(values))
+    term = np.empty(out.shape) if grid.dim > 1 else None
     for axis, h in enumerate(grid.spacing):
         op.apply(_plus_first, values, axis, out if axis == 0 else term, h * h)
         if axis > 0:

@@ -16,7 +16,9 @@ rectangle, and the residual of the exact evolution identity
 
 with phi = a/t (so phi_t = -a/t^2 and the space derivatives of phi vanish).
 The identity holds exactly in the continuum; the residual reported here is
-pure discretization error and must shrink under refinement.
+pure discretization error and must shrink under refinement.  The checks
+over a time window take its samples a block at a time (`block_len`), with
+the arithmetic each sample gets on its own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .integrate import SolveTrace
 def _solution_part(u: np.ndarray, grid: Grid, k: HarnackConstants,
                    p: float) -> np.ndarray:
     """alpha*lap(u) + beta*|grad u|^2 + c*exp(u(p-1)): H without its time
-    (a/t) or cutoff (phi_R) term."""
+    (a/t) or cutoff (phi_R) term, for one sample or a block of them."""
     return (k.alpha * laplacian_nd(u, grid)
             + k.beta * grad_sq_nd(u, grid)
             + k.c * np.exp(u * (p - 1.0)))
@@ -49,6 +51,48 @@ def window_indices(times: np.ndarray, window: tuple[float, float]) -> np.ndarray
     a trace they form one contiguous run."""
     lo, hi = window
     return np.flatnonzero((lo <= times) & (times <= hi))
+
+
+# The trace checks evaluate a block of samples per numpy call, of at most
+# this many grid points but at least one sample: 16 samples of 256 points,
+# one sample of 64^2.  Per-call overhead, not arithmetic, bounds a check on
+# a small grid, and the blocks keep a 2-D check's memory that of one sample.
+_BLOCK_POINTS = 4096
+
+
+def block_len(grid: Grid) -> int:
+    """Samples per block of the trace checks on `grid`."""
+    return max(1, _BLOCK_POINTS // grid.size)
+
+
+def column(values, grid: Grid) -> np.ndarray:
+    """Per-sample scalars, shaped to broadcast over a block (rows, *extents)."""
+    return np.array(values, dtype=np.float64).reshape((-1,) + (1,) * grid.dim)
+
+
+def _window_error(times: np.ndarray, window: tuple[float, float], found: int,
+                  need: str) -> WindowTooSmall:
+    lo, hi = window
+    return WindowTooSmall(
+        f"the window [{lo!r}, {hi!r}] holds {found} of the trace's {len(times)} samples, "
+        f"which span [{float(times[0])!r}, {float(times[-1])!r}]; {need}")
+
+
+def _window_blocks(trace: SolveTrace, k: HarnackConstants, p: float,
+                   t_window: tuple[float, float]):
+    """The samples inside a window, a block at a time: yields (times, part)
+    with the block's sample times and `_solution_part` of their log, of
+    shape (len(times), *extents)."""
+    if t_window[0] <= 0:
+        raise NonPositiveTime("window must start at t > 0")
+    idx = window_indices(trace.times, t_window)
+    if not len(idx):
+        raise _window_error(trace.times, t_window, 0, "the check needs at least one")
+    step = block_len(trace.grid)
+    for start in range(idx[0], idx[-1] + 1, step):
+        stop = min(start + step, idx[-1] + 1)
+        yield (trace.times[start:stop],
+               _solution_part(np.log(trace.samples[start:stop]), trace.grid, k, p))
 
 
 def harnack_h0(u: Field, t: float, k: HarnackConstants, p: float) -> Field:
@@ -145,15 +189,17 @@ def cutoff_parts(grid: Grid, loc: LocalizerSpec) -> tuple[list[np.ndarray], np.n
     return poles, ~inside
 
 
-def _phi_r_grid(grid: Grid, t: float, loc: LocalizerSpec,
-                parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """phi_R sampled on a grid, +inf outside the open rectangle: a/t plus the
-    pole terms of `parts` (cutoff_parts(grid, loc)) in axis order."""
+def _phi_r_block(grid: Grid, times, loc: LocalizerSpec,
+                 parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """phi_R sampled on a grid at each of `times`, of shape (len(times),
+    *extents), +inf outside the open rectangle: a/t plus the pole terms of
+    `parts` (cutoff_parts(grid, loc)) in axis order."""
     poles, outside = cutoff_parts(grid, loc) if parts is None else parts
-    out = np.full(grid.extents, loc.a / t)
+    out = np.empty((len(times), *grid.extents))
+    out[...] = column([loc.a / t for t in times], grid)
     for pole in poles:
         out += pole
-    out[outside] = math.inf
+    np.copyto(out, math.inf, where=outside)
     return out
 
 
@@ -172,7 +218,24 @@ def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float,
     if t <= 0:
         raise NonPositiveTime(f"H_R needs t > 0, got {t}")
     g = u.grid
-    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_grid(g, t, loc, parts))
+    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_block(g, [t], loc, parts)[0])
+
+
+def hr_window_min(trace: SolveTrace, k: HarnackConstants, p: float,
+                  loc: LocalizerSpec, t_window: tuple[float, float]) -> float:
+    """Minimum of H_R over the finite values on the samples inside a window
+    (the grid points strictly inside the rectangle); inf if there are none."""
+    if k.beta == 0:
+        raise BetaZero("localized Harnack quantity needs beta > 0")
+    g = trace.grid
+    parts = cutoff_parts(g, loc)
+    best = math.inf
+    for times, hr in _window_blocks(trace, k, p, t_window):
+        hr += _phi_r_block(g, times, loc, parts)
+        finite = hr[np.isfinite(hr)]
+        if finite.size:
+            best = min(best, float(finite.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +257,17 @@ class ResidualStats:
         return self.mean_abs / self.normalizer
 
 
-def _dt_nonuniform(fm, f0, fp, tm, t0, tp) -> np.ndarray:
-    """Second-order 3-point derivative at t0 for unevenly spaced samples."""
-    hm = t0 - tm
-    hp = tp - t0
-    return (hm / hp * (fp - f0) + hp / hm * (f0 - fm)) / (hm + hp)
-
-
 # numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) sums a run
 # of at most this many elements in one fixed order and splits a longer one
 _PW_BLOCKSIZE = 128
 
 # the residual's rows are reduced a block of about this many bytes at a time;
-# every block costs a walk of the summation tree in Python
+# every block costs a walk of the summation tree in Python.  For each centre
+# of a block of centres beyond the first, the block of rows gives up room
+# for the arrays that centre adds at the peak of a block's evaluation (16
+# field-sized arrays, measured with tracemalloc; this leaves some margin)
 _RESIDUAL_BLOCK_BYTES = 1 << 20
+_RESIDUAL_ARRAYS = 20
 
 
 class PairwiseSum:
@@ -284,14 +344,18 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     noise).  Spatial terms use the central stencils.  Values are normalized
     by max |H_t| over the window.
 
-    The centres are walked in order, holding the solution part of H at the
-    previous, current and next sample only.  The residual's statistics are
-    reduced as it goes: |residual| is written into a reused block of rows,
-    and each full block updates the max and a `PairwiseSum`.  So `mean_abs`
-    is the sum over all centres and points in numpy's exact pairwise order
-    (the order of `np.mean` of the stacked rows) divided by their count, and
-    the residual holds one block of about `_RESIDUAL_BLOCK_BYTES`, never a
-    whole (n_centres, *extents) array.
+    The centres are walked in order, a block of at most `block_len(grid)`
+    at a time.  The log and the solution part of H are computed once per
+    sample, a block ahead: the time differences at a block's edges read the
+    last solution-part row of the block before and the first of the block
+    after.  The residual's statistics are reduced as it goes: |residual| is
+    written into a reused block of rows, and each full block updates the max
+    and a `PairwiseSum`.  So `mean_abs` is the sum over all centres and
+    points in numpy's exact pairwise order (the order of `np.mean` of the
+    stacked rows) divided by their count, and the residual holds rows and
+    arrays of about `_RESIDUAL_BLOCK_BYTES` plus those of one centre (or of
+    one block of centres, if that is more), never a whole
+    (n_centres, *extents) array.
     """
     lo, hi = t_window
     if hi <= lo:
@@ -300,56 +364,81 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     ts = trace.times
     in_win = window_indices(ts, t_window)
     if len(in_win) < 3:
-        raise WindowTooSmall(
-            f"need >= 3 samples in window, found {len(in_win)}")
+        raise _window_error(ts, t_window, len(in_win), "the residual needs at least 3")
+    # three or more samples in a row: the middle ones have both time neighbours
     centers = in_win[(in_win > 0) & (in_win < len(ts) - 1)]
-    if not len(centers):
-        raise WindowTooSmall("no window sample has both time neighbors")
-
-    def log_and_part(i):
-        u = np.log(trace.samples[i])
-        return u, _solution_part(u, g, k, p)
-
-    _, s_prev = log_and_part(centers[0] - 1)
-    u, s = log_and_part(centers[0])
-    n_rows = min(len(centers), max(1, _RESIDUAL_BLOCK_BYTES // (8 * g.size)))
+    first, end, n_centres = int(centers[0]), int(centers[-1]) + 1, len(centers)
+    block = block_len(g)
+    # whole blocks of centres fill the rows
+    n_rows = min(n_centres, block * max(1, (_RESIDUAL_BLOCK_BYTES // (8 * g.size)
+                                            - _RESIDUAL_ARRAYS * (block - 1)) // block))
     rows = np.empty((n_rows, *g.extents))
-    abs_sum = PairwiseSum(len(centers) * g.size)
+    abs_sum = PairwiseSum(n_centres * g.size)
     block_max = []
     ht_max = 0.0
-    for j, i in enumerate(centers):
-        filled = j % n_rows + 1
-        row = rows[filled - 1]
-        u_next, s_next = log_and_part(i + 1)
-        t = ts[i]
+
+    def log_and_part(i, j):
+        u = np.log(trace.samples[i:j])
+        return u, _solution_part(u, g, k, p)
+
+    # per centre: a/t, a/t^2, and the weights of the second-order 3-point
+    # derivative for unevenly spaced samples,
+    #   (hm/hp (f(t+hp) - f(t)) + hp/hm (f(t) - f(t-hm))) / (hm + hp)
+    times = ts[first:end]
+    hm = [b - a for a, b in zip(ts[first - 1:end - 1], times)]
+    hp = [b - a for a, b in zip(times, ts[first + 1:end + 1])]
+    a_t = column([k.a / t for t in times], g)
+    a_t2 = column([k.a / t ** 2 for t in times], g)
+    w_fwd = column([m / q for m, q in zip(hm, hp)], g)
+    w_back = column([q / m for m, q in zip(hm, hp)], g)
+    w_sum = column([m + q for m, q in zip(hm, hp)], g)
+
+    s_before = log_and_part(first - 1, first)[1]
+    u, s = log_and_part(first, min(first + block, end))
+    filled = 0
+    i = first
+    while i < end:
+        m = len(s)
+        j = i + m
+        # the next block of centres, or after the last block the sample
+        # after the last centre
+        u_next, s_next = log_and_part(j, min(j + block, end) if j < end else end + 1)
+        back, fwd = np.empty(s.shape), np.empty(s.shape)
+        np.subtract(s[1:], s[:-1], out=fwd[:-1])
+        np.subtract(s_next[:1], s[-1:], out=fwd[-1:])
+        np.subtract(s[:1], s_before, out=back[:1])
+        back[1:] = fwd[:-1]
+        r = slice(i - first, j - first)
+        phi = a_t[r]
+        h_t = (w_fwd[r] * fwd + w_back[r] * back) / w_sum[r] - a_t2[r]
+        del back, fwd
         x = np.exp(u * (p - 1.0))
-        phi = k.a / t
-        h = s + phi
-        h_t = _dt_nonuniform(s_prev, s, s_next,
-                             ts[i - 1], t, ts[i + 1]) - k.a / t ** 2
-        grad_u = gradient_nd(u, g)
-        grad_h = gradient_nd(s, g)       # a/t is spatially constant
-        adv = sum(gh * gu for gh, gu in zip(grad_h, grad_u))
+        # grad H = grad s, as a/t is spatially constant
+        adv = sum(gh * gu for gh, gu in zip(gradient_nd(s, g), gradient_nd(u, g)))
         rhs = (laplacian_nd(s, g)
                + 2.0 * adv
-               + (p - 1.0) * x * h
+               + (p - 1.0) * x * (s + phi)
                + 2.0 * (k.alpha - k.beta) * hessian_sq_nd(u, g)
                + (k.alpha * (p - 1.0) + k.beta - k.c * p) * (p - 1.0) * x
                * grad_sq_nd(u, g)
                - (p - 1.0) * x * phi
-               - k.a / t ** 2)
-        np.abs(h_t - rhs, out=row)
-        ht_max = max(ht_max, float(np.abs(h_t).max()))
-        s_prev, u, s = s, u_next, s_next
-        if filled == n_rows or j == len(centers) - 1:
-            block = rows[:filled].reshape(-1)
-            abs_sum.add(block)
-            block_max.append(block.max())
+               - a_t2[r])
+        np.abs(h_t - rhs, out=rows[filled:filled + m])
+        for row_max in np.abs(h_t).reshape(m, -1).max(axis=1):
+            ht_max = max(ht_max, float(row_max))
+        s_before, u, s = s[-1:].copy(), u_next, s_next
+        filled += m
+        i = j
+        if filled == n_rows or i == end:
+            full = rows[:filled].reshape(-1)
+            abs_sum.add(full)
+            block_max.append(full.max())
+            filled = 0
 
     return ResidualStats(max_abs=float(np.max(block_max)),
                          mean_abs=abs_sum.total / abs_sum.size,
                          normalizer=ht_max,
-                         n_times=len(centers))
+                         n_times=n_centres)
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +493,21 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     """Minimum of H0 over grid x window, with argmin and per-sample curve."""
     if t_window is None:
         t_window = default_window(trace)
-    if t_window[0] <= 0:
-        raise NonPositiveTime("window must start at t > 0")
     g = trace.grid
     curve: list[tuple[float, float]] = []
     best = math.inf
     arg_flat = None
     arg_t = math.nan
-    for i in window_indices(trace.times, t_window):
-        t = trace.times[i]
-        h0 = _solution_part(np.log(trace.samples[i]), g, k, p) + k.a / t
-        m = float(h0.min())
-        curve.append((t, m))
-        if m < best:
-            best = m
-            arg_flat = int(np.argmin(h0))
-            arg_t = t
-    if not curve:
-        raise WindowTooSmall("no trace samples inside the window")
+    for times, h0 in _window_blocks(trace, k, p, t_window):
+        h0 += column([k.a / t for t in times], g)
+        rows = h0.reshape(len(times), -1)
+        for t, m, row in zip(times, rows.min(axis=1), rows):
+            m = float(m)
+            curve.append((t, m))
+            if m < best:
+                best = m
+                arg_flat = int(np.argmin(row))
+                arg_t = t
     arg_x = () if arg_flat is None else g.point(arg_flat)
     verdict = "consistent" if best >= -tol else "violated"
     return HarnackReport(best, arg_x, arg_t, curve, t_window, tol, verdict, k)

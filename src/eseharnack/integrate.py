@@ -130,15 +130,22 @@ class SolveTrace:
     def window(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def field_at(self, t: float) -> Field:
-        """Linear-in-time interpolation between the bracketing samples."""
+    def bracket(self, t: float) -> tuple[int, float | None]:
+        """(i, w): the solution at time t is samples[i] when w is None, and
+        (1 - w) * samples[i - 1] + w * samples[i] otherwise."""
         ts = self.times
         if not ts[0] <= t <= ts[-1]:
             raise OutOfWindow(f"t={t} outside sampled window [{ts[0]}, {ts[-1]}]")
         i = int(np.searchsorted(ts, t))
         if i == 0 or ts[i] == t:
+            return i, None
+        return i, (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+
+    def field_at(self, t: float) -> Field:
+        """Linear-in-time interpolation between the bracketing samples."""
+        i, w = self.bracket(t)
+        if w is None:
             return Field(self.grid, self.samples[i])
-        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
         return Field(self.grid, (1.0 - w) * self.samples[i - 1] + w * self.samples[i])
 
     def value_at(self, x, t: float) -> float:

@@ -34,6 +34,12 @@ def test_threshold_rejects_c_outside_range():
         blowup_threshold(3, 2.0, 1.0)   # n(p-1) = 3 leaves no valid c
 
 
+def test_threshold_that_overflows_is_refused_by_name():
+    # (4/0.01)^1000 used to raise a bare OverflowError, so verify exited 4
+    with pytest.raises(InvalidC, match=r"overflows for c=1.99, n=1, p=1.001"):
+        blowup_threshold(1, 1.001, 1.99)
+
+
 # ---------------------------------------------------------------------------
 # ODE oracle
 

@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eseharnack import Field, Grid, RescaleSpec, StepConfig, rescale_problem, solve
+from eseharnack import harnack as ha
 from eseharnack import blowup as bl
 from eseharnack import cli
 from eseharnack.blowup import tail_fit
 from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
+from eseharnack.integrate import SolveTrace, TraceStatus, rescale_field
 from eseharnack.traceio import load_trace, save_trace
 
 from conftest import constant_problem, gaussian_problem
@@ -233,6 +235,69 @@ classical_pairs = 10
                  "--allow-inadmissible"]) in (0, 1, 2, 3)
 
 
+# Every numeric [step] and [checks] key; the integer keys also take integers
+# far past any count a run could use.  One key at a time goes through every
+# edge value, then random sets of two or three keys do, the other keys
+# keeping their defaults.
+_STEP_AND_CHECK_KEYS = (
+    ("step", "cfl_safety"), ("step", "reaction_safety"), ("step", "dt_min"),
+    ("step", "f_cap"), ("step", "sample_stride"),
+    ("checks", "t_min_frac"), ("checks", "t_max_frac"), ("checks", "h0_tol"),
+    ("checks", "hr_b_margin"), ("checks", "residual_tol"), ("checks", "classical_pairs"),
+    ("checks", "classical_tol"), ("checks", "rescale_lambda"), ("checks", "rescale_tol"),
+    ("checks", "blowup_c"))
+_INTEGER_KEYS = ("sample_stride", "classical_pairs")
+_HUGE_INTEGERS = ("99999999999999999999999", "100000000000")
+
+_PROBLEMS = {
+    "gaussian": "box = -4:4\nboundary = reflecting\ninitial = gaussian\namplitude = 1.0\n"
+                "width = 0.5\nt_end = 0.3",
+    "constant": "box = 0:100\nboundary = periodic\ninitial = constant\nlevel = 1.0\n"
+                "t_end = 2.0",
+}
+
+
+def _verify_with(tmp_path, initial, changes) -> int:
+    """Exit code of `verify` on a 16-point run of `initial` data with every
+    check on and the (section, key, value) `changes` applied."""
+    lines = {"step": {"sample_stride": "1"},
+             "checks": {"enabled": "h0, hr, residual, blowup, classical, rescale",
+                        "classical_pairs": "10"}}
+    for section, key, value in changes:
+        lines[section][key] = value
+    ini = (f"[problem]\ndim = 1\np = 2.0\nextents = 16\n{_PROBLEMS[initial]}\n\n"
+           f"[constants]\npreset = blowup(1,2,1)\n\n"
+           + "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+                       for section, pairs in lines.items()))
+    return main(["verify", "--config", write(tmp_path, "c.ini", ini),
+                 "--out", str(tmp_path / "run"), "--allow-inadmissible"])
+
+
+def _edge_values(key):
+    return _EDGE_VALUES + (_HUGE_INTEGERS if key in _INTEGER_KEYS else ())
+
+
+@pytest.mark.parametrize("initial", sorted(_PROBLEMS))
+@pytest.mark.parametrize("section, key", _STEP_AND_CHECK_KEYS)
+def test_each_step_and_checks_number_at_its_edges_never_exits_four(tmp_path, initial,
+                                                                   section, key):
+    # classical_pairs = 100000000000 used to run for minutes, and
+    # classical_tol = 1e308 to exit 4 with "math domain error"
+    for value in _edge_values(key):
+        assert _verify_with(tmp_path, initial, [(section, key, value)]) in (0, 1, 2, 3), value
+
+
+@given(initial=st.sampled_from(sorted(_PROBLEMS)), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_step_and_checks_number_pairs_never_exit_four(tmp_path, initial, data):
+    keys = data.draw(st.lists(st.sampled_from(_STEP_AND_CHECK_KEYS), min_size=2, max_size=3,
+                              unique=True), label="keys")
+    changes = [(section, key, data.draw(st.sampled_from(_edge_values(key)), label=key))
+               for section, key in keys]
+    assert _verify_with(tmp_path, initial, changes) in (0, 1, 2, 3)
+
+
 def _drop_sample_times(path):
     meta = json.loads(path.read_text())
     del meta["sample_times"]
@@ -358,8 +423,14 @@ def test_config_rejects_non_finite_box_and_t_end(tmp_path, key, value):
     (CONST_INI.replace("level = 1.0", "level = inf"), "level > 0, got inf"),
     (GAUSS_INI.replace("amplitude = 1.0", "amplitude = inf"), "amplitude > 0, got inf"),
     (GAUSS_INI.replace("width = 0.2", "width = 1e200"), "width 1e+200 is too large"),
+    # |x - center|^2 used to overflow with a RuntimeWarning, and a Gaussian
+    # that underflowed to 0 was refused only as non-positive initial data
+    (GAUSS_INI.replace("center = 0.0", "center = 1e200"), "center [1e+200] is so far"),
+    (GAUSS_INI.replace("center = 0.0", "center = 1e150"), "center [1e+150] lies outside"),
+    (GAUSS_INI.replace("width = 0.2", "width = 0.005"), "width 0.005 is so small"),
 ], ids=["level-zero", "level-nan", "amplitude", "width-nan", "center", "level-inf",
-        "amplitude-inf", "width-too-large"])
+        "amplitude-inf", "width-too-large", "center-overflow", "center-underflow",
+        "width-underflow"])
 def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, message):
     cfg = write(tmp_path, "c.ini", ini)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -371,6 +442,9 @@ def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, mes
     ("classical_pairs", "0"), ("rescale_lambda", "0"), ("rescale_lambda", "-2"),
     ("h0_tol", "nan"), ("residual_tol", "-1"), ("hr_b_margin", "0.5"),
     ("t_min_frac", "0"), ("t_max_frac", "1.5"), ("blowup_c", "inf"),
+    # a pair passes when its slack is >= 1 - classical_tol, and log1p(-tol)
+    # used to fail with "math domain error" (exit 4) at classical_tol >= 1
+    ("classical_tol", "1.5"), ("classical_pairs", "100000000000"),
     ("preset", "blowup(1.5, 2, 0.5)"), ("preset", "blowup(x, 2, 0.5)"),
 ])
 def test_malformed_check_setting_or_preset_exits_two(tmp_path, capsys, key, value):
@@ -382,6 +456,34 @@ def test_malformed_check_setting_or_preset_exits_two(tmp_path, capsys, key, valu
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert key in err and value in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0.5", "2", "1e308"])
+def test_blowup_c_outside_its_range_exits_two_naming_the_key(tmp_path, capsys, value):
+    # n(p-1) <= c < 2 is checked before the solve; the error used to come
+    # after it, without the key's name
+    cfg = write(tmp_path, "c.ini",
+                CONST_INI + f"\n[checks]\nenabled = blowup\nblowup_c = {value}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"[checks] blowup_c = {float(value)}: need n(p-1) <= c < 2" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("blowup_c", [None, "1.99"])
+def test_blowup_threshold_that_overflows_exits_two_before_the_solve(tmp_path, capsys,
+                                                                    monkeypatch, blowup_c):
+    # (4/0.01)^(1/0.001) overflows; it used to exit 4 after the solve
+    ini = CONST_INI.replace("p = 2.0", "p = 1.001").replace(
+        "preset = hamilton_1d", "alpha = 2.0\nbeta = 1.0\nc = 1.99\na = 2.0")
+    ini += "\n[checks]\nenabled = blowup\n" + (f"blowup_c = {blowup_c}\n" if blowup_c else "")
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved before the check"))
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run"),
+                 "--allow-inadmissible"]) == 2
+    key = "[checks] blowup_c" if blowup_c else "[constants] c"
+    assert f"{key} = 1.99: the threshold (4n/(2-c))^(1/(p-1)) overflows" in \
+        capsys.readouterr().err
 
 
 def test_config_rejects_center_of_wrong_length(tmp_path):
@@ -582,6 +684,29 @@ def test_cmd_verify_loads_saved_trace(tmp_path):
     assert main(["verify", "--config", cfg2, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("saved", [False, True])
+def test_no_sample_in_the_window_exits_two_naming_the_keys(tmp_path, capsys, saved):
+    # a stride past the run's step count keeps only the first and last
+    # sample, so the h0 check finds no sample inside the window
+    stride = "99999999999999999999999"
+    ini = GAUSS_INI.replace("sample_stride = 4", f"sample_stride = {stride}")
+    if saved:
+        solved = tmp_path / "solved"
+        assert main(["solve", "--config", write(tmp_path, "s.ini", ini),
+                     "--out", str(solved)]) == 0
+        ini += f"\n[verify]\ntrace_dir = {solved / 'trace'}\n"
+    cfg = write(tmp_path, "c.ini", ini)
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "the window [0.025, 0.45] holds 0 of the trace's 2 samples, which span " \
+           "[0.0, 0.5]; the check needs at least one" in err
+    assert "[checks] t_min_frac = 0.05 to t_max_frac = 0.9" in err
+    assert (f"[verify] trace_dir = {solved / 'trace'}" if saved
+            else f"[step] sample_stride = {stride}") in err
+
+
 def test_cmd_verify_trace_from_another_grid_exits_two(tmp_path, capsys):
     cfg_path = write(tmp_path, "g.ini", GAUSS_INI.replace("extents = 128", "extents = 64"))
     solve_out = tmp_path / "solved"
@@ -692,6 +817,41 @@ def test_rescale_worker_reports_equal_the_in_process_reference(
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     assert list(private_tempdir.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def _rescale_discrepancy_per_sample(trace, other, spec):
+    """The rescale check as it was, one sample at a time."""
+    lo = max(spec.lam ** 2 * trace.times[0], other.times[0])
+    hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
+    worst = 0.0
+    for i in ha.window_indices(spec.lam ** 2 * trace.times, (lo, hi)):
+        f, st = rescale_field(Field(trace.grid, trace.samples[i]), trace.times[i], spec)
+        g = other.field_at(st)
+        denom = float(np.abs(f.values).max())
+        worst = max(worst, float(np.abs(f.values - g.values).max()) / denom)
+    return worst
+
+
+@pytest.mark.parametrize("extents, n_samples", [((256,), 37), ((16, 16), 20), ((64, 64), 5)])
+def test_rescale_discrepancy_on_blocks_equals_the_per_sample_check(extents, n_samples):
+    # `other` has a sample at every third rescaled time, one more between
+    # each pair of them, and starts after the first rescaled time, so blocks
+    # mix exact hits with interpolated rows
+    rng = np.random.default_rng(len(extents))
+    grid = Grid(((-1.0, 1.0), (0.0, 2.0))[:len(extents)], extents, "reflecting")
+    spec = RescaleSpec(1.5, 2.0)
+    times = 0.1 + np.cumsum(rng.uniform(0.5, 1.5, n_samples)) / n_samples
+    scaled = spec.lam ** 2 * times
+    other_times = np.sort(np.concatenate((scaled[3::3], 0.5 * (scaled[2:-1] + scaled[3:]))))
+
+    def trace(ts, g):
+        samples = np.exp(0.2 * rng.standard_normal((len(ts), *extents)))
+        return SolveTrace(g, 2.0, ts, samples, TraceStatus.reached(), np.zeros(0))
+
+    a, b = trace(times, grid), trace(other_times, grid.scaled(spec.lam))
+    disc = cli.rescale_commutation_discrepancy(a, b, spec)
+    assert disc > 0
+    assert disc == _rescale_discrepancy_per_sample(a, b, spec)
 
 
 def test_rescale_worker_runs_under_spawn(tmp_path, monkeypatch):

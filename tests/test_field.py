@@ -65,6 +65,14 @@ def test_grid_refuses_a_box_whose_squared_diagonal_overflows(box):
     (1.0, 0.2, (0.0, 0.0), r"center \[0.0, 0.0\] has 2 coordinates"),
     (np.inf, 0.2, None, "amplitude > 0, got inf"),
     (1.0, 1e200, None, "width 1e[+]200 is too large to square"),
+    # a centre or width for which the Gaussian overflows |x - c|^2 or
+    # underflows to 0 on the grid is refused by name, before numpy warns
+    (1.0, 0.2, (1e200,), r"center \[1e\+200\] is so far from the box .* overflows"),
+    (1.0, 0.2, (40.0,), r"center \[40.0\] lies outside the box .* underflows to 0"),
+    (1.0, 0.01, None, "width 0.01 is so small that the Gaussian underflows to 0"),
+    (1.0, 1e-155, None, r"width 1e-155 is so small that .* overflows"),
+    (1.0, 1e-170, None, "width 1e-170 is too small to square"),
+    (1e-320, 0.2, None, "amplitude 1e-320 is so small that the Gaussian underflows"),
 ])
 def test_gaussian_checks_its_parameters(amplitude, width, center, message):
     # NaN fails every comparison, so it is refused too

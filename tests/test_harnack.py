@@ -16,8 +16,8 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
-from eseharnack.harnack import (PairwiseSum, _solution_part, cutoff_parts,
-                                window_indices)
+from eseharnack.harnack import (PairwiseSum, _solution_part, block_len, cutoff_parts,
+                                hr_window_min, window_indices)
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -467,3 +467,110 @@ def test_certify_verdict_policy():
     assert certify_verdict(rep(-5e-3), rep(-8e-3)) == "consistent"
     assert certify_verdict(rep(-5e-2), rep(-1e-3)) == "violated"
     assert certify_verdict(rep(1e-3), rep(2e-3)) == "certified"
+
+
+# ---------------------------------------------------------------------------
+# the checks walk a window a block of samples at a time; per-sample
+# references, as the checks were written before the blocks
+
+def test_block_len_bounds_the_points_of_a_block():
+    assert block_len(Grid.line(0.0, 1.0, 256)) == 16
+    assert block_len(Grid.line(0.0, 1.0, 16)) == 256
+    assert block_len(Grid.uniform(0.0, 1.0, 64, dim=2)) == 1
+    assert block_len(Grid.uniform(0.0, 1.0, 128, dim=2)) == 1
+    assert block_len(Grid.uniform(0.0, 1.0, 8, dim=3)) == 8
+
+
+def _rough_trace(extents, n_samples, seed, boundary="reflecting"):
+    """Positive samples with a rough log at unevenly spaced times, so that
+    every term of H and of its time derivative is far from zero."""
+    grid = Grid(((-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5))[:len(extents)], extents, boundary)
+    rng = np.random.default_rng(seed)
+    times = 0.05 + np.cumsum(rng.uniform(0.5, 1.5, n_samples)) / n_samples
+    samples = np.exp(0.3 * rng.standard_normal((n_samples, *extents)))
+    return SolveTrace(grid, 2.0, times, samples, TraceStatus.reached(), np.zeros(0))
+
+
+# (extents, samples): blocks of 16 with a short last block in 1-D and 2-D,
+# blocks of 8 in 3-D, one sample per block at 64^2
+BLOCK_TRACES = [((256,), 39), ((16, 16), 23), ((8, 8, 8), 13), ((64, 64), 6)]
+
+
+def _h0_report_per_sample(trace, k, p, window):
+    curve, best, arg_x, arg_t = [], math.inf, (), math.nan
+    for i in window_indices(trace.times, window):
+        t = trace.times[i]
+        h0 = _solution_part(np.log(trace.samples[i]), trace.grid, k, p) + k.a / t
+        m = float(h0.min())
+        curve.append((t, m))
+        if m < best:
+            best, arg_x, arg_t = m, trace.grid.point(int(np.argmin(h0))), t
+    return curve, best, arg_x, arg_t
+
+
+@pytest.mark.parametrize("extents, n_samples", BLOCK_TRACES)
+def test_h0_report_on_blocks_equals_the_per_sample_report(extents, n_samples):
+    trace = _rough_trace(extents, n_samples, seed=len(extents))
+    ts = trace.times
+    for window in ((ts[0], ts[-1]), (ts[2], ts[-3])):
+        rep = h0_report(trace, IMPROVED, 2.0, window)
+        curve, best, arg_x, arg_t = _h0_report_per_sample(trace, IMPROVED, 2.0, window)
+        assert rep.curve == curve
+        assert (rep.min_h0, rep.argmin_x, rep.argmin_t) == (best, arg_x, arg_t)
+
+
+def _hr_min_per_sample(trace, k, p, loc, window):
+    best = math.inf
+    for i in window_indices(trace.times, window):
+        hr = (_solution_part(np.log(trace.samples[i]), trace.grid, k, p)
+              + _per_sample_phi_r(trace.grid, trace.times[i], loc))
+        finite = hr[np.isfinite(hr)]
+        if finite.size:
+            best = min(best, float(finite.min()))
+    return best
+
+
+@pytest.mark.parametrize("extents, n_samples", BLOCK_TRACES)
+def test_hr_window_min_on_blocks_equals_the_per_sample_minimum(extents, n_samples):
+    trace = _rough_trace(extents, n_samples, seed=10 + len(extents), boundary="periodic")
+    dim = len(extents)
+    loc = make_localizer(((-0.7, 0.4), (0.3, 1.9), (-0.2, 0.3))[:dim], dim, BLOWUP_K)
+    ts = trace.times
+    for window in ((ts[0], ts[-1]), (ts[1], ts[-2])):
+        assert hr_window_min(trace, BLOWUP_K, 2.0, loc, window) == \
+            _hr_min_per_sample(trace, BLOWUP_K, 2.0, loc, window)
+
+
+@pytest.mark.parametrize("rows_cut", [False, True])
+@pytest.mark.parametrize("extents, n_samples", BLOCK_TRACES)
+def test_residual_on_blocks_matches_cached_reference(extents, n_samples, rows_cut,
+                                                     monkeypatch):
+    # every block ends at a centre whose next sample starts the next block.
+    # With rows_cut the block of rows holds the whole blocks that fit in 21
+    # rows, so the rows are reduced and reused many times
+    trace = _rough_trace(extents, n_samples, seed=20 + len(extents))
+    if rows_cut:
+        spare = harnack._RESIDUAL_ARRAYS * (block_len(trace.grid) - 1)
+        monkeypatch.setattr(harnack, "_RESIDUAL_BLOCK_BYTES", 8 * trace.grid.size * (21 + spare))
+    ts = trace.times
+    for window in ((ts[0], ts[-1]), (ts[2], ts[-2])):
+        stats = evolution_residual(trace, IMPROVED, 2.0, window)
+        assert (stats.max_abs, stats.mean_abs, stats.normalizer, stats.n_times) == \
+            _cached_residual(trace, IMPROVED, 2.0, window)
+
+
+def test_window_errors_name_the_window_and_its_sample_count(gauss128):
+    ts = gauss128.times
+    empty = (float(ts[3]) + 1e-12, float(ts[4]) - 1e-12)
+    span = f"which span [{float(ts[0])!r}, {float(ts[-1])!r}]"
+    for check in (lambda w: h0_report(gauss128, HAMILTON, 2.0, w),
+                  lambda w: hr_window_min(gauss128, BLOWUP_K, 2.0,
+                                          make_localizer(((-1.0, 1.0),), 1, BLOWUP_K), w)):
+        with pytest.raises(WindowTooSmall) as exc:
+            check(empty)
+        assert str(exc.value) == (f"the window [{empty[0]!r}, {empty[1]!r}] holds 0 of the "
+                                  f"trace's {len(ts)} samples, {span}; the check needs at "
+                                  f"least one")
+    with pytest.raises(WindowTooSmall, match=f"holds 2 of the trace's {len(ts)} samples, "
+                                             f".*; the residual needs at least 3"):
+        evolution_residual(gauss128, HAMILTON, 2.0, (ts[3], ts[4]))

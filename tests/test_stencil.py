@@ -310,3 +310,54 @@ def test_non_contiguous_input_gives_the_reference(dim, boundary):
         dt = stable_dt(g, 2.5, float(v.max()), StepConfig())
         assert np.array_equal(step(Field(g, v), 0.0, dt, 2.5).values,
                               _ref_rk4(v, dt, g, 2.5, True))
+
+
+# ---------------------------------------------------------------------------
+# a stack of samples behind a batch axis
+
+BATCH_STENCILS = [
+    lambda v, g: second_diff(v, g, 0),
+    lambda v, g: second_diff(v, g, g.dim - 1),
+    lambda v, g: central_diff(v, g, 0),
+    lambda v, g: central_diff(v, g, g.dim - 1),
+    laplacian_nd,
+    grad_sq_nd,
+    hessian_sq_nd,
+]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+def test_stencils_on_a_batch_equal_per_sample_calls(dim, boundary, batch):
+    # a batch axis makes every spatial axis a later axis, whose run covers
+    # the edges with wrong neighbours (across samples too) until the edge
+    # views overwrite them
+    g = _grid(dim, boundary)
+    stack = np.stack([_values(g, seed=s) for s in range(batch)])
+    for fn in BATCH_STENCILS:
+        assert np.array_equal(fn(stack, g), np.stack([fn(v, g) for v in stack]))
+    for axis, got in enumerate(gradient_nd(stack, g)):
+        assert np.array_equal(got, np.stack([gradient_nd(v, g)[axis] for v in stack]))
+
+
+@pytest.mark.parametrize("dim,boundary", [(1, "reflecting"), (2, "periodic"), (3, "reflecting")])
+def test_batch_slices_and_non_contiguous_stacks_equal_per_sample_calls(dim, boundary):
+    # a leading-axis slice of a trace-like stack is C-contiguous; every
+    # second sample of it is not, and is copied once
+    g = _grid(dim, boundary)
+    stack = np.stack([_values(g, seed=s) for s in range(7)])
+    for part in (stack[2:5], stack[::2], stack[6:]):
+        assert np.array_equal(laplacian_nd(part, g), np.stack([laplacian_nd(v, g) for v in part]))
+        assert np.array_equal(hessian_sq_nd(part, g),
+                              np.stack([hessian_sq_nd(v, g) for v in part]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bind_refuses_a_batch_it_cannot_view(dim):
+    g = _grid(dim, "periodic")
+    stack = np.stack([_values(g, seed=s) for s in range(3)])
+    for values, out in ((stack, np.empty(g.extents)),          # output without the batch axis
+                        (stack[None], np.empty((1,) + stack.shape)),    # two batch axes
+                        (stack[:, ::-1], np.empty(stack.shape))):      # not C-contiguous
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            g.stencil.bind(values, 0, out)
