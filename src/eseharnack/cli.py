@@ -20,8 +20,11 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing.connection
+import os
 import sys
 import tempfile
+import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -541,6 +544,19 @@ def _solve_and_save(prob: ProblemSpec, cfg: StepConfig, outdir: str) -> None:
     traceio.save_trace(outdir, solve(prob, cfg))
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: ends this worker process as soon as its parent
+    process is gone.  A parent killed by SIGKILL runs no cleanup, and its
+    worker would otherwise run on, re-parented."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @contextmanager
 def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
     """Solve `prob` rescaled by `spec` in one worker process while the caller
@@ -558,7 +574,7 @@ def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
     # (spawn works too, but its imports put it on the critical path).
     rescaled = rescale_problem(prob, spec)
     with tempfile.TemporaryDirectory(prefix="eseharnack-rescale-") as tmp, \
-            ProcessPoolExecutor(max_workers=1) as pool:
+            ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent) as pool:
         future = pool.submit(_solve_and_save, rescaled, cfg, tmp)
 
         def trace() -> SolveTrace:
@@ -740,7 +756,7 @@ def cmd_sweep(args) -> int:
     # the fork start method forks every worker at the first submit
     workers = min(args.jobs, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]

@@ -105,6 +105,50 @@ class Grid:
             return True
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.box))
 
+    def interp_corners(self, x) -> list[tuple[tuple[int, ...], float]]:
+        """The corners that multilinear interpolation at a point x reads, as
+        (index, weight) with weight != 0, in a fixed order (wraps on periodic
+        grids)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):
+            raise ValueError(f"point must have {self.dim} coordinates")
+        idx0, idx1, w = [], [], []
+        for k in range(self.dim):
+            lo, hi = self.box[k]
+            h = self.spacing[k]
+            n = self.extents[k]
+            s = (x[k] - lo) / h
+            if self.boundary == "periodic":
+                s = s % n
+                i0 = int(np.floor(s))
+                frac = s - i0
+                i0 %= n
+                i1 = (i0 + 1) % n
+            else:
+                if not lo <= x[k] <= hi:
+                    raise ValueError(f"point {x} outside grid box")
+                i0 = min(int(np.floor(s)), n - 2)
+                i0 = max(i0, 0)
+                frac = s - i0
+                i1 = i0 + 1
+            idx0.append(i0)
+            idx1.append(i1)
+            w.append(frac)
+        corners = []
+        for corner in range(1 << self.dim):
+            weight = 1.0
+            ix = []
+            for k in range(self.dim):
+                if corner >> k & 1:
+                    weight *= w[k]
+                    ix.append(idx1[k])
+                else:
+                    weight *= 1.0 - w[k]
+                    ix.append(idx0[k])
+            if weight != 0.0:
+                corners.append((tuple(ix), weight))
+        return corners
+
     def scaled(self, lam: float) -> "Grid":
         """Grid with every coordinate multiplied by lam (same extents/boundary)."""
         return Grid(tuple((lam * lo, lam * hi) for lo, hi in self.box),
@@ -150,45 +194,9 @@ class Field:
 
     def interp(self, x) -> float:
         """Multilinear interpolation at a point x (wraps on periodic grids)."""
-        g = self.grid
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (g.dim,):
-            raise ValueError(f"point must have {g.dim} coordinates")
-        idx0, idx1, w = [], [], []
-        for k in range(g.dim):
-            lo, hi = g.box[k]
-            h = g.spacing[k]
-            n = g.extents[k]
-            s = (x[k] - lo) / h
-            if g.boundary == "periodic":
-                s = s % n
-                i0 = int(np.floor(s))
-                frac = s - i0
-                i0 %= n
-                i1 = (i0 + 1) % n
-            else:
-                if not lo <= x[k] <= hi:
-                    raise ValueError(f"point {x} outside grid box")
-                i0 = min(int(np.floor(s)), n - 2)
-                i0 = max(i0, 0)
-                frac = s - i0
-                i1 = i0 + 1
-            idx0.append(i0)
-            idx1.append(i1)
-            w.append(frac)
         total = 0.0
-        for corner in range(1 << g.dim):
-            weight = 1.0
-            ix = []
-            for k in range(g.dim):
-                if corner >> k & 1:
-                    weight *= w[k]
-                    ix.append(idx1[k])
-                else:
-                    weight *= 1.0 - w[k]
-                    ix.append(idx0[k])
-            if weight != 0.0:
-                total += weight * float(self.values[tuple(ix)])
+        for ix, weight in self.grid.interp_corners(x):
+            total += weight * float(self.values[ix])
         return total
 
     @classmethod
@@ -292,9 +300,9 @@ class Stencil:
     them.  Behind a batch axis every spatial axis is such a later axis, so
     each element gets the same arithmetic as in a sample of its own.
 
-    `bind` turns one axis's plan into views of a given (values, out) pair
-    and `run` applies a kernel to them, so a caller that reuses its buffers
-    binds once and runs many times; `apply` binds on the spot.
+    `bind` turns one axis's plan into views of a given (values, out) pair,
+    so a caller that reuses its buffers binds once; `apply` binds on the
+    spot and applies a kernel to the run, then the edges.
     """
 
     def __init__(self, grid: Grid):
@@ -332,22 +340,15 @@ class Stencil:
         return ((flat[:size - 2 * s], flat[run], flat[2 * s:], out_flat[run]),
                 (values[minus], values[dst], values[plus], out[dst]))
 
-    @staticmethod
-    def run(kernel: Callable, bound: tuple, scale: float) -> None:
-        """kernel(minus, center, plus, out, scale) over the views from `bind`:
-        the run, then the edges."""
-        run, edges = bound
-        kernel(*run, scale)
-        kernel(*edges, scale)
-
     def apply(self, kernel: Callable, values: np.ndarray, axis: int,
               out: np.ndarray, scale: float) -> np.ndarray:
         """Run kernel(minus, center, plus, out, scale) over every point along
         one spatial axis, writing into `out`: C-contiguous, of the shape of
         `values`, and not sharing memory with `values`.  `values` is copied
         once if it is not C-contiguous float64.  Returns `out`."""
-        v = np.ascontiguousarray(values, dtype=np.float64)
-        self.run(kernel, self.bind(v, axis, out), scale)
+        run, edges = self.bind(np.ascontiguousarray(values, dtype=np.float64), axis, out)
+        kernel(*run, scale)
+        kernel(*edges, scale)
         return out
 
 

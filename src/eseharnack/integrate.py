@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,37 +150,70 @@ class SolveTrace:
         return Field(self.grid, (1.0 - w) * self.samples[i - 1] + w * self.samples[i])
 
     def value_at(self, x, t: float) -> float:
-        """Multilinear in space, linear in time."""
-        return self.field_at(t).interp(x)
+        """Multilinear in space, linear in time: field_at(t).interp(x), with
+        only the corners that the interpolation reads interpolated in time,
+        each as field_at computes it."""
+        i, w = self.bracket(t)
+        before, at = self.samples[i - 1], self.samples[i]
+        total = 0.0
+        for ix, weight in self.grid.interp_corners(x):
+            value = float(at[ix])
+            if w is not None:
+                value = (1.0 - w) * float(before[ix]) + w * value
+            total += weight * value
+        return total
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
-def _check_stage(values: np.ndarray, label: str) -> np.ndarray:
+def _check_stage(values: np.ndarray, label: str) -> None:
     if values.min() <= 0.0:
         raise NonPositiveField(f"{label} went nonpositive (min={values.min()})")
-    return values
 
 
-def _diffusion(minus, center, plus, out, inv_h2):
-    """((f[i+1] + f[i-1]) - f[i] - f[i]) * (1/h^2), evaluated left to right."""
-    np.add(plus, minus, out=out)
-    out -= center
-    out -= center
-    out *= inv_h2
+def _aligned(shape: tuple[int, ...], first: int = 0) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of `shape` whose element
+    `first` (in C order) starts on a 64-byte cache line."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    skip = -(raw.ctypes.data // 8 + first) % 8
+    return raw[skip:skip + size].reshape(shape)
+
+
+_UFUNCS = (np.add, np.subtract, np.multiply)
+# for the (n, 2) edge view of a 2-D grid's last axis: iterate the long axis
+# innermost, not the pair
+_F_UFUNCS = tuple(partial(u, order="F") for u in _UFUNCS)
+
+
+def _diffusion(minus, center, plus, out, inv_h2, ufuncs=_UFUNCS) -> list:
+    """The calls that write ((f[i+1] + f[i-1]) - f[i] - f[i]) * (1/h^2) into
+    `out`, evaluated left to right."""
+    add, subtract, multiply = ufuncs
+    return [(add, (plus, minus, out)), (subtract, (out, center, out)),
+            (subtract, (out, center, out)), (multiply, (out, inv_h2, out))]
 
 
 class _Workspace:
-    """Preallocated buffers for the RK4 stepper.
+    """Preallocated buffers for the RK4 stepper, and every call of a step
+    bound to them once.
 
-    The solve loop runs tens of thousands of steps on mid-size arrays, so the
-    right-hand side is evaluated allocation-free: the grid's stencil operator
-    reads the neighbours straight from the state, and every stage writes into
-    a reused C-contiguous buffer.  The workspace owns the two state buffers
-    the solve loop alternates between and the stage buffer, and binds the
-    stencil views of each of them into its k buffer once (`_bind`), so every
-    step runs through views bound at construction.
+    The solve loop runs tens of thousands of steps on mid-size arrays, so a
+    step allocates nothing and makes as few numpy calls as its IEEE
+    operations allow.  The grid's stencil operator reads the neighbours
+    straight from the state, and every call writes into a reused buffer.
+    The workspace owns the two state buffers the solve loop alternates
+    between, the stage, acc and k buffers, and, per state buffer, the
+    step's calls as (ufunc, args) per stage (`_bind`).  Their scalars are
+    0-d arrays (a Python float costs a conversion per call); dt/2, dt and
+    dt/6 are set once per step.
+
+    Every buffer starts on a 64-byte cache line, and `tmp` is offset so
+    that its last axis's contiguous run does: a float64 ufunc whose output
+    does not start on a line takes about twice as long.  The first axis's
+    run starts prod(extents[1:]) elements in, so it is aligned when that is
+    a multiple of 8.
     """
 
     def __init__(self, grid: Grid, p: float, reaction: bool):
@@ -187,61 +221,63 @@ class _Workspace:
         self.p = p
         self.reaction = reaction
         shape = grid.extents
-        self.tmp = np.empty(shape)
-        self.stage = np.empty(shape)
-        self.acc = np.empty(shape)
-        self.k = [np.empty(shape) for _ in range(4)]
-        self.states = (np.empty(shape), np.empty(shape))
-        self._state_plans = tuple(self._bind(y, self.k[0]) for y in self.states)
-        self._stage_plans = tuple(self._bind(self.stage, k) for k in self.k[1:])
+        self.tmp = _aligned(shape, first=1)
+        self.stage = _aligned(shape)
+        self.acc = _aligned(shape)
+        self.k = [_aligned(shape) for _ in range(4)]
+        self.states = (_aligned(shape), _aligned(shape))
+        self._half_dt, self._dt, self._sixth_dt = np.zeros(()), np.zeros(()), np.zeros(())
+        self._plans = (self._bind(0), self._bind(1))
 
-    def _bind(self, values: np.ndarray, out: np.ndarray) -> tuple:
-        """The diffusion term's stencil views of `values`, per axis: axis 0
-        writes into `out`, every later axis into `tmp`."""
-        return tuple(self.op.bind(values, ax, out if ax == 0 else self.tmp)
-                     for ax in range(len(self.op.inv_h2)))
-
-    def _rhs(self, values: np.ndarray, out: np.ndarray, plan: tuple) -> None:
-        """lap(values) + values^p into `out`; `plan` is `_bind(values, out)`."""
-        op = self.op
-        for ax, (bound, inv_h2) in enumerate(zip(plan, op.inv_h2)):
-            op.run(_diffusion, bound, inv_h2)
+    def _rhs(self, values: np.ndarray, out: np.ndarray) -> list:
+        """The calls that write lap(values) + values^p into `out`, with `tmp`
+        and `acc` as scratch."""
+        calls, last = [], len(self.op.inv_h2) - 1
+        for ax, inv_h2 in enumerate(self.op.inv_h2):
+            run, edges = self.op.bind(values, ax, out if ax == 0 else self.tmp)
+            scale = np.array(inv_h2)
+            calls += (_diffusion(*run, scale)
+                      + _diffusion(*edges, scale, _F_UFUNCS if ax == last == 1 else _UFUNCS))
             if ax > 0:
-                out += self.tmp
+                calls.append((np.add, (out, self.tmp, out)))
         if self.reaction:
-            t = self.tmp
-            if self.p == 2.0:
-                # numpy 1.24's np.power has no squaring fast path
-                np.multiply(values, values, out=t)
-            else:
-                np.power(values, self.p, out=t)
-            out += t
+            # np.square(x) is x * x, bit for bit
+            calls += [(np.square, (values, self.acc)) if self.p == 2.0
+                      else (np.power, (values, np.array(self.p), self.acc)),
+                      (np.add, (out, self.acc, out))]
+        return calls
+
+    def _bind(self, i: int) -> tuple:
+        """The step out of states[i]: per stage, its calls and the array that
+        `_check_stage` then checks, with its label."""
+        y, out = self.states[i], self.states[1 - i]
+        k1, k2, k3, k4 = self.k
+        stage, acc = self.stage, self.acc
+        add, multiply = np.add, np.multiply
+
+        def next_stage(k, scale):
+            return [(multiply, (k, scale, stage)), (add, (stage, y, stage))]
+
+        return ((self._rhs(y, k1) + next_stage(k1, self._half_dt), stage, "RK stage 2"),
+                (self._rhs(stage, k2) + next_stage(k2, self._half_dt), stage, "RK stage 3"),
+                (self._rhs(stage, k3) + next_stage(k3, self._dt), stage, "RK stage 4"),
+                (self._rhs(stage, k4) + [
+                    (add, (k2, k3, acc)), (multiply, (acc, np.array(2.0), acc)),
+                    (add, (acc, k1, acc)), (add, (acc, k4, acc)),
+                    (multiply, (acc, self._sixth_dt, acc)), (add, (y, acc, out))],
+                 out, "RK4 result"))
 
     def advance(self, i: int, dt: float) -> int:
         """One step from the positive state states[i] into the other state
         buffer; checks that every later stage and the result stay positive.
         Returns the other buffer's index."""
-        y, out = self.states[i], self.states[1 - i]
-        k1, k2, k3, k4 = self.k
-        plan2, plan3, plan4 = self._stage_plans
-        stage, acc = self.stage, self.acc
-        self._rhs(y, k1, self._state_plans[i])
-        np.multiply(k1, 0.5 * dt, out=stage)
-        stage += y
-        self._rhs(_check_stage(stage, "RK stage 2"), k2, plan2)
-        np.multiply(k2, 0.5 * dt, out=stage)
-        stage += y
-        self._rhs(_check_stage(stage, "RK stage 3"), k3, plan3)
-        np.multiply(k3, dt, out=stage)
-        stage += y
-        self._rhs(_check_stage(stage, "RK stage 4"), k4, plan4)
-        np.add(k2, k3, out=acc)
-        acc *= 2.0
-        acc += k1
-        acc += k4
-        acc *= dt / 6.0
-        np.add(y, acc, out=out)
-        _check_stage(out, "RK4 result")
+        self._half_dt[...] = 0.5 * dt
+        self._dt[...] = dt
+        self._sixth_dt[...] = dt / 6.0
+        for calls, values, label in self._plans[i]:
+            for call, args in calls:
+                call(*args)
+            _check_stage(values, label)
         return 1 - i
 
 

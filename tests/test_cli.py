@@ -1,6 +1,10 @@
 import json
 import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -861,9 +865,9 @@ def test_rescale_worker_runs_under_spawn(tmp_path, monkeypatch):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
     pools = []
 
-    def spawn_pool(max_workers):
+    def spawn_pool(max_workers, **kwargs):
         spawn = multiprocessing.get_context("spawn")
-        pools.append(ProcessPoolExecutor(max_workers, mp_context=spawn))
+        pools.append(ProcessPoolExecutor(max_workers, mp_context=spawn, **kwargs))
         return pools[-1]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
@@ -872,6 +876,71 @@ def test_rescale_worker_runs_under_spawn(tmp_path, monkeypatch):
     for name in REPORTS:
         assert ((tmp_path / "default" / name).read_bytes()
                 == (tmp_path / "spawn" / name).read_bytes()), name
+
+
+def _processes() -> dict[int, tuple[int, str]]:
+    """pid -> (parent pid, state) of every process, read from /proc/*/stat."""
+    found = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:   # the process ended meanwhile
+            continue
+        found[int(stat.parent.name)] = (int(fields[1]), fields[0])
+    return found
+
+
+def _descendants(pid: int) -> set[int]:
+    procs, found = _processes(), set()
+    frontier = {pid}
+    while frontier:
+        frontier = {p for p, (ppid, _) in procs.items() if ppid in frontier} - found
+        found |= frontier
+    return found
+
+
+def _running(pids: set[int]) -> set[int]:
+    # an exited process that its new parent has not reaped yet is a zombie
+    procs = _processes()
+    return {p for p in pids if p in procs and procs[p][1] not in "ZX"}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("command, workers", [
+    (["verify"], 1),
+    (["sweep", "--jobs", "2", "--axis", "checks.rescale_lambda=2.0,1.5"], 4),
+], ids=["verify", "sweep"])
+def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
+    # at 2048 points each solve takes minutes, so every worker is still
+    # running when its parent is killed: the rescale worker of a verify, and
+    # in a sweep both point workers and each one's rescale worker
+    cfg = write(tmp_path, "g.ini", GAUSS_CONFIG.read_text().replace(
+        "extents = 256", "extents = 2048"))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "TMPDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "eseharnack.cli", command[0], "--config",
+                             cfg, "--out", str(tmp_path / "run"), *command[1:]],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    found = set()
+    try:
+        deadline = time.monotonic() + 60
+        while (len(found) < workers and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+            found = _running(_descendants(proc.pid))
+        assert len(found) == workers, f"found workers {found}, exit code {proc.poll()}"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 30
+        while _running(found) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _running(found) == set()
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in _running(found):
+            os.kill(pid, signal.SIGKILL)
 
 
 def _solve_and_save_after_two_minutes(prob, cfg, outdir):
@@ -1089,7 +1158,8 @@ def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, lev
     made = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is cli._exit_with_parent
             made.append(max_workers)
 
         def __enter__(self):

@@ -337,6 +337,22 @@ def test_field_at_interpolates_linearly(gauss128):
     assert np.array_equal(gauss128.field_at(ts[3]).values, gauss128.samples[3])
 
 
+@pytest.mark.parametrize("dim, boundary", [(1, "reflecting"), (2, "reflecting"),
+                                           (2, "periodic"), (3, "periodic")])
+def test_value_at_equals_interpolating_the_whole_field(dim, boundary):
+    # value_at interpolates in time only the corners it reads, so it must
+    # give field_at(t).interp(x) bit for bit, at sample times and between
+    prob = gaussian_problem(32 if dim < 3 else 8, t_end=0.05, dim=dim, boundary=boundary)
+    trace = solve(prob, StepConfig(sample_stride=3))
+    rng = np.random.default_rng(dim)
+    (lo, hi), ts = trace.window(), trace.times
+    for t in [*rng.uniform(lo, hi, 150), *ts[rng.integers(len(ts), size=50)], lo, hi]:
+        x = rng.uniform(*prob.grid.box[0], dim)
+        if boundary == "periodic":
+            x += rng.integers(-2, 3, dim) * (prob.grid.box[0][1] - prob.grid.box[0][0])
+        assert trace.value_at(x, t) == trace.field_at(t).interp(x)
+
+
 def test_field_at_out_of_window(gauss128):
     with pytest.raises(OutOfWindow):
         gauss128.field_at(gauss128.t_final + 1.0)

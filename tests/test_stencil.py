@@ -12,9 +12,9 @@ import pytest
 
 from eseharnack import Field, Grid, ProblemSpec, StepConfig, solve, step
 from eseharnack.errors import NonPositiveField
-from eseharnack.field import (central_diff, grad_sq_nd, gradient_nd,
+from eseharnack.field import (_plus_first, central_diff, grad_sq_nd, gradient_nd,
                               hessian_sq_nd, laplacian_nd, second_diff)
-from eseharnack.integrate import _diffusion, _Workspace, stable_dt
+from eseharnack.integrate import _aligned, _Workspace, stable_dt
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,8 @@ def test_rhs_matches_ghost_cell_reference(dim, boundary, p, reaction):
     y = _values(g, seed=dim, positive=True)
     ws = _Workspace(g, p, reaction)
     out = np.empty(g.extents)
-    ws._rhs(y, out, ws._bind(y, out))
+    for call, args in ws._rhs(y, out):
+        call(*args)
     assert np.array_equal(out, _ref_rhs(y, g, p, reaction))
 
 
@@ -168,14 +169,11 @@ def test_workspace_buffers_are_c_contiguous(dim, boundary):
         assert buf.flags.c_contiguous
 
 
-@pytest.mark.parametrize("dim,boundary", GRIDS)
-@pytest.mark.parametrize("p", [2.0, 2.5])
-def test_rk4_through_bound_plans_matches_ghost_cell_reference(dim, boundary, p):
+def _assert_rk4_steps_match_the_reference(g, p):
     # consecutive steps alternate between the two state buffers, each
-    # stepping through the stencil views bound when the workspace was built
-    g = _grid(dim, boundary)
+    # stepping through the calls bound when the workspace was built
     ws = _Workspace(g, p, True)
-    y = _values(g, seed=dim, positive=True)
+    y = _values(g, seed=g.dim, positive=True)
     ws.states[0][...] = y
     dt = stable_dt(g, p, float(y.max()), StepConfig())
     cur = 0
@@ -186,6 +184,50 @@ def test_rk4_through_bound_plans_matches_ghost_cell_reference(dim, boundary, p):
         assert np.array_equal(ws.states[nxt], ref)
         y, cur = ref, nxt
     assert cur == 0
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_rk4_through_bound_plans_matches_ghost_cell_reference(dim, boundary, p):
+    _assert_rk4_steps_match_the_reference(_grid(dim, boundary), p)
+
+
+# extents whose runs can start on a cache line: the last extent, and in 3-D
+# the product of the last two, is a multiple of 8 float64s
+ALIGNABLE = [(16, 16), (8, 8, 8)]
+
+
+def _alignable_grid(shape, boundary):
+    return Grid(((-1.0, 2.0), (0.0, 1.5), (-0.5, 0.5))[:len(shape)], shape, boundary)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+@pytest.mark.parametrize("shape", ALIGNABLE)
+def test_workspace_buffers_and_runs_start_on_a_cache_line(shape, boundary):
+    g = _alignable_grid(shape, boundary)
+    ws = _Workspace(g, 2.0, True)
+    for buf in (ws.stage, ws.acc, *ws.k, *ws.states):
+        assert buf.ctypes.data % 64 == 0
+    # every axis but the first writes its run into tmp, the first into a k
+    (*_, last_run), _ = g.stencil.bind(ws.stage, g.dim - 1, ws.tmp)
+    (*_, first_run), _ = g.stencil.bind(ws.stage, 0, ws.k[1])
+    assert last_run.ctypes.data % 64 == 0
+    assert first_run.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+@pytest.mark.parametrize("shape", ALIGNABLE)
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_rk4_in_aligned_buffers_matches_ghost_cell_reference(shape, boundary, p):
+    _assert_rk4_steps_match_the_reference(_alignable_grid(shape, boundary), p)
+
+
+@pytest.mark.parametrize("shape", [(13,), (7, 9), (5, 6, 4)])
+def test_aligned_puts_the_chosen_element_on_a_cache_line(shape):
+    for first in range(8):
+        buf = _aligned(shape, first)
+        assert buf.shape == shape and buf.dtype == np.float64 and buf.flags.c_contiguous
+        assert buf.reshape(-1)[first:].ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -278,7 +320,7 @@ def test_operator_writes_into_the_callers_buffer(dim, boundary):
     op = g.stencil
     for axis, inv_h2 in enumerate(op.inv_h2):
         out = np.full(g.extents, np.nan)
-        assert op.apply(_diffusion, v, axis, out, inv_h2) is out
+        assert op.apply(_plus_first, v, axis, out, inv_h2) is out
         assert not np.isnan(out).any()
     assert g.stencil is op                  # built once per grid
 
@@ -291,7 +333,7 @@ def test_operator_rejects_a_non_contiguous_output(dim):
                 np.empty(tuple(n + 1 for n in g.extents))[(slice(0, -1),) * dim],
                 np.empty(g.extents[:-1] + (g.extents[-1] + 1,))):
         with pytest.raises(ValueError, match="C-contiguous"):
-            g.stencil.apply(_diffusion, v, 0, out, 1.0)
+            g.stencil.apply(_plus_first, v, 0, out, 1.0)
 
 
 @pytest.mark.parametrize("dim,boundary", GRIDS)
