@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -911,7 +912,7 @@ def _running(pids: set[int]) -> set[int]:
     (["sweep", "--jobs", "2", "--axis", "checks.rescale_lambda=2.0,1.5"], 4),
 ], ids=["verify", "sweep"])
 def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
-    # at 2048 points each solve takes minutes, so every worker is still
+    # at 2048 points each solve takes tens of seconds, so every worker is still
     # running when its parent is killed: the rescale worker of a verify, and
     # in a sweep both point workers and each one's rescale worker
     cfg = write(tmp_path, "g.ini", GAUSS_CONFIG.read_text().replace(
@@ -940,7 +941,8 @@ def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
         proc.kill()
         proc.wait()
         for pid in _running(found):
-            os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def _solve_and_save_after_two_minutes(prob, cfg, outdir):
