@@ -22,6 +22,7 @@ import json
 import math
 import multiprocessing.connection
 import os
+import shutil
 import sys
 import tempfile
 import threading
@@ -280,6 +281,11 @@ def build_config(cp: _Parser) -> RunConfig:
             rescale_tol=float, blowup_c=float))
     except ValueError as exc:
         raise ConfigError(f"[checks]: {exc}") from None
+    rect = checks.hr_rect
+    if rect is not None and not (len(rect) == grid.dim
+                                 and all(-math.inf < lo < hi < math.inf for lo, hi in rect)):
+        raise ConfigError(f"[checks] hr_rect = {cp.get('checks', 'hr_rect')!r}: need "
+                          f"{grid.dim} finite intervals lo:hi with lo < hi, one per grid axis")
     if "rescale" in enabled:
         # build the rescaled problem once here, so that a lambda whose powers
         # or horizon overflow is refused before anything is solved
@@ -367,7 +373,8 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
     best = ha.hr_window_min(trace, k, p, loc, window)
     if best == math.inf:
-        raise ConfigError("hr check: no grid point strictly inside the rectangle")
+        raise ConfigError(f"[checks] hr_rect: no grid point lies strictly inside the "
+                          f"rectangle {[list(iv) for iv in loc.rect]}")
     return best
 
 
@@ -544,14 +551,17 @@ def _solve_and_save(prob: ProblemSpec, cfg: StepConfig, outdir: str) -> None:
     traceio.save_trace(outdir, solve(prob, cfg))
 
 
-def _exit_with_parent() -> None:
+def _exit_with_parent(tmpdir: str | None = None) -> None:
     """Pool initializer: ends this worker process as soon as its parent
-    process is gone.  A parent killed by SIGKILL runs no cleanup, and its
-    worker would otherwise run on, re-parented."""
+    process is gone, removing `tmpdir` first if given.  A parent killed by
+    SIGKILL runs no cleanup, and its worker would otherwise run on,
+    re-parented, and leave the parent's temporary directory behind."""
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
         multiprocessing.connection.wait([sentinel])
+        if tmpdir is not None:
+            shutil.rmtree(tmpdir, ignore_errors=True)
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -565,7 +575,8 @@ def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
 
     A config error of the rescaled solve is raised naming the rescale check.
     On exit a worker still running is stopped, not waited for, and the
-    temporary directory is removed.
+    temporary directory is removed; if the caller dies first, the worker
+    removes it (`_exit_with_parent`).
     """
     # built here, not in the worker: the pool pickles its arguments on a
     # thread, so they must be objects the caller does not touch meanwhile.
@@ -574,7 +585,8 @@ def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
     # (spawn works too, but its imports put it on the critical path).
     rescaled = rescale_problem(prob, spec)
     with tempfile.TemporaryDirectory(prefix="eseharnack-rescale-") as tmp, \
-            ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent) as pool:
+            ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent,
+                                initargs=(tmp,)) as pool:
         future = pool.submit(_solve_and_save, rescaled, cfg, tmp)
 
         def trace() -> SolveTrace:

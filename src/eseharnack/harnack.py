@@ -184,7 +184,9 @@ def cutoff_parts(grid: Grid, loc: LocalizerSpec) -> tuple[list[np.ndarray], np.n
         lo, hi = loc.rect[k]
         ok = (xk > lo) & (xk < hi)
         inside &= ok
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # off the open interval the term is discarded; on it, a distance whose
+        # square overflows gives b / inf = 0, the term's limit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             poles.append(np.where(ok, loc.b / (xk - lo) ** 2 + loc.b / (hi - xk) ** 2, 0.0))
     return poles, ~inside
 

@@ -167,8 +167,12 @@ class SolveTrace:
 # ---------------------------------------------------------------------------
 # stepping
 
+# with axis None: ndarray.min and ndarray.max without their Python wrappers
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
 def _check_stage(values: np.ndarray, label: str) -> None:
-    if values.min() <= 0.0:
+    if _min(values, None) <= 0.0:
         raise NonPositiveField(f"{label} went nonpositive (min={values.min()})")
 
 
@@ -181,18 +185,9 @@ def _aligned(shape: tuple[int, ...], first: int = 0) -> np.ndarray:
     return raw[skip:skip + size].reshape(shape)
 
 
-_UFUNCS = (np.add, np.subtract, np.multiply)
 # for the (n, 2) edge view of a 2-D grid's last axis: iterate the long axis
 # innermost, not the pair
-_F_UFUNCS = tuple(partial(u, order="F") for u in _UFUNCS)
-
-
-def _diffusion(minus, center, plus, out, inv_h2, ufuncs=_UFUNCS) -> list:
-    """The calls that write ((f[i+1] + f[i-1]) - f[i] - f[i]) * (1/h^2) into
-    `out`, evaluated left to right."""
-    add, subtract, multiply = ufuncs
-    return [(add, (plus, minus, out)), (subtract, (out, center, out)),
-            (subtract, (out, center, out)), (multiply, (out, inv_h2, out))]
+_add_f = partial(np.add, order="F")
 
 
 class _Workspace:
@@ -231,13 +226,17 @@ class _Workspace:
 
     def _rhs(self, values: np.ndarray, out: np.ndarray) -> list:
         """The calls that write lap(values) + values^p into `out`, with `tmp`
-        and `acc` as scratch."""
+        and `acc` as scratch.  Per axis only the neighbour sum reads shifted
+        views, the run's and then the edges' (whose sums overwrite the run's
+        wrong ones); the rest of the diffusion term runs on the whole array."""
         calls, last = [], len(self.op.inv_h2) - 1
         for ax, inv_h2 in enumerate(self.op.inv_h2):
-            run, edges = self.op.bind(values, ax, out if ax == 0 else self.tmp)
-            scale = np.array(inv_h2)
-            calls += (_diffusion(*run, scale)
-                      + _diffusion(*edges, scale, _F_UFUNCS if ax == last == 1 else _UFUNCS))
+            dst = out if ax == 0 else self.tmp
+            (minus, _, plus, run), (e_minus, _, e_plus, edges) = self.op.bind(values, ax, dst)
+            calls += [(np.add, (plus, minus, run)),
+                      (_add_f if ax == last == 1 else np.add, (e_plus, e_minus, edges)),
+                      (np.subtract, (dst, values, dst)), (np.subtract, (dst, values, dst)),
+                      (np.multiply, (dst, np.array(inv_h2), dst))]
             if ax > 0:
                 calls.append((np.add, (out, self.tmp, out)))
         if self.reaction:
@@ -386,7 +385,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         except NonPositiveField as exc:
             status = TraceStatus.aborted(str(exc), t)
             break
-        new_max = float(ws.states[nxt].max())   # also the next step's dt input
+        new_max = float(_max(ws.states[nxt], None))   # also the next step's dt input
         if not math.isfinite(new_max):
             # y, the last finite state, stays the trace's end
             status = TraceStatus.aborted(f"RK4 result is not finite (max={new_max})", t)

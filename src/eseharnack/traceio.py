@@ -6,11 +6,13 @@ sample stacked, float64 of shape (n_samples, *extents)).  Floats in the
 metadata use repr, which round-trips exactly.  `[problem] initial = file`
 reads one .npy array of the grid's extents.  Every array is read through
 `load_array`: float64 of exactly the expected shape, finite and positive.
+`load_trace` also checks the metadata, naming the bad key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,10 @@ import numpy as np
 from .errors import ConfigError
 from .field import Grid
 from .integrate import SolveTrace, TraceStatus
+
+
+_KINDS = ("reached_t_end", "blowup", "aborted")
+_CRITERIA = ("f_cap", "dt_floor")
 
 
 def load_array(path, shape: tuple[int, ...]) -> np.ndarray:
@@ -69,19 +75,37 @@ def load_trace(outdir) -> SolveTrace:
     try:
         meta = json.loads(meta_path.read_text())
         g = meta["grid"]
-        grid = Grid(tuple(tuple(iv) for iv in g["box"]), tuple(g["extents"]), g["boundary"])
+        extents, n_steps = g["extents"], meta["n_steps"]
+        # type(n) is int: neither a bool nor a float such as 16.5
+        if not (isinstance(extents, list) and all(type(n) is int for n in extents)):
+            raise ValueError(f"grid.extents must be a list of integers, got {extents!r}")
+        if type(n_steps) is not int:
+            raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+        grid = Grid(tuple(tuple(iv) for iv in g["box"]), tuple(extents), g["boundary"])
         times = np.array(meta["sample_times"], dtype=np.float64)
         st = meta["status"]
         status = TraceStatus(st["kind"], st["t_detect"], st["reason"], st["criterion"])
         p = float(meta["p"])
-        n_steps = int(meta["n_steps"])
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{meta_path}: {exc}") from None
+    if status.kind not in _KINDS:
+        raise ConfigError(f"{meta_path}: status.kind must be one of {', '.join(_KINDS)}, "
+                          f"got {status.kind!r}")
+    if status.kind != "reached_t_end" and not (
+            type(status.t_detect) in (int, float) and math.isfinite(status.t_detect)):
+        raise ConfigError(f"{meta_path}: status.t_detect of a {status.kind} trace must be "
+                          f"a finite number, got {status.t_detect!r}")
+    if status.kind == "blowup" and status.criterion not in _CRITERIA:
+        raise ConfigError(f"{meta_path}: status.criterion of a blowup must be one of "
+                          f"{', '.join(_CRITERIA)}, got {status.criterion!r}")
     if times.ndim != 1 or not (len(times) and np.all(np.diff(times) > 0)):
         raise ConfigError(f"{meta_path}: sample_times must be a nonempty, "
                           f"strictly increasing list")
+    if not 0 <= times[0] <= times[-1] < math.inf:
+        raise ConfigError(f"{meta_path}: sample_times must be finite and start at t >= 0, "
+                          f"found {times[0]} to {times[-1]}")
     samples = load_array(out / "samples.npy", (len(times), *grid.extents))
     steps = load_array(out / "steps.npy", (n_steps,))
     return SolveTrace(grid, p, times, samples, status, steps)

@@ -303,6 +303,61 @@ def test_step_and_checks_number_pairs_never_exit_four(tmp_path, initial, data):
     assert _verify_with(tmp_path, initial, changes) in (0, 1, 2, 3)
 
 
+# too few or too many intervals and an infinite bound used to exit 4 (an
+# IndexError) or 0 (extra intervals ignored, an infinite wall accepted), and a
+# rectangle far off the box 4, through an overflow in harnack.cutoff_parts
+_BAD_HR_RECTS = ("-1:1", "-1:1, -1:1, -1:1", "0:inf, -1:1", "1e308:1.7e308, 0:1")
+
+
+@pytest.mark.parametrize("rect", _BAD_HR_RECTS)
+def test_bad_hr_rect_on_the_2d_bench_geometry_exits_two_naming_the_key(tmp_path, capsys,
+                                                                       rect):
+    # bench/workloads.py's GAUSS_2D_INI at 32^2 and a short horizon
+    ini = f"""
+[problem]
+dim = 2
+p = 2.0
+box = -2:2
+extents = 32
+boundary = reflecting
+initial = gaussian
+amplitude = 1.0
+width = 0.2
+center = 0.0, 0.0
+t_end = 0.05
+
+[step]
+sample_stride = 4
+
+[constants]
+alpha = 1.0
+beta = 0.25
+c = 0.7
+a = 1.5
+
+[checks]
+enabled = h0, hr, residual, blowup, classical
+hr_rect = {rect}
+"""
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [checks] hr_rect" in err and "Traceback" not in err
+
+
+_RECT_BOUNDS = ("-1", "1", "1.7e308") + _EDGE_VALUES
+
+
+@given(initial=st.sampled_from(sorted(_PROBLEMS)),
+       rect=st.lists(st.tuples(st.sampled_from(_RECT_BOUNDS), st.sampled_from(_RECT_BOUNDS)),
+                     min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hr_rect_fuzz_never_exits_four(tmp_path, initial, rect):
+    text = ", ".join(f"{lo}:{hi}" for lo, hi in rect)
+    assert _verify_with(tmp_path, initial, [("checks", "hr_rect", text)]) in (0, 1, 2, 3)
+
+
 def _drop_sample_times(path):
     meta = json.loads(path.read_text())
     del meta["sample_times"]
@@ -315,12 +370,22 @@ def _drop_n_steps(path):
     path.write_text(json.dumps(meta))
 
 
-def _set_sample_times(value):
+def _set_meta(key, value):
+    """Damage that sets metadata.json's `key` (dotted for a nested one)."""
     def damage(path):
         meta = json.loads(path.read_text())
-        meta["sample_times"] = value
+        *parents, last = key.split(".")
+        node = meta
+        for name in parents:
+            node = node[name]
+        node[last] = value if not callable(value) else value(node[last])
         path.write_text(json.dumps(meta))
     return damage
+
+
+def _blowup_status(**fields):
+    return _set_meta("status", {"kind": "blowup", "t_detect": 1.0, "reason": None,
+                                "criterion": "f_cap", **fields})
 
 
 def _reverse_sample_times(path):
@@ -348,8 +413,22 @@ def _reverse_sample_times(path):
     ("metadata.json", _drop_n_steps, r"metadata\.json.*missing key 'n_steps'"),
     ("samples.npy", lambda path: np.save(path, np.load(path) * np.inf), r"samples\.npy.*finite"),
     ("samples.npy", lambda path: np.save(path, np.load(path) * np.nan), r"samples\.npy.*finite"),
-    ("metadata.json", _set_sample_times([]), r"metadata\.json.*nonempty"),
-    ("metadata.json", _set_sample_times(0.5), r"metadata\.json.*nonempty"),
+    ("metadata.json", _set_meta("sample_times", []), r"metadata\.json.*nonempty"),
+    ("metadata.json", _set_meta("sample_times", 0.5), r"metadata\.json.*nonempty"),
+    ("metadata.json", _set_meta("status.kind", "bogus"), r"metadata\.json.*status\.kind"),
+    ("metadata.json", _blowup_status(t_detect="x"), r"metadata\.json.*status\.t_detect"),
+    ("metadata.json", _blowup_status(t_detect=None), r"metadata\.json.*status\.t_detect"),
+    ("metadata.json", _blowup_status(kind="aborted", t_detect=None, reason="r",
+                                     criterion=None), r"metadata\.json.*status\.t_detect"),
+    ("metadata.json", _blowup_status(criterion="bogus"),
+     r"metadata\.json.*status\.criterion"),
+    ("metadata.json", _blowup_status(criterion=None), r"metadata\.json.*status\.criterion"),
+    ("metadata.json", _set_meta("grid.extents", [16.5]), r"metadata\.json.*grid\.extents"),
+    ("metadata.json", _set_meta("n_steps", lambda n: n + 0.5), r"metadata\.json.*n_steps"),
+    ("metadata.json", _set_meta("sample_times", lambda ts: [-0.5] + ts[1:]),
+     r"metadata\.json.*sample_times.*t >= 0"),
+    ("metadata.json", _set_meta("sample_times", lambda ts: ts[:-1] + [float("inf")]),
+     r"metadata\.json.*sample_times.*finite"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -914,11 +993,14 @@ def _running(pids: set[int]) -> set[int]:
 def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
     # at 2048 points each solve takes tens of seconds, so every worker is still
     # running when its parent is killed: the rescale worker of a verify, and
-    # in a sweep both point workers and each one's rescale worker
+    # in a sweep both point workers and each one's rescale worker.  Each
+    # rescale worker removes its dead parent's temporary directory.
     cfg = write(tmp_path, "g.ini", GAUSS_CONFIG.read_text().replace(
         "extents = 256", "extents = 2048"))
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "TMPDIR": str(tmp_path),
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmpdir),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "eseharnack.cli", command[0], "--config",
                              cfg, "--out", str(tmp_path / "run"), *command[1:]],
@@ -937,6 +1019,7 @@ def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
         while _running(found) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert _running(found) == set()
+        assert list(tmpdir.iterdir()) == []
     finally:
         proc.kill()
         proc.wait()

@@ -163,6 +163,36 @@ def test_rhs_matches_ghost_cell_reference(dim, boundary, p, reaction):
 
 
 @pytest.mark.parametrize("dim,boundary", GRIDS)
+@pytest.mark.parametrize("reaction", [True, False])
+def test_rhs_reads_shifted_views_only_for_the_neighbour_sums(dim, boundary, reaction):
+    # per axis the neighbour sum runs on the contiguous run and on the edge
+    # view; every other call of the right-hand side takes whole arrays, so
+    # an edit that brings back per-view pointwise calls fails here
+    g = _grid(dim, boundary)
+    ws = _Workspace(g, 2.5, reaction)
+    y, out = _values(g, positive=True), np.empty(g.extents)
+    calls = ws._rhs(y, out)
+    assert len(calls) == 6 * dim - 1 + 2 * reaction
+    shifted = []
+    for call, args in calls:
+        arrays = [a for a in args if isinstance(a, np.ndarray) and a.ndim > 0]
+        if all(a.shape == g.extents for a in arrays):
+            assert all(any(a is b for b in (y, out, ws.tmp, ws.acc)) for a in arrays)
+        else:
+            assert all(a.shape != g.extents for a in arrays)
+            shifted.append((call, arrays))
+    assert len(shifted) == 2 * dim
+    for ax in range(dim):
+        run, edges = g.stencil.bind(y, ax, out if ax == 0 else ws.tmp)
+        for (call, arrays), (minus, _, plus, dst) in zip(shifted[2 * ax:2 * ax + 2],
+                                                         (run, edges)):
+            assert getattr(call, "func", call) is np.add
+            assert [a.shape for a in arrays] == [plus.shape, minus.shape, dst.shape]
+            assert all(np.shares_memory(a, b) and a.strides == b.strides
+                       for a, b in zip(arrays, (plus, minus, dst)))
+
+
+@pytest.mark.parametrize("dim,boundary", GRIDS)
 def test_workspace_buffers_are_c_contiguous(dim, boundary):
     ws = _Workspace(_grid(dim, boundary), 2.0, True)
     for buf in (ws.tmp, ws.stage, ws.acc, *ws.k):
@@ -193,8 +223,9 @@ def test_rk4_through_bound_plans_matches_ghost_cell_reference(dim, boundary, p):
 
 
 # extents whose runs can start on a cache line: the last extent, and in 3-D
-# the product of the last two, is a multiple of 8 float64s
-ALIGNABLE = [(16, 16), (8, 8, 8)]
+# the product of the last two, is a multiple of 8 float64s.  128^2 is the
+# benchmark's 2-D geometry.
+ALIGNABLE = [(16, 16), (8, 8, 8), (128, 128)]
 
 
 def _alignable_grid(shape, boundary):
