@@ -110,10 +110,12 @@ SECTIONS = ("problem", "step", "constants", "checks", "output", "verify")
 
 class _Parser(configparser.ConfigParser):
     """A ConfigParser that records every (section, key) read through `get`,
-    so that keys nobody read can be rejected."""
+    so that keys nobody read can be rejected.  Values are taken as written:
+    configparser's interpolation raised on a '%' in a value (a file's or a
+    sweep override's) outside every config error, an exit 4."""
 
     def __init__(self):
-        super().__init__(inline_comment_prefixes=("#", ";"))
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
         self.read_keys: set[tuple[str, str]] = set()
 
     def get(self, section, option, **kwargs):
@@ -744,9 +746,12 @@ def cmd_sweep(args) -> int:
     for spec in args.axis:
         head, sep, tail = spec.partition("=")
         if not sep or "." not in head:
-            raise ConfigError(f"axis {spec!r} must look like section.key=v1,v2,...")
+            raise ConfigError(f"axis {spec!r} must look like section.key=v1,v2,... "
+                              f"or section.key=v1;v2;...")
         section, _, key = head.partition(".")
-        values = [v.strip() for v in tail.split(",") if v.strip()]
+        # ';' separates the values when there is one, so that a value may
+        # hold commas (a per-axis box, a 2-D hr_rect, a centre)
+        values = [v.strip() for v in tail.split(";" if ";" in tail else ",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {spec!r} has no values")
         axes.append((section.strip(), key.strip(), values))
@@ -830,7 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over config overrides")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", action="append", default=[],
-                         metavar="SECTION.KEY=V1,V2,...")
+                         metavar="SECTION.KEY=V1,V2,...",
+                         help="one axis of the grid of runs, repeatable; the values are "
+                              "split on ';' if the list holds one, else on ',', so "
+                              "'checks.hr_rect=-1:1,-1:1;-0.5:0.5,-0.5:0.5' sweeps two "
+                              "2-D rectangles")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default="out")

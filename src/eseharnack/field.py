@@ -319,26 +319,40 @@ class Stencil:
                                 for lead in (0, 1))))
         self._plans = tuple(plans)
 
-    def bind(self, values: np.ndarray, axis: int, out: np.ndarray) -> tuple:
+    def bind(self, values: np.ndarray, axis: int, out: np.ndarray,
+             rows: tuple[int, int] | None = None) -> tuple:
         """The (run, edges) views of `values` and `out` along one spatial
         axis, each a (minus, center, plus, dst) tuple.  `values` must be
         C-contiguous float64 and `out` C-contiguous, both of the grid's shape
         or both of one (batch, *grid shape), and not sharing memory; the views
-        stay valid for as long as the arrays do."""
+        stay valid for as long as the arrays do.  With `rows` = (lo, hi), an
+        unbatched sample's views write only rows lo..hi-1 of the first axis
+        (reading their neighbours wherever they lie)."""
         lead = values.ndim - len(self.shape)
         if (lead not in (0, 1) or values.shape[lead:] != self.shape
                 or out.shape != values.shape or values.dtype != _F8
-                or not (values.flags.c_contiguous and out.flags.c_contiguous)):
+                or not (values.flags.c_contiguous and out.flags.c_contiguous)
+                or (rows is not None and lead)):
             raise ValueError(f"stencil needs C-contiguous float64 values and a "
                              f"C-contiguous output of shape {self.shape} or "
-                             f"(batch, *{self.shape})")
+                             f"(batch, *{self.shape}), rows only without a batch")
         s, edges = self._plans[axis]
         dst, minus, plus = edges[lead]
         size = values.size
         flat, out_flat = values.reshape(-1), out.reshape(-1)
-        run = slice(s, size - s)
-        return ((flat[:size - 2 * s], flat[run], flat[2 * s:], out_flat[run]),
-                (values[minus], values[dst], values[plus], out[dst]))
+        edge = (values[minus], values[dst], values[plus], out[dst])
+        a, b = s, size - s
+        if rows is not None:
+            lo, hi = rows
+            row = size // self.shape[0]
+            a, b = max(a, lo * row), min(b, hi * row)
+            b = max(a, b)
+            # the first axis's edge view is rows 0 and n-1, of which the
+            # range keeps those it holds; a later axis's edge view is cut
+            # to the range's rows
+            cut = slice(int(lo > 0), 1 + (hi == self.shape[0])) if axis == 0 else slice(lo, hi)
+            edge = tuple(v[cut] for v in edge)
+        return ((flat[a - s:b - s], flat[a:b], flat[a + s:b + s], out_flat[a:b]), edge)
 
     def apply(self, kernel: Callable, values: np.ndarray, axis: int,
               out: np.ndarray, scale: float) -> np.ndarray:

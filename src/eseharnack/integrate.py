@@ -16,8 +16,11 @@ never proved: the trace status records which criterion fired.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -185,6 +188,61 @@ def _aligned(shape: tuple[int, ...], first: int = 0) -> np.ndarray:
     return raw[skip:skip + size].reshape(shape)
 
 
+# The control block of a split step, in float64 slots: per side (0 the
+# solver, 1 its partner) two cache lines holding its arrivals at the stage
+# barrier, the min and max of its rows, and whether it sleeps; then what
+# the solver sets per step.
+_SIDE, _ARRIVED, _MIN, _MAX, _ASLEEP = 16, 0, 1, 2, 3
+_GO, _CUR, _DT, _CTL = 32, 33, 34, 64
+
+
+def _shared(shape: tuple[int, ...], count: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The control block and `count` C-contiguous float64 arrays of `shape`,
+    each starting on a cache line, in one anonymous shared mapping, which a
+    forked child writes as well.  It is unmapped when the last of these
+    arrays goes."""
+    import mmap
+    size = math.prod(shape)
+    stride = -(-size // 8) * 8
+    flat = np.frombuffer(mmap.mmap(-1, 8 * (_CTL + count * stride)), np.float64)
+    return flat[:_CTL], [flat[_CTL + j * stride:][:size].reshape(shape) for j in range(count)]
+
+
+def _part(rows: tuple[int, int] | None):
+    """The rows lo..hi-1 of the first axis of an array, or the array itself."""
+    return (lambda a: a) if rows is None else (lambda a: a[rows[0]:rows[1]])
+
+
+# a grid of dim >= 2 with this many points or more may step in two processes
+_SPLIT_POINTS = 1 << 14
+# steps left untimed (first touches) before the one-process steps are timed,
+# and again after the fork; then each window of split steps is timed
+_WARM, _TIMED, _WINDOW = 4, 16, 256
+
+
+def _median(n: int):
+    """A generator to `yield from`: is sent n values and returns their
+    median, which a step stretched by the host's preemption leaves alone."""
+    values = []
+    for _ in range(n):
+        values.append((yield))
+    return sorted(values)[n // 2]
+
+
+def _may_split(grid: Grid) -> bool:
+    """Whether a solve on `grid` may fork a partner (`_Workspace`): dim >= 2
+    and `_SPLIT_POINTS` points or more, two CPUs to run on, no other solve
+    in this command (this process is no worker process, of sweep --jobs or
+    of the rescale check, and runs none alongside), and no other thread,
+    whose locks a fork would copy held.  x86-64 only, whose stores every
+    CPU sees in program order: the barrier relies on it."""
+    if (grid.dim < 2 or grid.size < _SPLIT_POINTS or os.uname().machine != "x86_64"
+            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
+        return False
+    import multiprocessing
+    return multiprocessing.parent_process() is None and not multiprocessing.active_children()
+
+
 # for the (n, 2) edge view of a 2-D grid's last axis: iterate the long axis
 # innermost, not the pair
 _add_f = partial(np.add, order="F")
@@ -199,85 +257,321 @@ class _Workspace:
     operations allow.  The grid's stencil operator reads the neighbours
     straight from the state, and every call writes into a reused buffer.
     The workspace owns the two state buffers the solve loop alternates
-    between, the stage, acc and k buffers, and, per state buffer, the
-    step's calls as (ufunc, args) per stage (`_bind`).  Their scalars are
-    0-d arrays (a Python float costs a conversion per call); dt/2, dt and
-    dt/6 are set once per step.
+    between, two stage buffers that the stages alternate between, the acc
+    and k buffers, and, per state buffer, the step's calls as (ufunc, args)
+    per stage (`_bind`).  Their scalars are 0-d arrays (a Python float costs
+    a conversion per call); dt/2, dt and dt/6 are set once per step.
 
     Every buffer starts on a 64-byte cache line, and `tmp` is offset so
     that its last axis's contiguous run does: a float64 ufunc whose output
     does not start on a line takes about twice as long.  The first axis's
     run starts prod(extents[1:]) elements in, so it is aligned when that is
     a multiple of 8.
+
+    With `shared`, the states, the stages and the step's scalars lie in
+    shared memory, and the workspace may step in two processes (`_policy`):
+    after timing `_TIMED` steps alone it forks a partner, binds its own
+    calls to the first half of the rows of the first axis and the
+    partner's to the rest, and the two cross a barrier after each stage.
+    A half reads the neighbouring rows of the other half's states and
+    stages, hence two stage buffers: a stage's buffer is written only after
+    the barrier behind every read of it.  Every other buffer is each
+    process's own, aligned for its first row.  Each element gets the same
+    IEEE operations either way, so the result is the same bit for bit.
     """
 
-    def __init__(self, grid: Grid, p: float, reaction: bool):
+    def __init__(self, grid: Grid, p: float, reaction: bool, shared: bool = False):
         self.op = grid.stencil
         self.p = p
         self.reaction = reaction
         shape = grid.extents
-        self.tmp = _aligned(shape, first=1)
-        self.stage = _aligned(shape)
-        self.acc = _aligned(shape)
-        self.k = [_aligned(shape) for _ in range(4)]
-        self.states = (_aligned(shape), _aligned(shape))
-        self._half_dt, self._dt, self._sixth_dt = np.zeros(()), np.zeros(()), np.zeros(())
+        self._pace = self._pid = self._first = None
+        if shared:
+            self._ctl, bufs = _shared(shape, 4)
+            self._mv = memoryview(self._ctl)
+            scalars = [self._ctl[j:j + 1].reshape(()) for j in range(_DT, _DT + 3)]
+            self._pace = self._policy().send
+            self._pace(None)
+        else:
+            bufs = [_aligned(shape) for _ in range(4)]
+            scalars = [np.zeros(()) for _ in range(3)]
+        self.states, self.stages = tuple(bufs[:2]), tuple(bufs[2:])
+        self._half_dt, self._dt, self._sixth_dt = scalars
+        self.bind_rows(0, shape[0])
+
+    def bind_rows(self, lo: int, hi: int) -> None:
+        """Binds every call of a step to rows lo..hi-1 of the first axis,
+        with scratch buffers of this process's own whose row lo starts on a
+        cache line (the plans of all rows are those of whole arrays)."""
+        shape = self.op.shape
+        first = lo * (math.prod(shape) // shape[0])
+        if first != self._first:
+            self.tmp = _aligned(shape, first=max(first, 1))
+            self.acc = _aligned(shape, first)
+            self.k = [_aligned(shape, first) for _ in range(4)]
+            self._first = first
+        self._rows = None if (lo, hi) == (0, shape[0]) else (lo, hi)
         self._plans = (self._bind(0), self._bind(1))
 
-    def _rhs(self, values: np.ndarray, out: np.ndarray) -> list:
+    def _rhs(self, values: np.ndarray, out: np.ndarray, rows=None) -> list:
         """The calls that write lap(values) + values^p into `out`, with `tmp`
-        and `acc` as scratch.  Per axis only the neighbour sum reads shifted
-        views, the run's and then the edges' (whose sums overwrite the run's
-        wrong ones); the rest of the diffusion term runs on the whole array."""
-        calls, last = [], len(self.op.inv_h2) - 1
+        and `acc` as scratch; with `rows`, into those rows only.  Per axis
+        only the neighbour sum reads shifted views, the run's and then the
+        edges' (whose sums overwrite the run's wrong ones); the rest of the
+        diffusion term runs on the whole array, or the whole rows."""
+        calls, last, part = [], len(self.op.inv_h2) - 1, _part(rows)
+        v, o = part(values), part(out)
         for ax, inv_h2 in enumerate(self.op.inv_h2):
             dst = out if ax == 0 else self.tmp
-            (minus, _, plus, run), (e_minus, _, e_plus, edges) = self.op.bind(values, ax, dst)
+            (minus, _, plus, run), (e_minus, _, e_plus, edges) = self.op.bind(values, ax, dst, rows)
+            d = part(dst)
             calls += [(np.add, (plus, minus, run)),
                       (_add_f if ax == last == 1 else np.add, (e_plus, e_minus, edges)),
-                      (np.subtract, (dst, values, dst)), (np.subtract, (dst, values, dst)),
-                      (np.multiply, (dst, np.array(inv_h2), dst))]
+                      (np.subtract, (d, v, d)), (np.subtract, (d, v, d)),
+                      (np.multiply, (d, np.array(inv_h2), d))]
             if ax > 0:
-                calls.append((np.add, (out, self.tmp, out)))
+                calls.append((np.add, (o, d, o)))
         if self.reaction:
             # np.square(x) is x * x, bit for bit
-            calls += [(np.square, (values, self.acc)) if self.p == 2.0
-                      else (np.power, (values, np.array(self.p), self.acc)),
-                      (np.add, (out, self.acc, out))]
+            acc = part(self.acc)
+            calls += [(np.square, (v, acc)) if self.p == 2.0
+                      else (np.power, (v, np.array(self.p), acc)),
+                      (np.add, (o, acc, o))]
         return calls
 
     def _bind(self, i: int) -> tuple:
-        """The step out of states[i]: per stage, its calls and the array that
-        `_check_stage` then checks, with its label."""
+        """The step out of states[i]: per stage, its calls, the rows of the
+        array that `_check_stage` then checks, that array and its label."""
+        rows = self._rows
+        part = _part(rows)
         y, out = self.states[i], self.states[1 - i]
-        k1, k2, k3, k4 = self.k
-        stage, acc = self.stage, self.acc
+        k1, k2, k3, k4 = (part(k) for k in self.k)
+        s1, s2 = self.stages
+        acc = part(self.acc)
         add, multiply = np.add, np.multiply
 
-        def next_stage(k, scale):
-            return [(multiply, (k, scale, stage)), (add, (stage, y, stage))]
+        def next_stage(k, scale, stage):
+            return [(multiply, (k, scale, part(stage))), (add, (part(stage), part(y), part(stage)))]
 
-        return ((self._rhs(y, k1) + next_stage(k1, self._half_dt), stage, "RK stage 2"),
-                (self._rhs(stage, k2) + next_stage(k2, self._half_dt), stage, "RK stage 3"),
-                (self._rhs(stage, k3) + next_stage(k3, self._dt), stage, "RK stage 4"),
-                (self._rhs(stage, k4) + [
+        return ((self._rhs(y, self.k[0], rows) + next_stage(k1, self._half_dt, s1),
+                 part(s1), s1, "RK stage 2"),
+                (self._rhs(s1, self.k[1], rows) + next_stage(k2, self._half_dt, s2),
+                 part(s2), s2, "RK stage 3"),
+                (self._rhs(s2, self.k[2], rows) + next_stage(k3, self._dt, s1),
+                 part(s1), s1, "RK stage 4"),
+                (self._rhs(s1, self.k[3], rows) + [
                     (add, (k2, k3, acc)), (multiply, (acc, np.array(2.0), acc)),
                     (add, (acc, k1, acc)), (add, (acc, k4, acc)),
-                    (multiply, (acc, self._sixth_dt, acc)), (add, (y, acc, out))],
-                 out, "RK4 result"))
+                    (multiply, (acc, self._sixth_dt, acc)), (add, (part(y), acc, part(out)))],
+                 part(out), out, "RK4 result"))
 
     def advance(self, i: int, dt: float) -> int:
         """One step from the positive state states[i] into the other state
         buffer; checks that every later stage and the result stay positive.
-        Returns the other buffer's index."""
+        Returns the other buffer's index, and sets `result_max`."""
         self._half_dt[...] = 0.5 * dt
         self._dt[...] = dt
         self._sixth_dt[...] = dt / 6.0
-        for calls, values, label in self._plans[i]:
+        if self._pace is None:
+            return self._step(i)
+        start = perf_counter()
+        nxt = self._step(i) if self._pid is None else self._step_split(i)
+        if self._pace is not None:   # None once a failed split step went alone
+            try:
+                self._pace(perf_counter() - start)
+            except StopIteration:
+                self._pace = None
+        return nxt
+
+    def _step(self, i: int) -> int:
+        for calls, values, _, label in self._plans[i]:
             for call, args in calls:
                 call(*args)
             _check_stage(values, label)
+        self.result_max = float(_max(self.states[1 - i], None))
         return 1 - i
+
+    # -- the split ----------------------------------------------------------
+
+    def _policy(self):
+        """Sent each step's seconds: forks the partner after timing `_TIMED`
+        steps alone, and ends the split for good once the split steps since
+        the warm-up have taken longer than as many steps alone, checked
+        every `_WINDOW` steps.  A competing busy process slows them from
+        then on; a burst of steps that the host's preemption of a vCPU
+        stretches is paid back by the steps around it."""
+        for _ in range(_WARM):
+            yield
+        alone = yield from _median(_TIMED)
+        if not self._fork(alone):
+            return
+        for _ in range(_WARM):
+            yield
+        split, steps = 0.0, 0
+        while self._pid is not None:
+            for _ in range(_WINDOW):
+                split += yield
+            steps += _WINDOW
+            if split > steps * alone:
+                self._alone()
+
+    def _fork(self, per_step: float) -> bool:
+        """Forks the partner onto the second half of the rows; False if no
+        process could be started.  The barrier spins for a quarter of a
+        one-process step, then sleeps on a pipe; the solver waits no longer
+        than a window of one-process steps.  While the split lasts, each
+        side is pinned to a CPU of its own: left to the scheduler, two
+        processes forked like this sometimes shared one CPU of a 2-vCPU VM
+        for a whole second, the other idle."""
+        import select   # here: a forked child takes no import lock
+        n0 = self.op.shape[0]
+        self._select, self._spin = select.select, per_step / 4
+        self._cpus = os.sched_getaffinity(0)
+        solver_cpu, partner_cpu = sorted(self._cpus)[:2]
+        fds = []
+        try:
+            fds += os.pipe() + os.pipe()
+            os.set_blocking(fds[0], False)
+            os.set_blocking(fds[2], False)
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return False
+        to_solver, to_partner = fds[:2], fds[2:]
+        if pid == 0:
+            try:
+                os.close(to_solver[0])
+                os.close(to_partner[1])
+                os.sched_setaffinity(0, {partner_cpu})
+                self._join(1, to_partner[0], to_solver[1], None)
+                self.bind_rows(n0 // 2, n0)
+                self._serve()
+            finally:
+                os._exit(0)
+        os.close(to_solver[1])
+        os.close(to_partner[0])
+        self._pid = pid
+        os.sched_setaffinity(0, {solver_cpu})
+        self._join(0, to_solver[0], to_partner[1], _WINDOW * per_step)
+        self.bind_rows(0, n0 // 2)
+        return True
+
+    def _join(self, side: int, rfd: int, wfd: int, patience: float | None) -> None:
+        ctl = self._ctl
+        self._mine, self._other = _SIDE * side, _SIDE * (1 - side)
+        self._rfd, self._wfd, self._patience = rfd, wfd, patience
+        self._own = [ctl[self._mine + j:][:1].reshape(()) for j in (_MIN, _MAX)]
+        self._mins, self._maxes = ctl[_MIN:2 * _SIDE:_SIDE], ctl[_MAX:2 * _SIDE:_SIDE]
+
+    def _step_split(self, i: int) -> int:
+        """The solver's half of a split step; redone alone if the partner is
+        gone or stalls."""
+        mv = self._mv
+        mv[_CUR] = i
+        mv[_GO] += 1.0
+        self._wake()
+        for j, (calls, values, whole, label) in enumerate(self._plans[i]):
+            for call, args in calls:
+                call(*args)
+            if not self._cross(values, j == 3):
+                self._alone()
+                return self._step(i)
+            if _min(self._mins, None) <= 0.0:
+                raise NonPositiveField(f"{label} went nonpositive (min={whole.min()})")
+        self.result_max = float(_max(self._maxes, None))
+        return 1 - i
+
+    def _serve(self) -> None:
+        """The partner: each step the solver starts, on its own rows, until
+        the solver is gone."""
+        mv, steps = self._mv, 0.0
+        while self._wait(_GO, steps + 1.0, None):
+            steps += 1.0
+            for j, (calls, values, _, _) in enumerate(self._plans[int(mv[_CUR])]):
+                for call, args in calls:
+                    call(*args)
+                if not self._cross(values, j == 3):
+                    return
+
+    def _cross(self, values: np.ndarray, last: bool) -> bool:
+        """This side's stage barrier: publishes the min of its rows (and, on
+        the last stage, their max), then waits for the other side's."""
+        _min(values, None, out=self._own[0])
+        if last:
+            _max(values, None, out=self._own[1])
+        mv = self._mv
+        mv[self._mine + _ARRIVED] += 1.0
+        self._wake()
+        return self._wait(self._other + _ARRIVED, mv[self._mine + _ARRIVED], self._patience)
+
+    def _wake(self) -> None:
+        if self._mv[self._other + _ASLEEP]:
+            try:
+                os.write(self._wfd, b"\0")
+            except OSError:   # the other side is gone; its wait says so
+                pass
+
+    def _wait(self, slot: int, target: float, patience: float | None) -> bool:
+        """Until control slot `slot` reaches `target`: spins for `_spin`
+        seconds, then sleeps on this side's pipe, never polling.  False on
+        EOF (the other side is gone) or after `patience` seconds.  A wake-up
+        lost to the CPU reordering a store after a load costs the solver its
+        patience and the split, not a hang."""
+        mv = self._mv
+        end = perf_counter() + self._spin
+        while mv[slot] < target:
+            if perf_counter() > end:
+                break
+        else:
+            return True
+        asleep = self._mine + _ASLEEP
+        end = None if patience is None else perf_counter() + patience
+        mv[asleep] = 1.0
+        try:
+            while True:
+                try:
+                    if not os.read(self._rfd, 512):
+                        return False
+                except BlockingIOError:
+                    pass
+                if mv[slot] >= target:
+                    return True
+                left = None if end is None else end - perf_counter()
+                if (left is not None and left <= 0) or not self._select(
+                        [self._rfd], [], [], left)[0]:
+                    return False
+        finally:
+            mv[asleep] = 0.0
+
+    def _alone(self) -> None:
+        """Ends the split for good: this process steps every row again."""
+        self._pace = None
+        if self._pid is not None:
+            self.close()
+            self.bind_rows(0, self.op.shape[0])
+
+    def close(self) -> None:
+        """Stops and reaps the partner, if any, closes its pipes and gives
+        this process its CPUs back."""
+        self._pace = None
+        if self._pid is not None:
+            import signal
+            pid, self._pid = self._pid, None
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:   # already reaped: SIGCHLD is ignored
+                pass
+            os.close(self._rfd)
+            os.close(self._wfd)
+            os.sched_setaffinity(0, self._cpus)
+
+    def __enter__(self) -> "_Workspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Field:
@@ -345,7 +639,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
                               f"maximum {fmax}")
 
     grid = prob.grid
-    ws = _Workspace(grid, prob.p, prob.reaction)
+    ws = _Workspace(grid, prob.p, prob.reaction, shared=_may_split(grid))
     cur = 0
     y = ws.states[cur]
     y[...] = prob.initial
@@ -369,38 +663,39 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         samples[n] = values
         times.append(at)
 
-    while t < prob.t_end:
-        dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
-        # t + dt == t: the step lies below the float spacing at t, so time
-        # would stop advancing while f still grows
-        if dt_stable < cfg.dt_min or t + dt_stable == t:
-            if fmax > prev_max:
-                status = TraceStatus.blowup(t, criterion="dt_floor")
-            else:
-                status = TraceStatus.aborted("dt underflow without growth", t)
-            break
-        dt = min(dt_stable, prob.t_end - t)
-        try:
-            nxt = ws.advance(cur, dt)
-        except NonPositiveField as exc:
-            status = TraceStatus.aborted(str(exc), t)
-            break
-        new_max = float(_max(ws.states[nxt], None))   # also the next step's dt input
-        if not math.isfinite(new_max):
-            # y, the last finite state, stays the trace's end
-            status = TraceStatus.aborted(f"RK4 result is not finite (max={new_max})", t)
-            break
-        cur = nxt
-        y = ws.states[cur]
-        prev_max, fmax = fmax, new_max
-        t += dt
-        accepted += 1
-        step_log.append(dt)
-        if accepted % cfg.sample_stride == 0:
-            record(t, y)
-        if fmax > cfg.f_cap:
-            status = TraceStatus.blowup(t, criterion="f_cap")
-            break
+    with ws:   # ends a forked partner, whatever ends the loop
+        while t < prob.t_end:
+            dt_stable = stable_dt(grid, prob.p, fmax, cfg, prob.reaction)
+            # t + dt == t: the step lies below the float spacing at t, so time
+            # would stop advancing while f still grows
+            if dt_stable < cfg.dt_min or t + dt_stable == t:
+                if fmax > prev_max:
+                    status = TraceStatus.blowup(t, criterion="dt_floor")
+                else:
+                    status = TraceStatus.aborted("dt underflow without growth", t)
+                break
+            dt = min(dt_stable, prob.t_end - t)
+            try:
+                nxt = ws.advance(cur, dt)
+            except NonPositiveField as exc:
+                status = TraceStatus.aborted(str(exc), t)
+                break
+            new_max = ws.result_max   # also the next step's dt input
+            if not math.isfinite(new_max):
+                # y, the last finite state, stays the trace's end
+                status = TraceStatus.aborted(f"RK4 result is not finite (max={new_max})", t)
+                break
+            cur = nxt
+            y = ws.states[cur]
+            prev_max, fmax = fmax, new_max
+            t += dt
+            accepted += 1
+            step_log.append(dt)
+            if accepted % cfg.sample_stride == 0:
+                record(t, y)
+            if fmax > cfg.f_cap:
+                status = TraceStatus.blowup(t, criterion="f_cap")
+                break
 
     if status is None:
         status = TraceStatus.reached()

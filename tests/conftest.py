@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,14 @@ def heat256():
 def const_run():
     """Constant data f0 = 1, p = 2: blows up at exactly T* = 1."""
     return solve(constant_problem(), StepConfig(reaction_safety=0.01, sample_stride=1))
+
+
+# a solve of dim >= 2 may split its rows with a forked partner only where
+# integrate._may_split allows it; these tests also read /proc
+needs_split = pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+         and os.uname().machine == "x86_64" and Path("/proc/self/maps").exists()),
+    reason="the row split runs on Linux on x86-64 with two CPUs")
 
 
 # ---------------------------------------------------------------------------

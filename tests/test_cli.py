@@ -24,10 +24,10 @@ from eseharnack import cli
 from eseharnack.blowup import tail_fit
 from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
-from eseharnack.integrate import SolveTrace, TraceStatus, rescale_field
+from eseharnack.integrate import SolveTrace, TraceStatus, _Workspace, rescale_field
 from eseharnack.traceio import load_trace, save_trace
 
-from conftest import constant_problem, gaussian_problem
+from conftest import constant_problem, gaussian_problem, needs_split
 
 GAUSS_INI = """
 [problem]
@@ -70,6 +70,34 @@ reaction_safety = 0.02
 
 [constants]
 preset = hamilton_1d
+"""
+
+
+# bench/workloads.py's GAUSS_2D_INI at 16^2, H_R with its default rectangle
+_GAUSS_2D_16 = """
+[problem]
+dim = 2
+p = 2.0
+box = -2:2
+extents = 16
+boundary = reflecting
+initial = gaussian
+amplitude = 1.0
+width = 0.4
+center = 0.0, 0.0
+t_end = 0.2
+
+[step]
+sample_stride = 2
+
+[constants]
+alpha = 1.0
+beta = 0.25
+c = 0.7
+a = 1.5
+
+[checks]
+enabled = h0, hr
 """
 
 
@@ -985,18 +1013,27 @@ def _running(pids: set[int]) -> set[int]:
     return {p for p in pids if p in procs and procs[p][1] not in "ZX"}
 
 
+# a 2-D verify whose solve splits its rows with a forked partner: at 256^2 it
+# takes minutes, with few samples kept
+_GAUSS_2D_256 = _GAUSS_2D_16.replace("extents = 16", "extents = 256").replace(
+    "sample_stride = 2", "sample_stride = 1000").replace("t_end = 0.2", "t_end = 0.4")
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-@pytest.mark.parametrize("command, workers", [
-    (["verify"], 1),
-    (["sweep", "--jobs", "2", "--axis", "checks.rescale_lambda=2.0,1.5"], 4),
-], ids=["verify", "sweep"])
-def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
+@pytest.mark.parametrize("dim, command, workers", [
+    (1, ["verify"], 1),
+    (1, ["sweep", "--jobs", "2", "--axis", "checks.rescale_lambda=2.0,1.5"], 4),
+    pytest.param(2, ["verify"], 1, marks=needs_split),
+], ids=["verify", "sweep", "verify-2d-partner"])
+def test_worker_exits_when_its_parent_is_killed(tmp_path, dim, command, workers):
     # at 2048 points each solve takes tens of seconds, so every worker is still
     # running when its parent is killed: the rescale worker of a verify, and
     # in a sweep both point workers and each one's rescale worker.  Each
-    # rescale worker removes its dead parent's temporary directory.
-    cfg = write(tmp_path, "g.ini", GAUSS_CONFIG.read_text().replace(
-        "extents = 256", "extents = 2048"))
+    # rescale worker removes its dead parent's temporary directory.  The
+    # 2-D verify has no rescale check, and its one worker is the partner
+    # that steps half of the solve's rows.
+    cfg = write(tmp_path, "g.ini", _GAUSS_2D_256 if dim == 2 else GAUSS_CONFIG.read_text(
+        ).replace("extents = 256", "extents = 2048"))
     src = str(Path(cli.__file__).parents[1])
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
@@ -1027,6 +1064,32 @@ def test_worker_exits_when_its_parent_is_killed(tmp_path, command, workers):
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
 
+
+
+@needs_split
+def test_no_partner_starts_beside_another_solve(tmp_path, monkeypatch):
+    # a partner forked anywhere, this process or a pool worker forked from
+    # it, leaves a file behind.  Only the 2-D verify that solves alone
+    # starts one: sweep --jobs 2 solves in pool workers, and the rescale
+    # check solves in a worker alongside the main solve.
+    fork = _Workspace._fork
+
+    def spy_fork(self, per_step):
+        (tmp_path / f"forked-by-{os.getpid()}").touch()
+        return fork(self, per_step)
+
+    monkeypatch.setattr(_Workspace, "_fork", spy_fork)
+    ini = _GAUSS_2D_16.replace("extents = 16", "extents = 128").replace(
+        "t_end = 0.2", "t_end = 0.01").replace("sample_stride = 2", "sample_stride = 40")
+    alone = write(tmp_path, "alone.ini", ini)
+    rescale = write(tmp_path, "rescale.ini", ini.replace("enabled = h0, hr",
+                                                         "enabled = h0, rescale"))
+    runs = [["verify", "--config", rescale],
+            ["sweep", "--config", alone, "--jobs", "2", "--axis", "problem.amplitude=1.0,0.9"],
+            ["verify", "--config", alone]]
+    for i, args in enumerate(runs):
+        assert main([*args, "--out", str(tmp_path / f"run{i}")]) == 0
+        assert len(list(tmp_path.glob("forked-by-*"))) == (i == 2), args
 
 def _solve_and_save_after_two_minutes(prob, cfg, outdir):
     time.sleep(120)
@@ -1272,6 +1335,92 @@ def test_cmd_sweep_empty_axis_values_is_error(tmp_path):
     cfg = write(tmp_path, "c.ini", CONST_INI)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--axis", "problem.level="]) == 2
+
+
+
+def test_cmd_sweep_splits_values_on_semicolons_when_there_is_one(tmp_path):
+    cfg = write(tmp_path, "g.ini", _GAUSS_2D_16)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--axis", "checks.hr_rect=-1:1,-1:1;-0.5:0.5,-0.5:0.5"]) == 0
+    rects = [json.loads((out / f"point_{i:03d}" / "summary.json").read_text())["hr"]["rect"]
+             for i in range(2)]
+    assert rects == [[[-1.0, 1.0], [-1.0, 1.0]], [[-0.5, 0.5], [-0.5, 0.5]]]
+    assert not (out / "point_002").exists()
+
+
+# The keys the config schema reads, each with a value that a 16-point 1-D
+# Gaussian run accepts; the fuzz below also draws malformed, empty, comma
+# and semicolon values, and axis specs that are malformed themselves.
+_SWEEP_SCHEMA = {
+    "problem": {"dim": "1", "p": "2.0", "box": "-4:4", "extents": "16",
+                "boundary": "periodic", "initial": "gaussian", "amplitude": "1.0",
+                "width": "0.5", "center": "0.5", "level": "1.0", "t_end": "0.05",
+                "reaction": "off", "file": "nowhere.npy"},
+    "step": {"cfl_safety": "0.2", "reaction_safety": "0.05", "dt_min": "1e-12",
+             "f_cap": "1e8", "sample_stride": "2"},
+    "constants": {"preset": "blowup(1,2,1)", "alpha": "1.0", "beta": "0.25", "c": "0.5",
+                  "a": "0.7"},
+    "checks": {"enabled": "h0, residual, rescale", "t_min_frac": "0.1", "t_max_frac": "0.8",
+               "h0_tol": "0.01", "hr_rect": "-1:1", "hr_b_margin": "1.1",
+               "residual_tol": "0.05", "classical_pairs": "5", "classical_tol": "0.001",
+               "rescale_lambda": "2.0", "rescale_tol": "0.001", "blowup_c": "1.0"},
+    "output": {"dir": "out"},
+    "verify": {"trace_dir": "nowhere"},
+}
+_SWEEP_KEYS = [(section, key) for section, keys in _SWEEP_SCHEMA.items() for key in keys]
+_MALFORMED = ("abc", "%", "%(dim)s", "1:2:3", ":", "nan", "inf", "-1", "0", "1e308",
+              "99999999999999999999999", "on", "-1:1,-1:1", "")
+_SWEEP_TEMPLATE = """
+[problem]
+dim = 1
+p = 2.0
+box = -4:4
+extents = 16
+boundary = reflecting
+initial = gaussian
+amplitude = 1.0
+width = 0.5
+t_end = 0.3
+
+[step]
+sample_stride = 2
+
+[constants]
+preset = blowup(1,2,1)
+
+[checks]
+enabled = h0, residual, classical
+classical_pairs = 5
+"""
+
+
+@st.composite
+def _sweep_axis(draw):
+    if draw(st.integers(0, 9)) == 0:   # an axis spec that is malformed itself
+        return draw(st.sampled_from(["problem.dim", "problem=1", "=1", ".dim=1", "dim.=1",
+                                     "nosuch.key=1", "problem.nosuch=1,2", "problem.dim=",
+                                     "problem.dim=;", "problem.dim=,;,"]))
+    section, key = draw(st.sampled_from(_SWEEP_KEYS))
+    valid = _SWEEP_SCHEMA[section][key]
+    values = draw(st.lists(st.one_of(st.just(valid), st.sampled_from(_MALFORMED)),
+                           min_size=1, max_size=3))
+    return f"{section}.{key}=" + draw(st.sampled_from([";", ","])).join(values)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@given(axes=st.lists(_sweep_axis(), min_size=1, max_size=2), jobs=st.sampled_from(["1", "2"]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sweep_axis_fuzz_never_exits_four_and_leaves_no_process(tmp_path, axes, jobs):
+    cfg = write(tmp_path, "c.ini", _SWEEP_TEMPLATE)
+    before = _descendants(os.getpid())
+    args = ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--jobs", jobs,
+            "--allow-inadmissible"]
+    for axis in axes:
+        args += ["--axis", axis]
+    assert main(args) in (0, 1, 2, 3)
+    assert _descendants(os.getpid()) <= before
 
 
 # ---------------------------------------------------------------------------

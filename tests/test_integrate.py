@@ -1,5 +1,11 @@
+import gc
+import itertools
 import math
+import os
+import signal
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +14,12 @@ from eseharnack import (Field, Grid, ProblemSpec, RescaleSpec, StepConfig,
                         ode_blowup_time, ode_oracle, rescale_field,
                         rescale_problem, rescale_trace, solve, step)
 from eseharnack.cli import rescale_commutation_discrepancy
+from eseharnack import integrate
 from eseharnack.errors import NonPositiveField, OutOfWindow
-from eseharnack.integrate import (TraceStatus, _capacity, _Workspace,
-                                  stable_dt)
+from eseharnack.integrate import (_TIMED, _WARM, TraceStatus, _capacity,
+                                  _Workspace, stable_dt)
 
-from conftest import constant_problem, gaussian_problem
+from conftest import constant_problem, gaussian_problem, needs_split
 from test_stencil import _ref_rk4
 
 
@@ -424,3 +431,172 @@ def test_rescaled_problem_blowup_time_scales():
     base = solve(constant_problem(t_end=10.0), cfg)
     scaled = solve(rescale_problem(constant_problem(t_end=10.0), RescaleSpec(2.0, 2.0)), cfg)
     assert scaled.status.t_detect == pytest.approx(4.0 * base.status.t_detect, rel=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# the row split: a forked partner steps the second half of the rows
+
+@pytest.fixture
+def split(monkeypatch):
+    """Lets every solve of dim >= 2 split, however small its grid, and
+    records each forked partner's pid and every split step; a solve that
+    hangs fails after two minutes instead."""
+    monkeypatch.setattr(integrate, "_SPLIT_POINTS", 0)
+    seen = SimpleNamespace(partners=[], steps=[])
+    fork, step_split = _Workspace._fork, _Workspace._step_split
+
+    def spy_fork(self, per_step):
+        forked = fork(self, per_step)   # returns in this process only
+        seen.partners.append(self._pid)
+        return forked
+
+    def spy_step_split(self, i):
+        seen.steps.append(i)
+        return step_split(self, i)
+
+    def hung(*_):
+        raise TimeoutError("the solve hung")
+
+    monkeypatch.setattr(_Workspace, "_fork", spy_fork)
+    monkeypatch.setattr(_Workspace, "_step_split", spy_step_split)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        yield seen
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _one_process(prob, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "_SPLIT_POINTS", math.inf)
+        return solve(prob, cfg)
+
+
+def _assert_same_trace(got, want):
+    assert got.status == want.status
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.samples, want.samples)
+    assert np.array_equal(got.step_log, want.step_log)
+
+
+def _split_problem(extents, boundary="reflecting", p=2.0, reaction=True, center=0.3,
+                   steps=100):
+    """A Gaussian off the centre row on [-2, 2]^dim, run for about `steps` steps."""
+    dim = len(extents)
+    grid = Grid(((-2.0, 2.0),) * dim, extents, boundary)
+    f0 = Field.gaussian(grid, 1.0, 0.4, (center,) + (0.0,) * (dim - 1)).values
+    t_end = steps * stable_dt(grid, p, 1.0, StepConfig(), reaction)
+    return ProblemSpec(grid, p, f0, t_end, reaction=reaction)
+
+
+def _on_step(monkeypatch, n, action):
+    """Runs action() instead of the solve loop's n-th stable_dt call (call 0
+    sizes the sample array, call k the k-th step) and returns its value
+    when it has one."""
+    calls, real = itertools.count(), integrate.stable_dt
+
+    def stable_dt(*args, **kwargs):
+        if next(calls) == n:
+            value = action()
+            if value is not None:
+                return value
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "stable_dt", stable_dt)
+
+
+@needs_split
+@pytest.mark.parametrize("extents", [(24, 16), (25, 16), (12, 8, 8), (13, 8, 8)],
+                         ids=["2d", "2d-odd-rows", "3d", "3d-odd-rows"])
+@pytest.mark.parametrize("boundary, reaction, p", [
+    ("periodic", True, 2.0), ("reflecting", True, 2.5), ("reflecting", False, 2.0),
+    ("periodic", False, 2.5)])
+def test_split_solve_equals_the_one_process_solve(split, monkeypatch, extents, boundary,
+                                                  reaction, p):
+    # no window of split steps is ever compared, so every step after the
+    # fork splits
+    monkeypatch.setattr(integrate, "_WINDOW", 10 ** 9)
+    prob = _split_problem(extents, boundary, p, reaction)
+    cfg = StepConfig(sample_stride=3)
+    got = solve(prob, cfg)
+    want = _one_process(prob, cfg)
+    assert len(split.partners) == 1
+    assert len(split.steps) == len(want.step_log) - _WARM - _TIMED > 60
+    _assert_same_trace(got, want)
+
+
+@needs_split
+@pytest.mark.parametrize("center", [-1.0, 1.0], ids=["solver-rows", "partner-rows"])
+def test_split_stage_failure_aborts_with_the_one_process_label_and_min(split, monkeypatch,
+                                                                       center):
+    # the 30th step runs to t_end at once: its second stage goes far below
+    # zero around the peak, which lies in one half of the rows
+    prob = _split_problem((32, 16), center=center, steps=1000)
+    cfg = StepConfig(sample_stride=4)
+    _on_step(monkeypatch, 30, lambda: 1e3)
+    want = _one_process(prob, cfg)
+    _on_step(monkeypatch, 30, lambda: 1e3)
+    got = solve(prob, cfg)
+    assert len(split.steps) == 30 - _WARM - _TIMED
+    assert got.status.kind == "aborted"
+    assert got.status.reason.startswith("RK stage 2 went nonpositive (min=-")
+    _assert_same_trace(got, want)
+
+
+@needs_split
+@pytest.mark.parametrize("sig", [signal.SIGSTOP, signal.SIGKILL], ids=["stop", "kill"])
+def test_split_solve_finishes_alone_when_the_partner_stops_or_dies(split, monkeypatch, sig):
+    prob = _split_problem((32, 16), steps=200)
+    cfg = StepConfig(sample_stride=4)
+    want = _one_process(prob, cfg)
+    _on_step(monkeypatch, 40, lambda: os.kill(split.partners[0], sig))
+    got = solve(prob, cfg)
+    assert 0 < len(split.steps) < len(want.step_log) - _WARM - _TIMED
+    _assert_same_trace(got, want)
+    with pytest.raises(ChildProcessError):   # reaped
+        os.waitpid(split.partners[0], os.WNOHANG)
+
+
+def _children() -> set[int]:
+    me, found = os.getpid(), set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            if int(stat.read_text().rsplit(")", 1)[1].split()[1]) == me:
+                found.add(int(stat.parent.name))
+        except OSError:   # the process ended meanwhile
+            pass
+    return found
+
+
+def _held() -> tuple:
+    """This process's children, open descriptors and shared mappings."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    return (_children(), len(os.listdir("/proc/self/fd")),
+            sum(" rw-s " in line for line in maps))
+
+
+@needs_split
+@pytest.mark.parametrize("end", ["return", "abort", "exception"])
+def test_split_solve_leaves_no_process_pipe_or_mapping_behind(split, monkeypatch, end):
+    prob = _split_problem((32, 16), steps=1000 if end == "abort" else 100)
+    cfg = StepConfig(sample_stride=4)
+    before = _held()
+
+    def step_30():
+        if end == "exception":
+            raise RuntimeError("a bug in the solve loop")
+        return 1e3 if end == "abort" else None
+
+    _on_step(monkeypatch, 30, step_30)
+    if end == "exception":
+        with pytest.raises(RuntimeError):
+            solve(prob, cfg)
+    else:
+        trace = solve(prob, cfg)
+        assert trace.status.kind == ("aborted" if end == "abort" else "reached_t_end")
+        del trace
+    gc.collect()
+    assert split.partners and split.steps
+    assert _held() == before

@@ -195,7 +195,7 @@ def test_rhs_reads_shifted_views_only_for_the_neighbour_sums(dim, boundary, reac
 @pytest.mark.parametrize("dim,boundary", GRIDS)
 def test_workspace_buffers_are_c_contiguous(dim, boundary):
     ws = _Workspace(_grid(dim, boundary), 2.0, True)
-    for buf in (ws.tmp, ws.stage, ws.acc, *ws.k):
+    for buf in (ws.tmp, *ws.stages, ws.acc, *ws.k, *ws.states):
         assert buf.flags.c_contiguous
 
 
@@ -237,11 +237,11 @@ def _alignable_grid(shape, boundary):
 def test_workspace_buffers_and_runs_start_on_a_cache_line(shape, boundary):
     g = _alignable_grid(shape, boundary)
     ws = _Workspace(g, 2.0, True)
-    for buf in (ws.stage, ws.acc, *ws.k, *ws.states):
+    for buf in (*ws.stages, ws.acc, *ws.k, *ws.states):
         assert buf.ctypes.data % 64 == 0
     # every axis but the first writes its run into tmp, the first into a k
-    (*_, last_run), _ = g.stencil.bind(ws.stage, g.dim - 1, ws.tmp)
-    (*_, first_run), _ = g.stencil.bind(ws.stage, 0, ws.k[1])
+    (*_, last_run), _ = g.stencil.bind(ws.stages[0], g.dim - 1, ws.tmp)
+    (*_, first_run), _ = g.stencil.bind(ws.stages[0], 0, ws.k[1])
     assert last_run.ctypes.data % 64 == 0
     assert first_run.ctypes.data % 64 == 0
 
@@ -251,6 +251,34 @@ def test_workspace_buffers_and_runs_start_on_a_cache_line(shape, boundary):
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_rk4_in_aligned_buffers_matches_ghost_cell_reference(shape, boundary, p):
     _assert_rk4_steps_match_the_reference(_alignable_grid(shape, boundary), p)
+
+
+@pytest.mark.parametrize("dim,boundary", [g for g in GRIDS if g[0] > 1])
+def test_bind_over_two_row_ranges_writes_what_one_whole_bind_does(dim, boundary):
+    # the split solve's halves each bind their own rows of the first axis
+    g = _grid(dim, boundary)
+    n0, v = g.extents[0], _values(g)
+    for axis in range(dim):
+        whole = g.stencil.apply(_plus_first, v, axis, np.empty(g.extents), 1.0)
+        for mid in range(1, n0):
+            out = np.full(g.extents, np.nan)
+            for rows in ((0, mid), (mid, n0)):
+                run, edges = g.stencil.bind(v, axis, out, rows)
+                _plus_first(*run, 1.0)
+                _plus_first(*edges, 1.0)
+            assert np.array_equal(out, whole), (axis, mid)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8), (128, 128)])
+def test_binding_the_second_half_of_the_rows_aligns_them(shape):
+    g = _alignable_grid(shape, "reflecting")
+    ws = _Workspace(g, 2.0, True)
+    mid = shape[0] // 2
+    ws.bind_rows(mid, shape[0])
+    for buf in (ws.acc, *ws.k):
+        assert buf[mid:].ctypes.data % 64 == 0
+    (*_, last_run), _ = g.stencil.bind(ws.stages[0], g.dim - 1, ws.tmp, (mid, shape[0]))
+    assert last_run.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("shape", [(13,), (7, 9), (5, 6, 4)])
