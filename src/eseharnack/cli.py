@@ -45,7 +45,7 @@ from .errors import (BetaZero, ConfigError, EseError, InvalidC, NonPositiveField
 # times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
 from .field import Field, Grid, log_field  # noqa: F401
 from .integrate import (ProblemSpec, RescaleSpec, SolveTrace,  # noqa: F401
-                        StepConfig, rescale_problem, rescale_trace, solve)
+                        StepConfig, rescale_problem, rescale_trace, solve, stable_dt)
 
 KNOWN_CHECKS = ("h0", "hr", "residual", "blowup", "classical", "rescale")
 
@@ -209,6 +209,8 @@ def build_config(cp: _Parser) -> RunConfig:
         raise ConfigError("config needs a [problem] section")
 
     dim = _get(cp, "problem", "dim", int)
+    if not 1 <= dim <= 3:   # before a one-interval box is repeated dim times
+        raise ConfigError(f"[problem] dim = {dim}: need 1, 2 or 3")
     box = _get(cp, "problem", "box", _parse_intervals)
     extents = _get(cp, "problem", "extents", _parse_ints)
     if len(box) == 1 and dim > 1:
@@ -245,12 +247,23 @@ def build_config(cp: _Parser) -> RunConfig:
                               **_optional(cp, "problem", reaction=_parse_bool))
     except (ValueError, NonPositiveField) as exc:
         raise ConfigError(f"[problem]: {exc}") from None
+    except MemoryError:
+        raise ConfigError(f"[problem] extents = {grid.extents}: the initial data, "
+                          f"{grid.size} float64 values, cannot be allocated") from None
 
     try:
         step = StepConfig(**_optional(cp, "step", cfl_safety=float, reaction_safety=float,
                                       dt_min=float, f_cap=float, sample_stride=int))
     except ValueError as exc:
         raise ConfigError(f"[step]: {exc}") from None
+    if not problem.reaction:
+        # every step is then the diffusion cap, and once t + dt == t time
+        # stops: a t_end that far out would take some 2^53 steps to abort
+        dt = stable_dt(grid, problem.p, 0.0, step, reaction=False)
+        if problem.t_end + dt == problem.t_end:
+            raise ConfigError(f"[problem] t_end = {problem.t_end} is out of reach with "
+                              f"reaction = off: its step dt = {dt} is below half the "
+                              f"float spacing at t_end")
 
     if cp.has_option("constants", "preset"):
         name = cp.get("constants", "preset").strip()

@@ -216,17 +216,9 @@ def _part(rows: tuple[int, int] | None):
 # a grid of dim >= 2 with this many points or more may step in two processes
 _SPLIT_POINTS = 1 << 14
 # steps left untimed (first touches) before the one-process steps are timed,
-# and again after the fork; then each window of split steps is timed
+# and again after the fork; the split's running time is then checked every
+# window of steps
 _WARM, _TIMED, _WINDOW = 4, 16, 256
-
-
-def _median(n: int):
-    """A generator to `yield from`: is sent n values and returns their
-    median, which a step stretched by the host's preemption leaves alone."""
-    values = []
-    for _ in range(n):
-        values.append((yield))
-    return sorted(values)[n // 2]
 
 
 def _may_split(grid: Grid) -> bool:
@@ -402,7 +394,10 @@ class _Workspace:
         stretches is paid back by the steps around it."""
         for _ in range(_WARM):
             yield
-        alone = yield from _median(_TIMED)
+        timed = []
+        for _ in range(_TIMED):
+            timed.append((yield))
+        alone = sorted(timed)[_TIMED // 2]   # the median, which a stalled step leaves
         if not self._fork(alone):
             return
         for _ in range(_WARM):

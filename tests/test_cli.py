@@ -268,6 +268,23 @@ classical_pairs = 10
                  "--allow-inadmissible"]) in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("change, key", [
+    (("dim = 1", "dim = 99999999999999999999999"), "[problem] dim"),
+    (("dim = 1", "dim = 100000000"), "[problem] dim"),
+    (("extents = 128", "extents = 1099511627776"), "[problem] extents"),
+    (("t_end = 0.5", "t_end = 1e308\nreaction = off"), "[problem] t_end"),
+], ids=["dim-past-the-index-size", "dim-1e8", "extents-2e40", "heat-only-to-1e308"])
+def test_bad_dim_extents_or_t_end_exit_two_naming_the_key(tmp_path, capsys, change, key):
+    # each was found by the sweep --axis fuzz: repeating a one-interval box
+    # dim times overflowed or ran out of memory, and so did the initial data
+    # of 2^40 points (exit 4); a heat-only run to t = 1e308 steps at a fixed
+    # dt until, some 2^53 steps on, t + dt == t stops it
+    cfg = write(tmp_path, "g.ini", GAUSS_INI.replace(*change))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err and "Traceback" not in err
+
+
 # Every numeric [step] and [checks] key; the integer keys also take integers
 # far past any count a run could use.  One key at a time goes through every
 # edge value, then random sets of two or three keys do, the other keys

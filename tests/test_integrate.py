@@ -440,8 +440,11 @@ def test_rescaled_problem_blowup_time_scales():
 def split(monkeypatch):
     """Lets every solve of dim >= 2 split, however small its grid, and
     records each forked partner's pid and every split step; a solve that
-    hangs fails after two minutes instead."""
+    hangs fails after two minutes instead.  No window check ends the split
+    and the solver waits for its partner without patience, so that a slow
+    test box cannot end a split early."""
     monkeypatch.setattr(integrate, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(integrate, "_WINDOW", 10 ** 9)
     seen = SimpleNamespace(partners=[], steps=[])
     fork, step_split = _Workspace._fork, _Workspace._step_split
 
@@ -492,9 +495,9 @@ def _split_problem(extents, boundary="reflecting", p=2.0, reaction=True, center=
 
 
 def _on_step(monkeypatch, n, action):
-    """Runs action() instead of the solve loop's n-th stable_dt call (call 0
-    sizes the sample array, call k the k-th step) and returns its value
-    when it has one."""
+    """Runs action() at the solve loop's n-th stable_dt call (call 0 sizes
+    the sample array, call k sets the k-th step), whose dt is action's
+    value when it returns one."""
     calls, real = itertools.count(), integrate.stable_dt
 
     def stable_dt(*args, **kwargs):
@@ -515,9 +518,6 @@ def _on_step(monkeypatch, n, action):
     ("periodic", False, 2.5)])
 def test_split_solve_equals_the_one_process_solve(split, monkeypatch, extents, boundary,
                                                   reaction, p):
-    # no window of split steps is ever compared, so every step after the
-    # fork splits
-    monkeypatch.setattr(integrate, "_WINDOW", 10 ** 9)
     prob = _split_problem(extents, boundary, p, reaction)
     cfg = StepConfig(sample_stride=3)
     got = solve(prob, cfg)
@@ -548,6 +548,8 @@ def test_split_stage_failure_aborts_with_the_one_process_label_and_min(split, mo
 @needs_split
 @pytest.mark.parametrize("sig", [signal.SIGSTOP, signal.SIGKILL], ids=["stop", "kill"])
 def test_split_solve_finishes_alone_when_the_partner_stops_or_dies(split, monkeypatch, sig):
+    # the solver waits at most 32 one-process steps for a stopped partner
+    monkeypatch.setattr(integrate, "_WINDOW", 32)
     prob = _split_problem((32, 16), steps=200)
     cfg = StepConfig(sample_stride=4)
     want = _one_process(prob, cfg)
