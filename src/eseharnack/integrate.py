@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -213,8 +214,9 @@ def _part(rows: tuple[int, int] | None):
     return (lambda a: a) if rows is None else (lambda a: a[rows[0]:rows[1]])
 
 
-# a grid of dim >= 2 with this many points or more may step in two processes
-_SPLIT_POINTS = 1 << 14
+# a grid of these dims with this many points or more may step in two
+# processes; 3-D grids step alone until a 3-D workload has timed the split
+_SPLIT_DIMS, _SPLIT_POINTS = (2,), 1 << 14
 # steps left untimed (first touches) before the one-process steps are timed,
 # and again after the fork; the split's running time is then checked every
 # window of steps
@@ -222,14 +224,16 @@ _WARM, _TIMED, _WINDOW = 4, 16, 256
 
 
 def _may_split(grid: Grid) -> bool:
-    """Whether a solve on `grid` may fork a partner (`_Workspace`): dim >= 2
-    and `_SPLIT_POINTS` points or more, two CPUs to run on, no other solve
-    in this command (this process is no worker process, of sweep --jobs or
-    of the rescale check, and runs none alongside), and no other thread,
-    whose locks a fork would copy held.  x86-64 only, whose stores every
-    CPU sees in program order: the barrier relies on it."""
-    if (grid.dim < 2 or grid.size < _SPLIT_POINTS or os.uname().machine != "x86_64"
-            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
+    """Whether a solve on `grid` may fork a partner (`_Workspace`): a dim in
+    `_SPLIT_DIMS` and `_SPLIT_POINTS` points or more, two CPUs to run on, no
+    other solve in this command (this process is no worker process, of
+    sweep --jobs or of the rescale check, and runs none alongside), and no
+    other thread, whose locks a fork would copy held.  Linux on x86-64 only:
+    the split needs `os.fork` and `os.sched_getaffinity`, and the barrier
+    relies on every CPU seeing the stores of x86-64 in program order."""
+    if (grid.dim not in _SPLIT_DIMS or grid.size < _SPLIT_POINTS or sys.platform != "linux"
+            or os.uname().machine != "x86_64" or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1):
         return False
     import multiprocessing
     return multiprocessing.parent_process() is None and not multiprocessing.active_children()
@@ -414,15 +418,17 @@ class _Workspace:
         """Forks the partner onto the second half of the rows; False if no
         process could be started.  The barrier spins for a quarter of a
         one-process step, then sleeps on a pipe; the solver waits no longer
-        than a window of one-process steps.  While the split lasts, each
-        side is pinned to a CPU of its own: left to the scheduler, two
-        processes forked like this sometimes shared one CPU of a 2-vCPU VM
-        for a whole second, the other idle."""
+        than a window of one-process steps.  While the split lasts on a
+        process allowed exactly two CPUs, each side is pinned to one: left
+        to the scheduler, two processes forked like this sometimes shared
+        one CPU of a 2-vCPU VM for a whole second, the other idle.  With
+        more CPUs neither is pinned, lest concurrent solves all pile onto
+        the same two."""
         import select   # here: a forked child takes no import lock
         n0 = self.op.shape[0]
         self._select, self._spin = select.select, per_step / 4
-        self._cpus = os.sched_getaffinity(0)
-        solver_cpu, partner_cpu = sorted(self._cpus)[:2]
+        cpus = os.sched_getaffinity(0)
+        self._cpus = cpus if len(cpus) == 2 else None
         fds = []
         try:
             fds += os.pipe() + os.pipe()
@@ -438,7 +444,8 @@ class _Workspace:
             try:
                 os.close(to_solver[0])
                 os.close(to_partner[1])
-                os.sched_setaffinity(0, {partner_cpu})
+                if self._cpus:
+                    os.sched_setaffinity(0, {max(cpus)})
                 self._join(1, to_partner[0], to_solver[1], None)
                 self.bind_rows(n0 // 2, n0)
                 self._serve()
@@ -447,7 +454,8 @@ class _Workspace:
         os.close(to_solver[1])
         os.close(to_partner[0])
         self._pid = pid
-        os.sched_setaffinity(0, {solver_cpu})
+        if self._cpus:
+            os.sched_setaffinity(0, {min(cpus)})
         self._join(0, to_solver[0], to_partner[1], _WINDOW * per_step)
         self.bind_rows(0, n0 // 2)
         return True
@@ -547,8 +555,8 @@ class _Workspace:
             self.bind_rows(0, self.op.shape[0])
 
     def close(self) -> None:
-        """Stops and reaps the partner, if any, closes its pipes and gives
-        this process its CPUs back."""
+        """Stops and reaps the partner, if any, closes its pipes and, if it
+        was pinned, gives this process its CPUs back."""
         self._pace = None
         if self._pid is not None:
             import signal
@@ -560,7 +568,8 @@ class _Workspace:
                 pass
             os.close(self._rfd)
             os.close(self._wfd)
-            os.sched_setaffinity(0, self._cpus)
+            if self._cpus:
+                os.sched_setaffinity(0, self._cpus)
 
     def __enter__(self) -> "_Workspace":
         return self

@@ -438,11 +438,12 @@ def test_rescaled_problem_blowup_time_scales():
 
 @pytest.fixture
 def split(monkeypatch):
-    """Lets every solve of dim >= 2 split, however small its grid, and
+    """Lets every solve of dim 2 or 3 split, however small its grid, and
     records each forked partner's pid and every split step; a solve that
     hangs fails after two minutes instead.  No window check ends the split
     and the solver waits for its partner without patience, so that a slow
     test box cannot end a split early."""
+    monkeypatch.setattr(integrate, "_SPLIT_DIMS", (2, 3))
     monkeypatch.setattr(integrate, "_SPLIT_POINTS", 0)
     monkeypatch.setattr(integrate, "_WINDOW", 10 ** 9)
     seen = SimpleNamespace(partners=[], steps=[])
@@ -602,3 +603,54 @@ def test_split_solve_leaves_no_process_pipe_or_mapping_behind(split, monkeypatch
     gc.collect()
     assert split.partners and split.steps
     assert _held() == before
+
+
+@needs_split
+def test_only_large_2d_grids_may_split():
+    # 3-D grids and 2-D grids below 2^14 points step alone
+    box = (-1.0, 1.0)
+    assert integrate._may_split(Grid((box,) * 2, (128, 128)))
+    assert not integrate._may_split(Grid((box,) * 2, (128, 127)))
+    assert not integrate._may_split(Grid((box,) * 3, (32, 32, 32)))
+    assert not integrate._may_split(Grid.line(*box, 1 << 16))
+
+
+@pytest.mark.parametrize("platform, missing", [
+    ("darwin", ["sched_getaffinity", "sched_setaffinity"]),
+    ("win32", ["uname", "fork", "sched_getaffinity", "sched_setaffinity"])])
+def test_solve_runs_alone_where_the_split_cannot(split, monkeypatch, platform, missing):
+    # os.fork, os.uname and os.sched_getaffinity are not everywhere; where
+    # they are missing a 2-D solve steps in one process, as it always did
+    prob = _split_problem((24, 16))
+    cfg = StepConfig(sample_stride=3)
+    want = _one_process(prob, cfg)
+    monkeypatch.setattr(integrate.sys, "platform", platform)
+    for name in missing:
+        monkeypatch.delattr(os, name, raising=False)
+    got = solve(prob, cfg)
+    assert split.partners == [] and split.steps == []
+    _assert_same_trace(got, want)
+
+
+@needs_split
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}], ids=["two-cpus", "three-cpus"])
+def test_split_pins_each_side_only_on_exactly_two_cpus(split, monkeypatch, tmp_path, cpus):
+    # each side appends the CPU sets it pins itself to; the spy pins nothing
+    log = tmp_path / "pinned"
+
+    def pin(pid, to):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {sorted(to)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    prob = _split_problem((24, 16))
+    cfg = StepConfig(sample_stride=3)
+    _assert_same_trace(solve(prob, cfg), _one_process(prob, cfg))
+    assert len(split.partners) == 1 and split.steps
+    pinned = sorted(log.read_text().splitlines()) if log.exists() else []
+    if len(cpus) == 2:
+        me, partner = os.getpid(), split.partners[0]
+        assert pinned == sorted([f"{me} [0]", f"{partner} [1]", f"{me} [0, 1]"])
+    else:
+        assert pinned == []
