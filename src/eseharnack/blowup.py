@@ -68,9 +68,12 @@ def ode_oracle(f0: float, p: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # blowup-time extrapolation
 
-def tail_fit(trace: SolveTrace, p: float, k_tail: int = 8) -> tuple[float, float]:
-    """Linear fit of g(t) = (max_x f)^{1-p} on the trace tail; returns
-    (root of the fit, normalized rms fit residual).
+_K_TAIL = 8   # samples in the tail fit
+
+
+def tail_fit(trace: SolveTrace, p: float) -> tuple[float, float]:
+    """Linear fit of g(t) = (max_x f)^{1-p} on the last `_K_TAIL` samples of
+    the trace; returns (root of the fit, normalized rms fit residual).
 
     For spatially constant data g is exactly linear with slope -(p-1), so the
     extrapolated root is the exact blowup time; the residual quantifies how
@@ -79,7 +82,7 @@ def tail_fit(trace: SolveTrace, p: float, k_tail: int = 8) -> tuple[float, float
     ts, ms = trace.max_curve()
     if len(ts) < 3:
         raise InsufficientSamples(f"need >= 3 samples, trace has {len(ts)}")
-    k = min(k_tail, len(ts))
+    k = min(_K_TAIL, len(ts))
     if k < 3:
         raise InsufficientSamples("tail shorter than 3 samples")
     t_tail = ts[-k:]
@@ -93,11 +96,11 @@ def tail_fit(trace: SolveTrace, p: float, k_tail: int = 8) -> tuple[float, float
     return float(root), quality
 
 
-def estimate_blowup_time(trace: SolveTrace, p: float, k_tail: int = 8) -> float:
+def estimate_blowup_time(trace: SolveTrace, p: float) -> float:
     """Extrapolated blowup time for a trace that was declared blowup."""
     if trace.status.kind != "blowup":
         raise ValueError(f"trace status is {trace.status.kind!r}, not blowup")
-    root, _ = tail_fit(trace, p, k_tail)
+    root, _ = tail_fit(trace, p)
     return root
 
 
@@ -118,9 +121,8 @@ def first_threshold_hit(trace: SolveTrace, threshold: float) -> tuple[tuple[floa
     return _argmax_at(trace, hits[0])
 
 
-def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float,
-                              rtol: float = 1e-9) -> bool:
-    """True iff max_x f is nondecreasing over sampled t >= t0.
+def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) -> bool:
+    """True iff max_x f is nondecreasing (to 1e-9 relative) over sampled t >= t0.
 
     Precondition: the (time-interpolated) field at t0 reaches the threshold.
     """
@@ -132,7 +134,7 @@ def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float,
     sel = ms[ts >= t0]
     if len(sel) < 2:
         return True
-    return bool(np.all(sel[1:] >= sel[:-1] * (1.0 - rtol)))
+    return bool(np.all(sel[1:] >= sel[:-1] * (1.0 - 1e-9)))
 
 
 def normalize_threshold_time(trace: SolveTrace, n: int, p: float, c: float
@@ -170,8 +172,7 @@ class BlowupReport:
     method: str
 
 
-def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None,
-                  k_tail: int = 8) -> BlowupReport:
+def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None) -> BlowupReport:
     """Assemble regime, threshold scan and (if detected) the extrapolated time."""
     regime = classify_regime(n, p)
     threshold = None
@@ -186,7 +187,7 @@ def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None,
     t_est = None
     quality = None
     if detected:
-        t_est, quality = tail_fit(trace, p, k_tail)
-    method = (f"tail fit of (max f)^(1-p) over last {k_tail} samples; "
+        t_est, quality = tail_fit(trace, p)
+    method = (f"tail fit of (max f)^(1-p) over last {_K_TAIL} samples; "
               f"detection criterion {trace.status.criterion or 'n/a'}")
     return BlowupReport(regime, threshold, met_at, detected, t_est, quality, method)

@@ -171,14 +171,13 @@ def classical_harnack_check(trace: SolveTrace, pairs, dim: int,
 
 
 def random_pairs(trace: SolveTrace, n_pairs: int, seed: int,
-                 t_window: tuple[float, float] | None = None,
-                 min_gap_frac: float = 0.05) -> list[tuple]:
-    """Seeded admissible endpoint pairs inside the trace's box and window."""
+                 t_window: tuple[float, float] | None = None) -> list[tuple]:
+    """Seeded endpoint pairs in the trace's box and window, t2 - t1 >= 5 % of the window."""
     rng = np.random.default_rng(seed)
     if t_window is None:
         t_window = default_window(trace)
     t_lo, t_hi = t_window
-    gap = min_gap_frac * (t_hi - t_lo)
+    gap = 0.05 * (t_hi - t_lo)
     box = trace.grid.box
     pairs = []
     for _ in range(n_pairs):

@@ -192,11 +192,11 @@ def cutoff_parts(grid: Grid, loc: LocalizerSpec) -> tuple[list[np.ndarray], np.n
 
 
 def _phi_r_block(grid: Grid, times, loc: LocalizerSpec,
-                 parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+                 parts: tuple[list[np.ndarray], np.ndarray]) -> np.ndarray:
     """phi_R sampled on a grid at each of `times`, of shape (len(times),
     *extents), +inf outside the open rectangle: a/t plus the pole terms of
     `parts` (cutoff_parts(grid, loc)) in axis order."""
-    poles, outside = cutoff_parts(grid, loc) if parts is None else parts
+    poles, outside = parts
     out = np.empty((len(times), *grid.extents))
     out[...] = column([loc.a / t for t in times], grid)
     for pole in poles:
@@ -205,22 +205,19 @@ def _phi_r_block(grid: Grid, times, loc: LocalizerSpec,
     return out
 
 
-def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float,
-               loc: LocalizerSpec,
-               parts: tuple[list[np.ndarray], np.ndarray] | None = None) -> Field:
+def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float, loc: LocalizerSpec) -> Field:
     """H0 with a/t replaced by phi_R; +inf outside the rectangle.
 
     Requires beta > 0: the admissible-b bound diverges at beta = 0 and the
-    localized statement is unavailable there.  A caller evaluating many
-    samples on one grid passes `parts = cutoff_parts(u.grid, loc)`, built
-    once.
+    localized statement is unavailable there.
     """
     if k.beta == 0:
         raise BetaZero("localized Harnack quantity needs beta > 0")
     if t <= 0:
         raise NonPositiveTime(f"H_R needs t > 0, got {t}")
     g = u.grid
-    return Field(g, _solution_part(u.values, g, k, p) + _phi_r_block(g, [t], loc, parts)[0])
+    return Field(g, _solution_part(u.values, g, k, p)
+                 + _phi_r_block(g, [t], loc, cutoff_parts(g, loc))[0])
 
 
 def hr_window_min(trace: SolveTrace, k: HarnackConstants, p: float,
@@ -262,14 +259,6 @@ class ResidualStats:
 # numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) sums a run
 # of at most this many elements in one fixed order and splits a longer one
 _PW_BLOCKSIZE = 128
-
-# the residual's rows are reduced a block of about this many bytes at a time;
-# every block costs a walk of the summation tree in Python.  For each centre
-# of a block of centres beyond the first, the block of rows gives up room
-# for the arrays that centre adds at the peak of a block's evaluation (16
-# field-sized arrays, measured with tracemalloc; this leaves some margin)
-_RESIDUAL_BLOCK_BYTES = 1 << 20
-_RESIDUAL_ARRAYS = 20
 
 
 class PairwiseSum:
@@ -350,14 +339,11 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     at a time.  The log and the solution part of H are computed once per
     sample, a block ahead: the time differences at a block's edges read the
     last solution-part row of the block before and the first of the block
-    after.  The residual's statistics are reduced as it goes: |residual| is
-    written into a reused block of rows, and each full block updates the max
-    and a `PairwiseSum`.  So `mean_abs` is the sum over all centres and
-    points in numpy's exact pairwise order (the order of `np.mean` of the
-    stacked rows) divided by their count, and the residual holds rows and
-    arrays of about `_RESIDUAL_BLOCK_BYTES` plus those of one centre (or of
-    one block of centres, if that is more), never a whole
-    (n_centres, *extents) array.
+    after.  Each block's |residual| updates the max and a `PairwiseSum`, so
+    `mean_abs` is the sum over all centres and points in numpy's exact
+    pairwise order (the order of `np.mean` of the stacked rows) divided by
+    their count, and the residual holds the arrays of one block of centres,
+    never a whole (n_centres, *extents) array.
     """
     lo, hi = t_window
     if hi <= lo:
@@ -371,10 +357,6 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     centers = in_win[(in_win > 0) & (in_win < len(ts) - 1)]
     first, end, n_centres = int(centers[0]), int(centers[-1]) + 1, len(centers)
     block = block_len(g)
-    # whole blocks of centres fill the rows
-    n_rows = min(n_centres, block * max(1, (_RESIDUAL_BLOCK_BYTES // (8 * g.size)
-                                            - _RESIDUAL_ARRAYS * (block - 1)) // block))
-    rows = np.empty((n_rows, *g.extents))
     abs_sum = PairwiseSum(n_centres * g.size)
     block_max = []
     ht_max = 0.0
@@ -397,7 +379,6 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
 
     s_before = log_and_part(first - 1, first)[1]
     u, s = log_and_part(first, min(first + block, end))
-    filled = 0
     i = first
     while i < end:
         m = len(s)
@@ -425,17 +406,13 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
                * grad_sq_nd(u, g)
                - (p - 1.0) * x * phi
                - a_t2[r])
-        np.abs(h_t - rhs, out=rows[filled:filled + m])
+        res = np.abs(np.subtract(h_t, rhs, out=rhs), out=rhs)
+        abs_sum.add(res.reshape(-1))
+        block_max.append(res.max())
         for row_max in np.abs(h_t).reshape(m, -1).max(axis=1):
             ht_max = max(ht_max, float(row_max))
         s_before, u, s = s[-1:].copy(), u_next, s_next
-        filled += m
         i = j
-        if filled == n_rows or i == end:
-            full = rows[:filled].reshape(-1)
-            abs_sum.add(full)
-            block_max.append(full.max())
-            filled = 0
 
     return ResidualStats(max_abs=float(np.max(block_max)),
                          mean_abs=abs_sum.total / abs_sum.size,

@@ -175,11 +175,6 @@ class SolveTrace:
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
-def _check_stage(values: np.ndarray, label: str) -> None:
-    if _min(values, None) <= 0.0:
-        raise NonPositiveField(f"{label} went nonpositive (min={values.min()})")
-
-
 def _aligned(shape: tuple[int, ...], first: int = 0) -> np.ndarray:
     """An uninitialised C-contiguous float64 array of `shape` whose element
     `first` (in C order) starts on a 64-byte cache line."""
@@ -337,7 +332,7 @@ class _Workspace:
 
     def _bind(self, i: int) -> tuple:
         """The step out of states[i]: per stage, its calls, the rows of the
-        array that `_check_stage` then checks, that array and its label."""
+        array that `_step` then checks, that array and its label."""
         rows = self._rows
         part = _part(rows)
         y, out = self.states[i], self.states[1 - i]
@@ -368,10 +363,8 @@ class _Workspace:
         self._half_dt[...] = 0.5 * dt
         self._dt[...] = dt
         self._sixth_dt[...] = dt / 6.0
-        if self._pace is None:
-            return self._step(i)
         start = perf_counter()
-        nxt = self._step(i) if self._pid is None else self._step_split(i)
+        nxt = self._step(i)
         if self._pace is not None:   # None once a failed split step went alone
             try:
                 self._pace(perf_counter() - start)
@@ -380,11 +373,27 @@ class _Workspace:
         return nxt
 
     def _step(self, i: int) -> int:
-        for calls, values, _, label in self._plans[i]:
+        """The step on this process's rows: all of them, or while split the
+        solver's half, which crosses the barrier after each stage and is
+        redone alone if the partner is gone or stalls."""
+        split = self._pid is not None
+        if split:
+            self._mv[_CUR] = i
+            self._mv[_GO] += 1.0
+            self._wake()
+        for j, (calls, values, whole, label) in enumerate(self._plans[i]):
             for call, args in calls:
                 call(*args)
-            _check_stage(values, label)
-        self.result_max = float(_max(self.states[1 - i], None))
+            if not split:
+                low = _min(values, None)
+            elif self._cross(values, j == 3):
+                low = _min(self._mins, None)
+            else:
+                self._alone()
+                return self._step(i)
+            if low <= 0.0:
+                raise NonPositiveField(f"{label} went nonpositive (min={whole.min()})")
+        self.result_max = float(_max(self._maxes if split else self.states[1 - i], None))
         return 1 - i
 
     # -- the split ----------------------------------------------------------
@@ -466,24 +475,6 @@ class _Workspace:
         self._rfd, self._wfd, self._patience = rfd, wfd, patience
         self._own = [ctl[self._mine + j:][:1].reshape(()) for j in (_MIN, _MAX)]
         self._mins, self._maxes = ctl[_MIN:2 * _SIDE:_SIDE], ctl[_MAX:2 * _SIDE:_SIDE]
-
-    def _step_split(self, i: int) -> int:
-        """The solver's half of a split step; redone alone if the partner is
-        gone or stalls."""
-        mv = self._mv
-        mv[_CUR] = i
-        mv[_GO] += 1.0
-        self._wake()
-        for j, (calls, values, whole, label) in enumerate(self._plans[i]):
-            for call, args in calls:
-                call(*args)
-            if not self._cross(values, j == 3):
-                self._alone()
-                return self._step(i)
-            if _min(self._mins, None) <= 0.0:
-                raise NonPositiveField(f"{label} went nonpositive (min={whole.min()})")
-        self.result_max = float(_max(self._maxes, None))
-        return 1 - i
 
     def _serve(self) -> None:
         """The partner: each step the solver starts, on its own rows, until
@@ -585,7 +576,8 @@ def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Fiel
         raise ValueError("need dt >= 0")
     if dt == 0.0:
         return f
-    _check_stage(f.values, "step input")
+    if _min(f.values, None) <= 0.0:
+        raise NonPositiveField(f"step input went nonpositive (min={f.values.min()})")
     ws = _Workspace(f.grid, p, reaction)
     ws.states[0][...] = f.values
     return Field(f.grid, ws.states[ws.advance(0, dt)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,15 @@ def save_trace(outdir, trace: SolveTrace) -> None:
     (out / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _too_large(node, key: str = "") -> str | None:
+    """The dotted key of an integer in the metadata that no float holds, if any."""
+    if type(node) is int:
+        return key if abs(node) > sys.float_info.max else None
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    return next(filter(None, (_too_large(v, f"{key}.{k}".lstrip(".")) for k, v in items)), None)
+
+
 def load_trace(outdir) -> SolveTrace:
     out = Path(outdir)
     meta_path = out / "metadata.json"
@@ -74,6 +84,8 @@ def load_trace(outdir) -> SolveTrace:
         raise ConfigError(f"no trace at {out} (missing metadata.json)")
     try:
         meta = json.loads(meta_path.read_text())
+        if (key := _too_large(meta)) is not None:
+            raise ValueError(f"{key} holds an integer too large for a float")
         g = meta["grid"]
         extents, n_steps = g["extents"], meta["n_steps"]
         # type(n) is int: neither a bool nor a float such as 16.5
@@ -88,7 +100,7 @@ def load_trace(outdir) -> SolveTrace:
         p = float(meta["p"])
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:   # the last: nested too deep
         raise ConfigError(f"{meta_path}: {exc}") from None
     if status.kind not in _KINDS:
         raise ConfigError(f"{meta_path}: status.kind must be one of {', '.join(_KINDS)}, "

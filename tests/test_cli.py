@@ -1,8 +1,10 @@
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -474,6 +476,15 @@ def _reverse_sample_times(path):
      r"metadata\.json.*sample_times.*t >= 0"),
     ("metadata.json", _set_meta("sample_times", lambda ts: ts[:-1] + [float("inf")]),
      r"metadata\.json.*sample_times.*finite"),
+    # each of these four exited 4 with an OverflowError, found by the fuzz below
+    ("metadata.json", _set_meta("p", 10 ** 400), r"metadata\.json: p holds an integer too large"),
+    ("metadata.json", _set_meta("grid.box", [[0, 10 ** 400]]), r"grid\.box\.0\.1 holds"),
+    ("metadata.json", _set_meta("sample_times", lambda ts: ts[:-1] + [10 ** 400]),
+     r"sample_times\.\d+ holds"),
+    ("metadata.json", _blowup_status(t_detect=10 ** 400), r"status\.t_detect holds"),
+    # and this one with a RecursionError
+    ("metadata.json", lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+     r"metadata\.json: maximum recursion depth"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -481,6 +492,143 @@ def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message
     damage(tmp_path / "trace" / name)
     with pytest.raises(ConfigError, match=message):
         load_trace(tmp_path / "trace")
+
+
+# Damaged trace directories at random: one or two damages to a solve of
+# constant_blowup.ini (16 points), then `verify` through [verify] trace_dir.
+# A metadata key is dropped, set to a value of the wrong type, a huge or a
+# non-finite number, or nested in lists (deeper than the JSON decoder's
+# recursion limit too); an array file is truncated, rewritten with another
+# dtype or shape or with one value changed, or removed.
+_META_KEYS = ("p", "grid", "grid.box", "grid.box.0", "grid.box.0.0", "grid.box.0.1",
+              "grid.extents", "grid.extents.0", "grid.boundary", "status", "status.kind",
+              "status.t_detect", "status.reason", "status.criterion", "sample_times",
+              "sample_times.0", "sample_times.1", "sample_times.-1", "n_steps")
+_META_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "x", "2.0", {}, [], [1.0], 0, 1, -1, 2 ** 63,
+                     10 ** 400, -10 ** 400, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True), st.integers())
+_NESTED = "\u0000nested\u0000"
+
+
+@st.composite
+def _trace_damage(draw):
+    name = draw(st.sampled_from(["metadata.json", "samples.npy", "steps.npy"]))
+    if name == "metadata.json":
+        key = draw(st.sampled_from(_META_KEYS))
+        how = draw(st.sampled_from(["drop", "set", "nest"]))
+        arg = (draw(_META_VALUES) if how == "set"
+               else draw(st.sampled_from([1, 2, 100_000])) if how == "nest" else None)
+    else:
+        how = draw(st.sampled_from(["truncate", "dtype", "shape", "value", "remove"]))
+        arg = {"truncate": st.integers(0, 1 << 20),
+               "dtype": st.sampled_from([np.float32, np.int64, np.complex128, np.bool_,
+                                         np.dtype(">f8"), object]),
+               "shape": st.sampled_from(["drop-row", "add-row", "flat", "lead-axis",
+                                         "empty"]),
+               "value": st.tuples(st.integers(0, 1 << 20),
+                                  st.floats(allow_nan=True, allow_infinity=True)),
+               "remove": st.none()}[how]
+        key, arg = None, draw(arg)
+    return name, key, how, arg
+
+
+def _damage_meta(path, key, how, arg):
+    meta = json.loads(path.read_text())
+    *parents, last = key.split(".")
+    node = meta
+    for name in parents:
+        node = node[int(name)] if isinstance(node, list) else node[name]
+    last = int(last) if isinstance(node, list) else last
+    if how == "drop":
+        del node[last]
+        text = json.dumps(meta)
+    else:
+        old, node[last] = node[last], arg if how == "set" else _NESTED
+        text = json.dumps(meta)
+        if how == "nest":
+            text = text.replace(json.dumps(_NESTED), "[" * arg + json.dumps(old) + "]" * arg)
+    path.write_text(text)
+
+
+def _damage_array(path, how, arg):
+    a = np.load(path)
+    if how == "truncate":
+        path.write_bytes(path.read_bytes()[:arg % (path.stat().st_size + 1)])
+    elif how == "dtype":
+        np.save(path, a.astype(arg), allow_pickle=True)
+    elif how == "shape":
+        np.save(path, {"drop-row": a[:-1], "add-row": np.concatenate([a, a[-1:]]),
+                       "flat": a.reshape(-1), "lead-axis": a[None],
+                       "empty": a[:0]}[arg])
+    elif how == "value":
+        flat = a.reshape(-1)
+        if flat.size:
+            flat[arg[0] % flat.size] = arg[1]
+        np.save(path, a)
+    else:
+        path.unlink()
+
+
+CONST_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "constant_blowup.ini"
+
+
+@pytest.fixture(scope="module")
+def const_trace(tmp_path_factory):
+    """The saved trace of configs/constant_blowup.ini."""
+    out = tmp_path_factory.mktemp("const") / "solve"
+    assert main(["solve", "--config", str(CONST_CONFIG), "--out", str(out)]) == 0
+    return out / "trace"
+
+
+def _verify_trace(tmp_path, trace) -> int:
+    """Exit code of `verify` on constant_blowup.ini from the trace at `trace`."""
+    cfg = write(tmp_path, "c.ini", f"{CONST_CONFIG.read_text()}\n[verify]\ntrace_dir = {trace}\n")
+    return main(["verify", "--config", cfg, "--out", str(tmp_path / "run")])
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@given(damages=st.lists(_trace_damage(), min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_trace_fuzz_never_exits_four_and_leaves_no_process(tmp_path, const_trace,
+                                                                   damages):
+    trace = tmp_path / "trace"
+    shutil.rmtree(trace, ignore_errors=True)
+    shutil.copytree(const_trace, trace)
+    for name, key, how, arg in damages:
+        if not (trace / name).exists():
+            continue
+        try:
+            with warnings.catch_warnings():   # a cast or a value that overflows warns
+                warnings.simplefilter("ignore")
+                if name == "metadata.json":
+                    _damage_meta(trace / name, key, how, arg)
+                else:
+                    _damage_array(trace / name, how, arg)
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError, EOFError,
+                RecursionError):
+            # an earlier damage left no such key or no readable file, or the
+            # array cannot hold the value
+            continue
+    before = _descendants(os.getpid())
+    assert _verify_trace(tmp_path, trace) in (0, 1, 2, 3)
+    assert _descendants(os.getpid()) <= before
+
+
+def test_verify_fails_the_residual_check_where_its_terms_overflow(tmp_path, const_trace):
+    # found by the fuzz: a sample of 1.9e154 inside the window overflowed the
+    # residual's (p-1) f^(p-1) (H - a/t) term, a RuntimeWarning and exit 4
+    trace = tmp_path / "trace"
+    shutil.copytree(const_trace, trace)
+    samples = np.load(trace / "samples.npy")
+    times = json.loads((trace / "metadata.json").read_text())["sample_times"]
+    samples[np.searchsorted(times, 0.5 * times[-1]), 0] = 1e200
+    np.save(trace / "samples.npy", samples)
+    assert _verify_trace(tmp_path, trace) == 1
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["checks"] == {"h0": True, "residual": False, "blowup": True}
+    assert summary["residual_stats"]["max_abs"] == math.inf
 
 
 # ---------------------------------------------------------------------------

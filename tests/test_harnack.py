@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eseharnack import harnack
 
 from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
                         LocalizerSpec, StepConfig, certify_verdict,
@@ -16,8 +15,8 @@ from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
-from eseharnack.harnack import (PairwiseSum, _solution_part, block_len, cutoff_parts,
-                                hr_window_min, window_indices)
+from eseharnack.harnack import (PairwiseSum, _solution_part, block_len, hr_window_min,
+                                window_indices)
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -180,11 +179,9 @@ def test_hr_with_cutoff_built_once_matches_per_sample_construction(dim, boundary
     g = Grid(((-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0))[:dim], (16, 12, 9)[:dim], boundary)
     rect = ((-1.0, 1.3), (0.1, 2.0), (0.25, 0.75))[:dim]
     loc = make_localizer(rect, dim, BLOWUP_K)
-    parts = cutoff_parts(g, loc)
     u = Field(g, np.random.default_rng(dim).standard_normal(g.extents))
     for t in (0.01, 0.3, 2.0):
         expected = _solution_part(u.values, g, k, p) + _per_sample_phi_r(g, t, loc)
-        assert np.array_equal(harnack_hr(u, t, k, p, loc, parts).values, expected)
         assert np.array_equal(harnack_hr(u, t, k, p, loc).values, expected)
         assert np.isinf(expected).any() and np.isfinite(expected).any()
 
@@ -307,11 +304,10 @@ def test_residual_streams_its_samples():
 
 def test_residual_peak_stays_flat_as_the_centres_grow():
     # the statistics are reduced as the residual goes, so at 30 centres as at
-    # 120 it holds one block of rows and a fixed number of field-sized arrays
+    # 120 it holds the arrays of one block of centres (one centre at 64^2)
     g = Grid.uniform(0.0, 2 * np.pi, 64, dim=2)
     x, y = g.mesh()
     field_bytes = 8 * g.size
-    block_rows = harnack._RESIDUAL_BLOCK_BYTES // field_bytes
     for n_centres in (30, 120):
         ts = np.linspace(0.01, 1.2, n_centres + 2)
         samples = np.stack([2.0 + np.sin(x) * np.cos(y) * np.exp(-t) for t in ts])
@@ -323,7 +319,7 @@ def test_residual_peak_stays_flat_as_the_centres_grow():
         finally:
             tracemalloc.stop()
         assert stats.n_times == n_centres
-        assert peak <= (block_rows + 28) * field_bytes
+        assert peak <= 20 * field_bytes, peak / field_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +537,10 @@ def test_hr_window_min_on_blocks_equals_the_per_sample_minimum(extents, n_sample
             _hr_min_per_sample(trace, BLOWUP_K, 2.0, loc, window)
 
 
-@pytest.mark.parametrize("rows_cut", [False, True])
 @pytest.mark.parametrize("extents, n_samples", BLOCK_TRACES)
-def test_residual_on_blocks_matches_cached_reference(extents, n_samples, rows_cut,
-                                                     monkeypatch):
-    # every block ends at a centre whose next sample starts the next block.
-    # With rows_cut the block of rows holds the whole blocks that fit in 21
-    # rows, so the rows are reduced and reused many times
+def test_residual_on_blocks_matches_cached_reference(extents, n_samples):
+    # every block ends at a centre whose next sample starts the next block
     trace = _rough_trace(extents, n_samples, seed=20 + len(extents))
-    if rows_cut:
-        spare = harnack._RESIDUAL_ARRAYS * (block_len(trace.grid) - 1)
-        monkeypatch.setattr(harnack, "_RESIDUAL_BLOCK_BYTES", 8 * trace.grid.size * (21 + spare))
     ts = trace.times
     for window in ((ts[0], ts[-1]), (ts[2], ts[-2])):
         stats = evolution_residual(trace, IMPROVED, 2.0, window)
