@@ -7,9 +7,11 @@ Harnack inequality implies that any positive solution reaching
 
 at t0 = 1 grows monotonically at that point afterwards and blows up in finite
 time.  The t0 = 1 normalization is realized here by parabolic rescaling of a
-computed trace, not by re-solving from shifted time.  The dichotomy n(p-1)
-vs 2 separates forced blowup (subcritical) from possible global existence
-(supercritical, observed numerically only).
+computed trace, not by re-solving from shifted time.  The `regime` label is
+Fujita's classification on R^n (n(p-1) vs 2) only: on the harness's periodic
+and reflecting boxes every positive solution blows up, in every regime, by
+T_hi = m0^{1-p}/(p-1), m0 the weighted mean of f0 (trapezoid weights on a
+reflecting grid).  So no run can observe global existence.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .integrate import RescaleSpec, SolveTrace, rescale_trace
 
 
 def classify_regime(n: int, p: float) -> str:
-    """'subcritical' (n(p-1) < 2, blowup forced), 'critical' (= 2), else 'supercritical'."""
+    """Fujita's regime on R^n: 'subcritical' (n(p-1) < 2), 'critical' (= 2), else
+    'supercritical' (small data exist globally on R^n, never on a box)."""
     if p <= 1:
         raise ValueError("need p > 1")
     x = n * (p - 1.0)

@@ -22,9 +22,7 @@ import json
 import math
 import multiprocessing.connection
 import os
-import shutil
 import sys
-import tempfile
 import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +36,7 @@ from . import blowup as bl
 from . import classical as cl
 from . import constants as co
 from . import harnack as ha
-from . import traceio
+from . import integrate, traceio
 from .errors import (BetaZero, ConfigError, EseError, InvalidC, NonPositiveField,
                      ThresholdNeverMet, WindowTooSmall)
 # log_field and rescale_trace are not called here, but bench/tracing.py
@@ -103,6 +101,7 @@ class RunConfig:
     checks: CheckSettings
     outdir: str = "out"
     trace_dir: str | None = None
+    rescaled: ProblemSpec | None = None   # the rescale check's problem, if enabled
 
 
 SECTIONS = ("problem", "step", "constants", "checks", "output", "verify")
@@ -301,17 +300,18 @@ def build_config(cp: _Parser) -> RunConfig:
                                  and all(-math.inf < lo < hi < math.inf for lo, hi in rect)):
         raise ConfigError(f"[checks] hr_rect = {cp.get('checks', 'hr_rect')!r}: need "
                           f"{grid.dim} finite intervals lo:hi with lo < hi, one per grid axis")
+    rescaled = None
     if "rescale" in enabled:
-        # build the rescaled problem once here, so that a lambda whose powers
-        # or horizon overflow is refused before anything is solved
+        # built here, so that a lambda whose powers or horizon overflow is
+        # refused before anything is solved
         try:
-            rescale_problem(problem, RescaleSpec(checks.rescale_lambda, problem.p))
+            rescaled = rescale_problem(problem, RescaleSpec(checks.rescale_lambda, problem.p))
         except (ValueError, NonPositiveField) as exc:
             raise ConfigError(f"[checks] rescale_lambda = {checks.rescale_lambda}: "
                               f"{exc}") from None
     rc = RunConfig(problem, step, k, source, checks,
                    cp.get("output", "dir", fallback=RunConfig.outdir),
-                   cp.get("verify", "trace_dir", fallback=None))
+                   cp.get("verify", "trace_dir", fallback=None), rescaled)
     _reject_unread(cp)
     return rc
 
@@ -334,7 +334,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_summary(path, summary: dict) -> None:
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    # JSON has no token for a non-finite float, so each is written as the
+    # string _fmt puts in the CSVs; allow_nan=False refuses any left over
+    strict = json.loads(json.dumps(summary), parse_constant=lambda c: _fmt(float(c)))
+    Path(path).write_text(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +434,8 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
             raise ConfigError(f"{key} = {c}: {exc}") from None
 
     out.mkdir(parents=True, exist_ok=True)
-    worker = nullcontext()
-    if "rescale" in rc.checks.enabled:
-        # started first, so that it runs alongside the main solve and checks
-        worker = _rescaled_solve(rc.problem, rc.step,
-                                 RescaleSpec(rc.checks.rescale_lambda, p))
+    # started first, so that it runs alongside the main solve and checks
+    worker = nullcontext() if rc.rescaled is None else _rescaled_solve(rc)
     with worker as rescaled_trace, _naming_the_window_keys(rc):
         return _solve_and_check(rc, out, seed, verdict, rescaled_trace)
 
@@ -553,57 +553,41 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
     return (0 if all(summary["checks"].values()) else 1), summary
 
 
-def _solve_and_save(prob: ProblemSpec, cfg: StepConfig, outdir: str) -> None:
-    """Solve `prob` under `cfg` and save the trace at `outdir` (the worker
-    process's job in `_rescaled_solve`)."""
-    traceio.save_trace(outdir, solve(prob, cfg))
-
-
-def _exit_with_parent(tmpdir: str | None = None) -> None:
+def _exit_with_parent() -> None:
     """Pool initializer: ends this worker process as soon as its parent
-    process is gone, removing `tmpdir` first if given.  A parent killed by
-    SIGKILL runs no cleanup, and its worker would otherwise run on,
-    re-parented, and leave the parent's temporary directory behind."""
+    process is gone.  A parent killed by SIGKILL runs no cleanup, and its
+    worker would otherwise run on, re-parented."""
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
         multiprocessing.connection.wait([sentinel])
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
 
 
 @contextmanager
-def _rescaled_solve(prob: ProblemSpec, cfg: StepConfig, spec: RescaleSpec):
-    """Solve `prob` rescaled by `spec` in one worker process while the caller
-    goes on; yields a function that waits for that solve and returns its
-    trace, read back from a temporary directory.
+def _rescaled_solve(rc: RunConfig):
+    """Solve `rc.rescaled` in one worker process while the caller goes on;
+    yields a function that waits for that solve and returns its trace.
 
     A config error of the rescaled solve is raised naming the rescale check.
-    On exit a worker still running is stopped, not waited for, and the
-    temporary directory is removed; if the caller dies first, the worker
-    removes it (`_exit_with_parent`).
+    On exit a worker still running is stopped, not waited for.
     """
-    # built here, not in the worker: the pool pickles its arguments on a
-    # thread, so they must be objects the caller does not touch meanwhile.
-    # The pool takes the default start method, as sweep's does: a forked
-    # worker imports nothing and finishes before the caller's checks do
-    # (spawn works too, but its imports put it on the critical path).
-    rescaled = rescale_problem(prob, spec)
-    with tempfile.TemporaryDirectory(prefix="eseharnack-rescale-") as tmp, \
-            ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent,
-                                initargs=(tmp,)) as pool:
-        future = pool.submit(_solve_and_save, rescaled, cfg, tmp)
+    # The default start method, as sweep's: a forked worker imports nothing
+    # and finishes before the caller's checks do (spawn works too, but its
+    # imports put it on the critical path).  integrate.solve, not this
+    # module's `solve`, which bench/tracing.py wraps in a function that
+    # does not pickle.
+    with ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent) as pool:
+        future = pool.submit(integrate.solve, rc.rescaled, rc.step)
 
         def trace() -> SolveTrace:
             try:
-                future.result()
+                return future.result()
             except ConfigError as exc:
-                raise ConfigError(f"[checks] rescale (rescale_lambda = {spec.lam}): "
-                                  f"{exc}") from None
-            return traceio.load_trace(tmp)
+                raise ConfigError(f"[checks] rescale (rescale_lambda = "
+                                  f"{rc.checks.rescale_lambda}): {exc}") from None
 
         try:
             yield trace

@@ -125,6 +125,10 @@ class SolveTrace:
         self.times.setflags(write=False)
         self.samples.setflags(write=False)
 
+    def __setstate__(self, state: dict) -> None:   # pickle's arrays come back writable
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
@@ -432,7 +436,11 @@ class _Workspace:
         to the scheduler, two processes forked like this sometimes shared
         one CPU of a 2-vCPU VM for a whole second, the other idle.  With
         more CPUs neither is pinned, lest concurrent solves all pile onto
-        the same two."""
+        the same two.  The partner is a process, not a thread: each ufunc
+        call of either half must take the interpreter lock back.  Solving the
+        128^2 benchmark config on a 2-vCPU VM, a thread partner took 4.3-6.3 s
+        (threading.Barrier) or 4.6-4.8 s (a spin yielding the lock), the forked
+        one 1.6-1.7 s, and the solve alone on one CPU 1.9-2.1 s."""
         import select   # here: a forked child takes no import lock
         n0 = self.op.shape[0]
         self._select, self._spin = select.select, per_step / 4

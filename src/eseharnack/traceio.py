@@ -97,7 +97,9 @@ def load_trace(outdir) -> SolveTrace:
         times = np.array(meta["sample_times"], dtype=np.float64)
         st = meta["status"]
         status = TraceStatus(st["kind"], st["t_detect"], st["reason"], st["criterion"])
-        p = float(meta["p"])
+        p = meta["p"]
+        if type(p) not in (int, float):   # neither a string nor a bool
+            raise ValueError(f"p must be a number, got {p!r}")
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, RecursionError) as exc:   # the last: nested too deep
@@ -120,4 +122,4 @@ def load_trace(outdir) -> SolveTrace:
                           f"found {times[0]} to {times[-1]}")
     samples = load_array(out / "samples.npy", (len(times), *grid.extents))
     steps = load_array(out / "steps.npy", (n_steps,))
-    return SolveTrace(grid, p, times, samples, status, steps)
+    return SolveTrace(grid, float(p), times, samples, status, steps)

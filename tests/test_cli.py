@@ -472,6 +472,9 @@ def _reverse_sample_times(path):
     ("metadata.json", _blowup_status(criterion=None), r"metadata\.json.*status\.criterion"),
     ("metadata.json", _set_meta("grid.extents", [16.5]), r"metadata\.json.*grid\.extents"),
     ("metadata.json", _set_meta("n_steps", lambda n: n + 0.5), r"metadata\.json.*n_steps"),
+    # a string p was taken through float() and verified with exit 0
+    ("metadata.json", _set_meta("p", "2.0"), r"metadata\.json: p must be a number, got '2\.0'"),
+    ("metadata.json", _set_meta("p", True), r"metadata\.json: p must be a number, got True"),
     ("metadata.json", _set_meta("sample_times", lambda ts: [-0.5] + ts[1:]),
      r"metadata\.json.*sample_times.*t >= 0"),
     ("metadata.json", _set_meta("sample_times", lambda ts: ts[:-1] + [float("inf")]),
@@ -616,6 +619,10 @@ def test_damaged_trace_fuzz_never_exits_four_and_leaves_no_process(tmp_path, con
     assert _descendants(os.getpid()) <= before
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_verify_fails_the_residual_check_where_its_terms_overflow(tmp_path, const_trace):
     # found by the fuzz: a sample of 1.9e154 inside the window overflowed the
     # residual's (p-1) f^(p-1) (H - a/t) term, a RuntimeWarning and exit 4
@@ -626,9 +633,19 @@ def test_verify_fails_the_residual_check_where_its_terms_overflow(tmp_path, cons
     samples[np.searchsorted(times, 0.5 * times[-1]), 0] = 1e200
     np.save(trace / "samples.npy", samples)
     assert _verify_trace(tmp_path, trace) == 1
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    # strict JSON: the bare NaN and Infinity tokens are refused
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                         parse_constant=_refuse_constant)
     assert summary["checks"] == {"h0": True, "residual": False, "blowup": True}
-    assert summary["residual_stats"]["max_abs"] == math.inf
+    assert summary["residual_stats"]["max_abs"] == "inf"
+
+
+def test_write_summary_writes_each_non_finite_float_as_its_csv_string(tmp_path):
+    path = tmp_path / "summary.json"
+    cli.write_summary(path, {"a": [math.nan, 1.5, (-math.inf,)], "b": {"c": math.inf},
+                             "d": None})
+    assert json.loads(path.read_text(), parse_constant=_refuse_constant) == {
+        "a": ["nan", 1.5, ["-inf"]], "b": {"c": "inf"}, "d": None}
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1073,7 @@ REPORTS = ("summary.json", "h0_curve.csv", "classical_pairs.csv")
 @pytest.fixture
 def private_tempdir(tmp_path, monkeypatch):
     """A directory that `tempfile` uses for this test only, so a test can see
-    what a run leaves behind there."""
+    that a run writes nothing there."""
     path = tmp_path / "tempdir"
     path.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(path))
@@ -1193,10 +1210,10 @@ _GAUSS_2D_256 = _GAUSS_2D_16.replace("extents = 16", "extents = 256").replace(
 def test_worker_exits_when_its_parent_is_killed(tmp_path, dim, command, workers):
     # at 2048 points each solve takes tens of seconds, so every worker is still
     # running when its parent is killed: the rescale worker of a verify, and
-    # in a sweep both point workers and each one's rescale worker.  Each
-    # rescale worker removes its dead parent's temporary directory.  The
-    # 2-D verify has no rescale check, and its one worker is the partner
-    # that steps half of the solve's rows.
+    # in a sweep both point workers and each one's rescale worker.  None of
+    # them writes anything under TMPDIR.  The 2-D verify has no rescale
+    # check, and its one worker is the partner that steps half of the
+    # solve's rows.
     cfg = write(tmp_path, "g.ini", _GAUSS_2D_256 if dim == 2 else GAUSS_CONFIG.read_text(
         ).replace("extents = 256", "extents = 2048"))
     src = str(Path(cli.__file__).parents[1])
@@ -1256,9 +1273,9 @@ def test_no_partner_starts_beside_another_solve(tmp_path, monkeypatch):
         assert main([*args, "--out", str(tmp_path / f"run{i}")]) == 0
         assert len(list(tmp_path.glob("forked-by-*"))) == (i == 2), args
 
-def _solve_and_save_after_two_minutes(prob, cfg, outdir):
+def _solve_after_two_minutes(prob, cfg):
     time.sleep(120)
-    cli.traceio.save_trace(outdir, solve(prob, cfg))
+    return solve(prob, cfg)
 
 
 def _abort_at_the_first_step(ini, monkeypatch):
@@ -1286,13 +1303,28 @@ def _raise_in_the_h0_check(ini, monkeypatch):
 ], ids=["aborted-solve", "check-config-error", "internal-error"])
 def test_early_exit_stops_the_rescaled_solve(tmp_path, monkeypatch, private_tempdir,
                                             change, code):
-    monkeypatch.setattr(cli, "_solve_and_save", _solve_and_save_after_two_minutes)
+    # the worker's solve; the main solve calls cli.solve
+    monkeypatch.setattr(cli.integrate, "solve", _solve_after_two_minutes)
     cfg = write(tmp_path, "g.ini", change(GAUSS_INI, monkeypatch))
     start = time.monotonic()
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == code
     assert time.monotonic() - start < 60
     assert multiprocessing.active_children() == []
     assert list(private_tempdir.iterdir()) == []
+
+
+def test_verify_builds_the_rescaled_problem_once(tmp_path, monkeypatch):
+    # build_config builds it to validate rescale_lambda, and the worker solves it
+    built = []
+
+    def counted(prob, spec):
+        built.append(spec)
+        return rescale_problem(prob, spec)
+
+    monkeypatch.setattr(cli, "rescale_problem", counted)
+    cfg = write(tmp_path, "g.ini", GAUSS_INI)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert len(built) == 1
 
 
 def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys,

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import os
+import pickle
 import signal
 import tracemalloc
 from pathlib import Path
@@ -112,6 +113,13 @@ def test_short_gaussian_reaches_t_end(gauss128):
     assert not (gauss128.samples.flags.writeable or gauss128.times.flags.writeable)
     ts = gauss128.times
     assert np.all(np.diff(ts) > 0)
+
+
+def test_a_trace_unpickled_from_a_worker_stays_read_only(gauss128):
+    # the rescale check's worker hands its trace back pickled
+    back = pickle.loads(pickle.dumps(gauss128))
+    assert not (back.samples.flags.writeable or back.times.flags.writeable)
+    assert np.array_equal(back.samples, gauss128.samples) and back.status == gauss128.status
 
 
 def test_constant_run_tracks_ode_to_1e6(const_run):
