@@ -80,17 +80,19 @@ def tail_fit(trace: SolveTrace, p: float) -> tuple[float, float]:
 
     For spatially constant data g is exactly linear with slope -(p-1), so the
     extrapolated root is the exact blowup time; the residual quantifies how
-    far a spatially varying run is from that regime.
+    far a spatially varying run is from that regime.  InsufficientSamples if
+    the fit has no use: under 3 samples, a rank-deficient fit or no root ahead.
     """
     ts, ms = trace.max_curve()
     if len(ts) < 3:
         raise InsufficientSamples(f"need >= 3 samples, trace has {len(ts)}")
-    k = min(_K_TAIL, len(ts))
-    if k < 3:
-        raise InsufficientSamples("tail shorter than 3 samples")
-    t_tail = ts[-k:]
-    g = ms[-k:] ** (1.0 - p)
-    slope, intercept = np.polyfit(t_tail, g, 1)
+    t_tail = ts[-_K_TAIL:]
+    g = ms[-_K_TAIL:] ** (1.0 - p)
+    # full=True returns the rank in place of warning (a tail spanning a few
+    # float spacings of t is rank-deficient)
+    (slope, intercept), _, rank, _, _ = np.polyfit(t_tail, g, 1, full=True)
+    if rank < 2:
+        raise InsufficientSamples("tail fit is rank-deficient")
     if slope >= 0:
         raise InsufficientSamples("tail fit slope is nonnegative; no root ahead")
     root = -intercept / slope
@@ -176,7 +178,8 @@ class BlowupReport:
 
 
 def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None) -> BlowupReport:
-    """Assemble regime, threshold scan and (if detected) the extrapolated time."""
+    """Regime, threshold scan and, if detected, the extrapolated time (None
+    where the tail fit has no use)."""
     regime = classify_regime(n, p)
     threshold = None
     met_at = None
@@ -190,7 +193,10 @@ def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None) -
     t_est = None
     quality = None
     if detected:
-        t_est, quality = tail_fit(trace, p)
+        try:
+            t_est, quality = tail_fit(trace, p)
+        except InsufficientSamples:
+            pass
     method = (f"tail fit of (max f)^(1-p) over last {_K_TAIL} samples; "
               f"detection criterion {trace.status.criterion or 'n/a'}")
     return BlowupReport(regime, threshold, met_at, detected, t_est, quality, method)

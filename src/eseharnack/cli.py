@@ -37,8 +37,8 @@ from . import classical as cl
 from . import constants as co
 from . import harnack as ha
 from . import integrate, traceio
-from .errors import (BetaZero, ConfigError, EseError, InvalidC, NonPositiveField,
-                     ThresholdNeverMet, WindowTooSmall)
+from .errors import (BetaZero, CapBelowInitial, ConfigError, EseError, InvalidC,
+                     NonPositiveField, ThresholdNeverMet, WindowTooSmall)
 # log_field and rescale_trace are not called here, but bench/tracing.py
 # times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
 from .field import Field, Grid, log_field  # noqa: F401
@@ -62,7 +62,6 @@ class CheckSettings:
     t_max_frac: float = 0.9
     h0_tol: float = 1e-2
     hr_rect: tuple[tuple[float, float], ...] | None = None
-    hr_b_margin: float = 1.05
     residual_tol: float = 5e-2
     classical_pairs: int = 100
     classical_tol: float = 1e-3
@@ -86,8 +85,6 @@ class CheckSettings:
         if not 0 < self.rescale_lambda < math.inf:
             raise ValueError(f"rescale_lambda must be finite and > 0, "
                              f"got {self.rescale_lambda}")
-        if not 1 < self.hr_b_margin < math.inf:
-            raise ValueError(f"hr_b_margin must be finite and > 1, got {self.hr_b_margin}")
         if self.blowup_c is not None and not math.isfinite(self.blowup_c):
             raise ValueError(f"blowup_c must be finite, got {self.blowup_c}")
 
@@ -101,7 +98,10 @@ class RunConfig:
     checks: CheckSettings
     outdir: str = "out"
     trace_dir: str | None = None
-    rescaled: ProblemSpec | None = None   # the rescale check's problem, if enabled
+    # for the enabled checks: rescale's problem, hr's cutoff, blowup's threshold c
+    rescaled: ProblemSpec | None = None
+    localizer: ha.LocalizerSpec | None = None
+    blowup_c: float | None = None
 
 
 SECTIONS = ("problem", "step", "constants", "checks", "output", "verify")
@@ -263,6 +263,7 @@ def build_config(cp: _Parser) -> RunConfig:
             raise ConfigError(f"[problem] t_end = {problem.t_end} is out of reach with "
                               f"reaction = off: its step dt = {dt} is below half the "
                               f"float spacing at t_end")
+    integrate.check_cap(problem, step)
 
     if cp.has_option("constants", "preset"):
         name = cp.get("constants", "preset").strip()
@@ -290,7 +291,7 @@ def build_config(cp: _Parser) -> RunConfig:
     try:
         checks = CheckSettings(enabled, **_optional(
             cp, "checks", t_min_frac=float, t_max_frac=float, h0_tol=float,
-            hr_rect=_parse_intervals, hr_b_margin=float, residual_tol=float,
+            hr_rect=_parse_intervals, residual_tol=float,
             classical_pairs=int, classical_tol=float, rescale_lambda=float,
             rescale_tol=float, blowup_c=float))
     except ValueError as exc:
@@ -300,18 +301,44 @@ def build_config(cp: _Parser) -> RunConfig:
                                  and all(-math.inf < lo < hi < math.inf for lo, hi in rect)):
         raise ConfigError(f"[checks] hr_rect = {cp.get('checks', 'hr_rect')!r}: need "
                           f"{grid.dim} finite intervals lo:hi with lo < hi, one per grid axis")
+    # built here, so that a value no check can run with is refused before any solve
     rescaled = None
     if "rescale" in enabled:
-        # built here, so that a lambda whose powers or horizon overflow is
-        # refused before anything is solved
+        lam = checks.rescale_lambda
         try:
-            rescaled = rescale_problem(problem, RescaleSpec(checks.rescale_lambda, problem.p))
+            rescaled = rescale_problem(problem, RescaleSpec(lam, problem.p))
+            integrate.check_cap(rescaled, step)
+        except CapBelowInitial as exc:
+            raise ConfigError(f"[checks] rescale (rescale_lambda = {lam}): {exc}") from None
         except (ValueError, NonPositiveField) as exc:
-            raise ConfigError(f"[checks] rescale_lambda = {checks.rescale_lambda}: "
+            raise ConfigError(f"[checks] rescale_lambda = {lam}: {exc}") from None
+    blowup_c = None
+    if "blowup" in enabled:
+        # [checks] blowup_c, else the constants' c where it lies in n(p-1) <= c < 2
+        blowup_c = checks.blowup_c
+        if blowup_c is None and dim * (problem.p - 1.0) <= k.c < 2.0:
+            blowup_c = k.c
+        if blowup_c is not None:
+            try:
+                bl.blowup_threshold(dim, problem.p, blowup_c)
+            except InvalidC as exc:
+                key = "[constants] c" if checks.blowup_c is None else "[checks] blowup_c"
+                raise ConfigError(f"{key} = {blowup_c}: {exc}") from None
+    loc = None
+    if "hr" in enabled:
+        if rect is None:   # the central half of the box
+            rect = tuple((lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)) for lo, hi in grid.box)
+        try:
+            loc = ha.make_localizer(rect, dim, k)
+        except (BetaZero, ValueError) as exc:
+            raise ConfigError(f"[checks] hr with (alpha, beta) = ({k.alpha}, {k.beta}): "
                               f"{exc}") from None
+        if not all(((lo < x) & (x < hi)).any() for x, (lo, hi) in zip(grid.axes(), loc.rect)):
+            raise ConfigError(f"[checks] hr_rect: no grid point lies strictly inside the "
+                              f"rectangle {[list(iv) for iv in loc.rect]}")
     rc = RunConfig(problem, step, k, source, checks,
                    cp.get("output", "dir", fallback=RunConfig.outdir),
-                   cp.get("verify", "trace_dir", fallback=None), rescaled)
+                   cp.get("verify", "trace_dir", fallback=None), rescaled, loc, blowup_c)
     _reject_unread(cp)
     return rc
 
@@ -389,20 +416,9 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
 
 
 def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
-    best = ha.hr_window_min(trace, k, p, loc, window)
-    if best == math.inf:
-        raise ConfigError(f"[checks] hr_rect: no grid point lies strictly inside the "
-                          f"rectangle {[list(iv) for iv in loc.rect]}")
-    return best
-
-
-def _blowup_c(rc: RunConfig) -> float | None:
-    """The c of the blowup check's threshold: `[checks] blowup_c`, else the
-    constants' c when it lies in n(p-1) <= c < 2, else None."""
-    c = rc.checks.blowup_c
-    if c is None and rc.problem.n * (rc.problem.p - 1.0) <= rc.constants.c < 2.0:
-        c = rc.constants.c
-    return c
+    """`hr_window_min`, an H_R past the float range taken as inf unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ha.hr_window_min(trace, k, p, loc, window)
 
 
 def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
@@ -423,15 +439,6 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
             raise ConfigError(
                 "constants fail the classical-Harnack hypotheses: " +
                 ", ".join(v.name for v in hyp.violated))
-    if "hr" in rc.checks.enabled and k.beta == 0:
-        raise ConfigError("[checks] hr needs beta > 0 (localizer bound diverges)")
-    c = _blowup_c(rc)
-    if "blowup" in rc.checks.enabled and c is not None:
-        try:
-            bl.blowup_threshold(n, p, c)
-        except InvalidC as exc:
-            key = "[constants] c" if rc.checks.blowup_c is None else "[checks] blowup_c"
-            raise ConfigError(f"{key} = {c}: {exc}") from None
 
     out.mkdir(parents=True, exist_ok=True)
     # started first, so that it runs alongside the main solve and checks
@@ -471,7 +478,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
 
     cs = rc.checks
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
-    blowup = bl.blowup_report(trace, n, p, _blowup_c(rc) if check_blowup else None)
+    blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None)
     summary: dict = {
         **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,
@@ -501,19 +508,12 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
         write_csv(out / "h0_curve.csv", ["t", "min_h0"], report.curve)
 
     if "hr" in cs.enabled:
-        rect = cs.hr_rect
-        if rect is None:
-            # central half of the box
-            rect = tuple((lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
-                         for lo, hi in rc.problem.grid.box)
-        try:
-            loc = ha.make_localizer(rect, n, k, b_margin=cs.hr_b_margin)
-        except (BetaZero, ValueError) as exc:
-            raise ConfigError(f"[checks] hr: {exc}") from None
+        loc = rc.localizer
         min_hr = _min_hr_over_window(trace, k, p, loc, window)
         summary["hr"] = {"min": min_hr, "rect": [list(iv) for iv in loc.rect],
                          "a": loc.a, "b": loc.b}
-        summary["checks"]["hr"] = min_hr >= -cs.h0_tol
+        # inf, where no H_R inside is finite, fails as an overflowing residual does
+        summary["checks"]["hr"] = -cs.h0_tol <= min_hr < math.inf
 
     if "residual" in cs.enabled:
         # a term past the float range makes the statistics inf or nan: a failed check
@@ -570,8 +570,6 @@ def _exit_with_parent() -> None:
 def _rescaled_solve(rc: RunConfig):
     """Solve `rc.rescaled` in one worker process while the caller goes on;
     yields a function that waits for that solve and returns its trace.
-
-    A config error of the rescaled solve is raised naming the rescale check.
     On exit a worker still running is stopped, not waited for.
     """
     # The default start method, as sweep's: a forked worker imports nothing
@@ -581,16 +579,8 @@ def _rescaled_solve(rc: RunConfig):
     # does not pickle.
     with ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent) as pool:
         future = pool.submit(integrate.solve, rc.rescaled, rc.step)
-
-        def trace() -> SolveTrace:
-            try:
-                return future.result()
-            except ConfigError as exc:
-                raise ConfigError(f"[checks] rescale (rescale_lambda = "
-                                  f"{rc.checks.rescale_lambda}): {exc}") from None
-
         try:
-            yield trace
+            yield future.result
         finally:
             if not future.done():
                 # concurrent.futures has no public way to stop a running

@@ -38,7 +38,7 @@ class PastBlowup(EseError):
 
 
 class InsufficientSamples(EseError):
-    """Tail fit requested with fewer than three usable samples."""
+    """Tail fit with no use: under three samples, rank-deficient or no root ahead."""
 
 
 class ThresholdNeverMet(EseError):

@@ -141,19 +141,14 @@ def localizer_min_b(n: int, k: HarnackConstants) -> float:
     return lead * (6.0 + n * k.alpha ** 2 / (d * k.beta))
 
 
-def make_localizer(rect, n: int, k: HarnackConstants, a: float | None = None,
-                   b: float | None = None, b_margin: float = 1.05) -> LocalizerSpec:
-    """LocalizerSpec with a and b validated (or chosen) against the constants."""
-    b_min = localizer_min_b(n, k)
+_B_MARGIN = 1.05   # the localizer's b over its lower bound `localizer_min_b`
+
+
+def make_localizer(rect, n: int, k: HarnackConstants) -> LocalizerSpec:
+    """LocalizerSpec on `rect`: b `_B_MARGIN` times its lower bound, a at least `a_lower`."""
+    b = _B_MARGIN * localizer_min_b(n, k)
     a_min = a_lower(n, k.alpha, k.beta)
-    if b is None:
-        b = b_margin * b_min
-    elif b <= b_min:
-        raise ValueError(f"need b > {b_min}, got {b}")
-    if a is None:
-        a = k.a if k.a >= a_min else a_min
-    elif a < a_min:
-        raise ValueError(f"need a >= {a_min}, got {a}")
+    a = k.a if k.a >= a_min else a_min
     return LocalizerSpec(tuple((float(lo), float(hi)) for lo, hi in rect), a, b)
 
 
@@ -397,13 +392,14 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
         del back, fwd
         x = np.exp(u * (p - 1.0))
         # grad H = grad s, as a/t is spatially constant
-        adv = sum(gh * gu for gh, gu in zip(gradient_nd(s, g), gradient_nd(u, g)))
+        grad_u = gradient_nd(u, g)
+        adv = sum(gh * gu for gh, gu in zip(gradient_nd(s, g), grad_u))
         rhs = (laplacian_nd(s, g)
                + 2.0 * adv
                + (p - 1.0) * x * (s + phi)
                + 2.0 * (k.alpha - k.beta) * hessian_sq_nd(u, g)
                + (k.alpha * (p - 1.0) + k.beta - k.c * p) * (p - 1.0) * x
-               * grad_sq_nd(u, g)
+               * sum(gu * gu for gu in grad_u)
                - (p - 1.0) * x * phi
                - a_t2[r])
         res = np.abs(np.subtract(h_t, rhs, out=rhs), out=rhs)

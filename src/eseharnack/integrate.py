@@ -621,6 +621,16 @@ def _capacity(t_end: float, dt: float, stride: int, row_bytes: int) -> int:
     return math.ceil(min(rows, max(2, _RESERVE_BYTES // row_bytes)))
 
 
+def check_cap(prob: ProblemSpec, cfg: StepConfig) -> float:
+    """The initial maximum of `prob`; CapBelowInitial unless `cfg.f_cap`
+    exceeds it, since the run would then be declared a blowup at t = 0."""
+    fmax = float(prob.initial.max())
+    if cfg.f_cap <= fmax:
+        raise CapBelowInitial(f"[step] f_cap = {cfg.f_cap} must exceed the initial "
+                              f"maximum {fmax}")
+    return fmax
+
+
 def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     """Integrate until t_end, blowup declaration, or abort.
 
@@ -637,11 +647,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     to the sample count at the end and handed to the trace as it is.
     """
     cfg = cfg or StepConfig()
-    fmax = float(prob.initial.max())
-    if cfg.f_cap <= fmax:
-        raise CapBelowInitial(f"[step] f_cap = {cfg.f_cap} must exceed the initial "
-                              f"maximum {fmax}")
-
+    fmax = check_cap(prob, cfg)
     grid = prob.grid
     ws = _Workspace(grid, prob.p, prob.reaction, shared=_may_split(grid))
     cur = 0

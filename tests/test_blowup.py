@@ -98,6 +98,23 @@ def test_tail_fit_insufficient_samples():
         tail_fit(tr, 2.0)
 
 
+@pytest.mark.parametrize("times, levels, why", [
+    ([0.0, 0.1], [1.0, 2.0], "need >= 3 samples"),
+    ([0.0, 0.1, 0.2], [1.0, 1.0, 1.0], "slope is nonnegative"),
+    # a tail a few float spacings of t long
+    ([0.5, 0.5 + 2 ** -53, 0.5 + 2 ** -52], [1e3, 1e4, 1e5], "rank-deficient"),
+], ids=["two-samples", "flat", "rank-deficient"])
+def test_blowup_report_without_a_usable_fit_has_no_estimate(times, levels, why):
+    g = Grid.line(0.0, 1.0, 16)
+    samples = np.stack([Field.constant(g, v).values for v in levels])
+    tr = SolveTrace(g, 2.0, np.array(times), samples,
+                    TraceStatus.blowup(times[-1], "dt_floor"), np.diff(times))
+    with pytest.raises(InsufficientSamples, match=why):
+        tail_fit(tr, 2.0)
+    rep = blowup_report(tr, 1, 2.0)
+    assert rep.detected and rep.t_estimate is None and rep.fit_residual is None
+
+
 # ---------------------------------------------------------------------------
 # center monotonicity and the t0 = 1 normalization
 

@@ -295,7 +295,7 @@ _STEP_AND_CHECK_KEYS = (
     ("step", "cfl_safety"), ("step", "reaction_safety"), ("step", "dt_min"),
     ("step", "f_cap"), ("step", "sample_stride"),
     ("checks", "t_min_frac"), ("checks", "t_max_frac"), ("checks", "h0_tol"),
-    ("checks", "hr_b_margin"), ("checks", "residual_tol"), ("checks", "classical_pairs"),
+    ("checks", "residual_tol"), ("checks", "classical_pairs"),
     ("checks", "classical_tol"), ("checks", "rescale_lambda"), ("checks", "rescale_tol"),
     ("checks", "blowup_c"))
 _INTEGER_KEYS = ("sample_stride", "classical_pairs")
@@ -734,7 +734,7 @@ def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, mes
 
 @pytest.mark.parametrize("key, value", [
     ("classical_pairs", "0"), ("rescale_lambda", "0"), ("rescale_lambda", "-2"),
-    ("h0_tol", "nan"), ("residual_tol", "-1"), ("hr_b_margin", "0.5"),
+    ("h0_tol", "nan"), ("residual_tol", "-1"),
     ("t_min_frac", "0"), ("t_max_frac", "1.5"), ("blowup_c", "inf"),
     # a pair passes when its slack is >= 1 - classical_tol, and log1p(-tol)
     # used to fail with "math domain error" (exit 4) at classical_tol >= 1
@@ -799,6 +799,8 @@ def test_config_defaults_are_the_dataclass_defaults(tmp_path):
 @pytest.mark.parametrize("section, key", [
     ("problem", "levl"), ("step", "sample_strid"), ("constants", "alpah"),
     ("checks", "enabeld"), ("output", "dri"), ("verify", "trace_dri"),
+    # a key no longer read: the localizer's b margin is a constant
+    ("checks", "hr_b_margin"),
 ])
 def test_config_typo_key_exits_two(tmp_path, capsys, section, key):
     head = f"[{section}]\n{key} = 1\n"
@@ -860,6 +862,27 @@ def test_cmd_solve_overflow_aborts_before_the_nonfinite_state(tmp_path):
     assert np.isfinite(back.samples).all() and back.samples.max() > 1e300
     assert back.t_final == back.status.t_detect
     assert len(back.step_log) == len(back.samples) - 1
+
+
+def test_blowup_without_a_usable_tail_fit_has_no_estimate(tmp_path, capsys):
+    # p = 3 from f0 = 1 blows up at T* = 0.5, where t stops advancing: the
+    # last samples span a few float spacings of t, and numpy finds the tail
+    # fit rank-deficient.  solve used to exit 2 calling that a config error.
+    ini = CONST_CONFIG.read_text()
+    for old, new in (("p = 2.0", "p = 3.0"),
+                     ("reaction_safety = 0.02", "reaction_safety = 0.02\nf_cap = 1e300\n"
+                                                "dt_min = 1e-300"),
+                     ("preset = hamilton_1d", "alpha = 1.0\nbeta = 0.0\nc = 0.5\na = 0.5")):
+        ini = ini.replace(old, new)
+    cfg = write(tmp_path, "c.ini", ini)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    assert summary["status"] == "blowup" and summary["detection_criterion"] == "dt_floor"
+    assert summary["t_estimate"] is None and summary["fit_residual"] is None
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 1
+    summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+    assert summary["checks"]["blowup"] is False and summary["blowup"]["t_estimate"] is None
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cmd_solve_short_gaussian_exits_zero(tmp_path):
@@ -1284,11 +1307,12 @@ def _abort_at_the_first_step(ini, monkeypatch):
                        ).replace("t_end = 0.5", "t_end = 0.5\nreaction = off")
 
 
-def _fail_the_hr_check(ini, monkeypatch):
-    # a rectangle with no grid point inside is a config error after the solve
-    return ini.replace("preset = hamilton_1d", "preset = blowup(1,2,1)").replace(
-        "classical_pairs = 25", "classical_pairs = 25\nhr_rect = 0.001:0.002").replace(
-        "enabled = h0, residual, blowup, classical, rescale", "enabled = hr, rescale")
+def _too_few_residual_samples(ini, monkeypatch):
+    # a window too narrow for the residual's 3 samples is a config error that
+    # needs the solved trace, so it comes after the main solve
+    return ini.replace(
+        "enabled = h0, residual, blowup, classical, rescale",
+        "enabled = residual, rescale\nt_min_frac = 0.5\nt_max_frac = 0.501")
 
 
 def _raise_in_the_h0_check(ini, monkeypatch):
@@ -1299,7 +1323,8 @@ def _raise_in_the_h0_check(ini, monkeypatch):
 
 
 @pytest.mark.parametrize("change, code", [
-    (_abort_at_the_first_step, 3), (_fail_the_hr_check, 2), (_raise_in_the_h0_check, 4),
+    (_abort_at_the_first_step, 3), (_too_few_residual_samples, 2),
+    (_raise_in_the_h0_check, 4),
 ], ids=["aborted-solve", "check-config-error", "internal-error"])
 def test_early_exit_stops_the_rescaled_solve(tmp_path, monkeypatch, private_tempdir,
                                             change, code):
@@ -1327,10 +1352,17 @@ def test_verify_builds_the_rescaled_problem_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys,
+def _refuse_to_start(*args, **kwargs):
+    pytest.fail("a solve ran or a process started")
+
+
+def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys, monkeypatch,
                                                              private_tempdir):
-    # lambda = 0.25 scales the level-1 data to 16, above f_cap; the main solve
-    # runs, and the rescaled one fails in the worker
+    # lambda = 0.25 scales the level-1 data to 16, above f_cap: refused with
+    # the config, before either solve and before the worker starts
+    for name in ("solve", "ProcessPoolExecutor"):
+        monkeypatch.setattr(cli, name, _refuse_to_start)
+    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
     ini = CONST_INI.replace("[step]\n", "[step]\nf_cap = 10\n") + \
         "\n[checks]\nenabled = rescale\nrescale_lambda = 0.25\n"
     cfg = write(tmp_path, "c.ini", ini)
@@ -1339,7 +1371,60 @@ def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys,
     assert ("config error: [checks] rescale (rescale_lambda = 0.25): [step] f_cap = 10.0 "
             "must exceed the initial maximum 16.0") in err
     assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
     assert list(private_tempdir.iterdir()) == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    (("preset = hamilton_1d", "preset = blowup(1,2,1)\n\n[checks]\nenabled = hr\n"
+      "hr_rect = 0.001:0.002"),
+     "[checks] hr_rect: no grid point lies strictly inside"),
+    (("[constants]", "[checks]\nenabled = hr\n\n[constants]"),
+     "[checks] hr with (alpha, beta) = (1.0, 0.0)"),
+    (("preset = hamilton_1d", "alpha = 1.0\nbeta = 1.0\nc = 0.5\na = 1.0\n\n"
+      "[checks]\nenabled = hr"), "[checks] hr with (alpha, beta) = (1.0, 1.0): need alpha > beta"),
+    (("[constants]", "[checks]\nenabled = blowup\nblowup_c = 0.5\n\n[constants]"),
+     "[checks] blowup_c = 0.5: need n(p-1) <= c < 2"),
+    (("[step]\n", "[step]\nf_cap = 0.5\n"),
+     "[step] f_cap = 0.5 must exceed the initial maximum 1.0"),
+    (("[step]\n", "[step]\nf_cap = 10\n\n[checks]\nenabled = h0, rescale\n"
+      "rescale_lambda = 0.25\n"), "[checks] rescale (rescale_lambda = 0.25)"),
+], ids=["empty-hr-rect", "hr-beta-zero", "hr-alpha-not-above-beta", "blowup-c",
+        "f-cap-main", "f-cap-rescaled"])
+def test_config_only_errors_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                     change, key):
+    # each needs only the config, so each is refused before anything is
+    # solved or started; sweep refuses such a template before forking
+    for name in ("solve", "ProcessPoolExecutor"):
+        monkeypatch.setattr(cli, name, _refuse_to_start)
+    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
+    cfg = write(tmp_path, "c.ini", CONST_INI.replace(*change))
+    for args in (["verify", "--allow-inadmissible"],
+                 ["sweep", "--jobs", "2", "--axis", "step.sample_stride=1,2"]):
+        out = tmp_path / args[0]
+        assert main([*args, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err and "Traceback" not in err
+        assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_hr_check_fails_where_every_h_r_overflows(tmp_path, const_trace):
+    # c f^(p-1) = 10 * 1e308 overflows on every sample, so no H_R inside the
+    # rectangle is finite: a failed check, neither a pass nor a config error
+    trace = tmp_path / "trace"
+    shutil.copytree(const_trace, trace)
+    np.save(trace / "samples.npy", np.full_like(np.load(trace / "samples.npy"), 1e308))
+    ini = CONST_CONFIG.read_text().replace(
+        "preset = hamilton_1d", "alpha = 2.0\nbeta = 1.0\nc = 10.0\na = 2.0").replace(
+        "enabled = h0, residual, blowup", "enabled = hr")
+    cfg = write(tmp_path, "c.ini", f"{ini}\n[verify]\ntrace_dir = {trace}\n")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--allow-inadmissible"]) == 1
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    assert summary["checks"] == {"hr": False}
+    assert summary["hr"]["min"] == "inf"
 
 
 @pytest.mark.parametrize("lam", ["1e200", "1e-200", "1e154"])
@@ -1559,7 +1644,7 @@ _SWEEP_SCHEMA = {
     "constants": {"preset": "blowup(1,2,1)", "alpha": "1.0", "beta": "0.25", "c": "0.5",
                   "a": "0.7"},
     "checks": {"enabled": "h0, residual, rescale", "t_min_frac": "0.1", "t_max_frac": "0.8",
-               "h0_tol": "0.01", "hr_rect": "-1:1", "hr_b_margin": "1.1",
+               "h0_tol": "0.01", "hr_rect": "-1:1",
                "residual_tol": "0.05", "classical_pairs": "5", "classical_tol": "0.001",
                "rescale_lambda": "2.0", "rescale_tol": "0.001", "blowup_c": "1.0"},
     "output": {"dir": "out"},

@@ -95,14 +95,13 @@ def test_localizer_min_b_value():
         localizer_min_b(1, HAMILTON)
 
 
-def test_make_localizer_validates_a_and_b():
-    with pytest.raises(ValueError):
-        make_localizer(((0.0, 1.0),), 1, BLOWUP_K, b=19.0)
-    with pytest.raises(ValueError):
-        make_localizer(((0.0, 1.0),), 1, BLOWUP_K, a=0.5)
+def test_make_localizer_chooses_a_and_b():
     loc = make_localizer(((0.0, 1.0),), 1, BLOWUP_K)
-    assert loc.b > 20.0
+    assert loc.b == 1.05 * localizer_min_b(1, BLOWUP_K) > 20.0
     assert loc.a == BLOWUP_K.a
+    # an a below its lower bound n alpha^2 / (2 (alpha - beta)) = 2 is raised to it
+    low_a = HarnackConstants(BLOWUP_K.alpha, BLOWUP_K.beta, BLOWUP_K.c, 0.5)
+    assert make_localizer(((0.0, 1.0),), 1, low_a).a == 2.0
 
 
 def test_localizer_spec_validation():
