@@ -21,7 +21,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
-from time import perf_counter
+from time import perf_counter, sleep
 
 import numpy as np
 
@@ -190,9 +190,9 @@ def _aligned(shape: tuple[int, ...], first: int = 0) -> np.ndarray:
 
 # The control block of a split step, in float64 slots: per side (0 the
 # solver, 1 its partner) two cache lines holding its arrivals at the stage
-# barrier, the min and max of its rows, and whether it sleeps; then what
-# the solver sets per step.
-_SIDE, _ARRIVED, _MIN, _MAX, _ASLEEP = 16, 0, 1, 2, 3
+# barrier and the min and max of its rows; then what the solver sets per
+# step.
+_SIDE, _ARRIVED, _MIN, _MAX = 16, 0, 1, 2
 _GO, _CUR, _DT, _CTL = 32, 33, 34, 64
 
 
@@ -267,7 +267,8 @@ class _Workspace:
     shared memory, and the workspace may step in two processes (`_policy`):
     after timing `_TIMED` steps alone it forks a partner, binds its own
     calls to the first half of the rows of the first axis and the
-    partner's to the rest, and the two cross a barrier after each stage.
+    partner's to the rest, and the two cross a barrier after each stage,
+    where each side waits for the other by polling shared memory alone.
     A half reads the neighbouring rows of the other half's states and
     stages, hence two stage buffers: a stage's buffer is written only after
     the barrier behind every read of it.  Every other buffer is each
@@ -384,7 +385,6 @@ class _Workspace:
         if split:
             self._mv[_CUR] = i
             self._mv[_GO] += 1.0
-            self._wake()
         for j, (calls, values, whole, label) in enumerate(self._plans[i]):
             for call, args in calls:
                 call(*args)
@@ -405,10 +405,12 @@ class _Workspace:
     def _policy(self):
         """Sent each step's seconds: forks the partner after timing `_TIMED`
         steps alone, and ends the split for good once the split steps since
-        the warm-up have taken longer than as many steps alone, checked
-        every `_WINDOW` steps.  A competing busy process slows them from
-        then on; a burst of steps that the host's preemption of a vCPU
-        stretches is paid back by the steps around it."""
+        the warm-up have taken longer than as many steps alone plus a whole
+        window of them, checked every `_WINDOW` steps.  A competing busy
+        process slows them from then on; a burst of steps that the host's
+        preemption of a vCPU stretches is paid back by the steps around it,
+        and the extra window lets one such stall pass even in the first
+        window, whose gain alone is too small to pay for it."""
         for _ in range(_WARM):
             yield
         timed = []
@@ -424,15 +426,17 @@ class _Workspace:
             for _ in range(_WINDOW):
                 split += yield
             steps += _WINDOW
-            if split > steps * alone:
+            if split > (steps + _WINDOW) * alone:
                 self._alone()
 
     def _fork(self, per_step: float) -> bool:
         """Forks the partner onto the second half of the rows; False if no
-        process could be started.  The barrier spins for a quarter of a
-        one-process step, then sleeps on a pipe; the solver waits no longer
-        than a window of one-process steps.  While the split lasts on a
-        process allowed exactly two CPUs, each side is pinned to one: left
+        process could be started.  At the barrier each side spins for a
+        quarter of a one-process step, then polls with naps of that length,
+        and gives up once the other has kept it waiting a window of
+        one-process steps; the partner also gives up once the solver is
+        gone.  Only the shared memory links the two.  While the split lasts
+        on a process allowed exactly two CPUs, each side is pinned to one: left
         to the scheduler, two processes forked like this sometimes shared
         one CPU of a 2-vCPU VM for a whole second, the other idle.  With
         more CPUs neither is pinned, lest concurrent solves all pile onto
@@ -441,54 +445,43 @@ class _Workspace:
         128^2 benchmark config on a 2-vCPU VM, a thread partner took 4.3-6.3 s
         (threading.Barrier) or 4.6-4.8 s (a spin yielding the lock), the forked
         one 1.6-1.7 s, and the solve alone on one CPU 1.9-2.1 s."""
-        import select   # here: a forked child takes no import lock
         n0 = self.op.shape[0]
-        self._select, self._spin = select.select, per_step / 4
+        self._spin, self._patience = per_step / 4, _WINDOW * per_step
         cpus = os.sched_getaffinity(0)
         self._cpus = cpus if len(cpus) == 2 else None
-        fds = []
+        solver = os.getpid()
         try:
-            fds += os.pipe() + os.pipe()
-            os.set_blocking(fds[0], False)
-            os.set_blocking(fds[2], False)
             pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
             return False
-        to_solver, to_partner = fds[:2], fds[2:]
         if pid == 0:
             try:
-                os.close(to_solver[0])
-                os.close(to_partner[1])
                 if self._cpus:
                     os.sched_setaffinity(0, {max(cpus)})
-                self._join(1, to_partner[0], to_solver[1], None)
+                self._join(1, solver)
                 self.bind_rows(n0 // 2, n0)
                 self._serve()
             finally:
                 os._exit(0)
-        os.close(to_solver[1])
-        os.close(to_partner[0])
         self._pid = pid
         if self._cpus:
             os.sched_setaffinity(0, {min(cpus)})
-        self._join(0, to_solver[0], to_partner[1], _WINDOW * per_step)
+        self._join(0, None)
         self.bind_rows(0, n0 // 2)
         return True
 
-    def _join(self, side: int, rfd: int, wfd: int, patience: float | None) -> None:
+    def _join(self, side: int, solver: int | None) -> None:
         ctl = self._ctl
         self._mine, self._other = _SIDE * side, _SIDE * (1 - side)
-        self._rfd, self._wfd, self._patience = rfd, wfd, patience
+        self._solver = solver   # the partner's parent; None on the solver
         self._own = [ctl[self._mine + j:][:1].reshape(()) for j in (_MIN, _MAX)]
         self._mins, self._maxes = ctl[_MIN:2 * _SIDE:_SIDE], ctl[_MAX:2 * _SIDE:_SIDE]
 
     def _serve(self) -> None:
         """The partner: each step the solver starts, on its own rows, until
-        the solver is gone."""
+        the solver is gone or keeps it waiting too long."""
         mv, steps = self._mv, 0.0
-        while self._wait(_GO, steps + 1.0, None):
+        while self._wait(_GO, steps + 1.0):
             steps += 1.0
             for j, (calls, values, _, _) in enumerate(self._plans[int(mv[_CUR])]):
                 for call, args in calls:
@@ -504,47 +497,25 @@ class _Workspace:
             _max(values, None, out=self._own[1])
         mv = self._mv
         mv[self._mine + _ARRIVED] += 1.0
-        self._wake()
-        return self._wait(self._other + _ARRIVED, mv[self._mine + _ARRIVED], self._patience)
+        return self._wait(self._other + _ARRIVED, mv[self._mine + _ARRIVED])
 
-    def _wake(self) -> None:
-        if self._mv[self._other + _ASLEEP]:
-            try:
-                os.write(self._wfd, b"\0")
-            except OSError:   # the other side is gone; its wait says so
-                pass
-
-    def _wait(self, slot: int, target: float, patience: float | None) -> bool:
+    def _wait(self, slot: int, target: float) -> bool:
         """Until control slot `slot` reaches `target`: spins for `_spin`
-        seconds, then sleeps on this side's pipe, never polling.  False on
-        EOF (the other side is gone) or after `patience` seconds.  A wake-up
-        lost to the CPU reordering a store after a load costs the solver its
-        patience and the split, not a hang."""
-        mv = self._mv
-        end = perf_counter() + self._spin
+        seconds, then polls it, napping `_spin` seconds between reads (a
+        spin alone starves the other side where both share one CPU).  False
+        once the other side has kept this one waiting `_patience` seconds,
+        or once the partner's solver is gone (its parent is no longer the
+        solver), so that neither side waits for good."""
+        mv, spin = self._mv, self._spin
+        start = perf_counter()
         while mv[slot] < target:
-            if perf_counter() > end:
-                break
-        else:
-            return True
-        asleep = self._mine + _ASLEEP
-        end = None if patience is None else perf_counter() + patience
-        mv[asleep] = 1.0
-        try:
-            while True:
-                try:
-                    if not os.read(self._rfd, 512):
-                        return False
-                except BlockingIOError:
-                    pass
-                if mv[slot] >= target:
-                    return True
-                left = None if end is None else end - perf_counter()
-                if (left is not None and left <= 0) or not self._select(
-                        [self._rfd], [], [], left)[0]:
+            waited = perf_counter() - start
+            if waited > spin:
+                if waited > self._patience or (self._solver is not None
+                                               and os.getppid() != self._solver):
                     return False
-        finally:
-            mv[asleep] = 0.0
+                sleep(spin)
+        return True
 
     def _alone(self) -> None:
         """Ends the split for good: this process steps every row again."""
@@ -554,8 +525,8 @@ class _Workspace:
             self.bind_rows(0, self.op.shape[0])
 
     def close(self) -> None:
-        """Stops and reaps the partner, if any, closes its pipes and, if it
-        was pinned, gives this process its CPUs back."""
+        """Stops and reaps the partner, if any, and, if it was pinned, gives
+        this process its CPUs back."""
         self._pace = None
         if self._pid is not None:
             import signal
@@ -565,8 +536,6 @@ class _Workspace:
                 os.waitpid(pid, 0)
             except OSError:   # already reaped: SIGCHLD is ignored
                 pass
-            os.close(self._rfd)
-            os.close(self._wfd)
             if self._cpus:
                 os.sched_setaffinity(0, self._cpus)
 

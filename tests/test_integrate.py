@@ -1,9 +1,11 @@
+import contextlib
 import gc
 import itertools
 import math
 import os
 import pickle
 import signal
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from eseharnack import (Field, Grid, ProblemSpec, RescaleSpec, StepConfig,
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack import integrate
 from eseharnack.errors import NonPositiveField, OutOfWindow
-from eseharnack.integrate import (_TIMED, _WARM, TraceStatus, _capacity,
+from eseharnack.integrate import (_TIMED, _WARM, _WINDOW, TraceStatus, _capacity,
                                   _Workspace, stable_dt)
 
 from conftest import constant_problem, gaussian_problem, needs_split
@@ -449,8 +451,9 @@ def split(monkeypatch):
     """Lets every solve of dim 2 or 3 split, however small its grid, and
     records each forked partner's pid and every split step; a solve that
     hangs fails after two minutes instead.  No window check ends the split
-    and the solver waits for its partner without patience, so that a slow
-    test box cannot end a split early."""
+    and neither side's patience at the barrier runs out (both are
+    `_WINDOW` one-process steps), so that a slow test box cannot end a
+    split early; the partner still exits once its solver is gone."""
     monkeypatch.setattr(integrate, "_SPLIT_DIMS", (2, 3))
     monkeypatch.setattr(integrate, "_SPLIT_POINTS", 0)
     monkeypatch.setattr(integrate, "_WINDOW", 10 ** 9)
@@ -573,6 +576,71 @@ def test_split_solve_finishes_alone_when_the_partner_stops_or_dies(split, monkey
         os.waitpid(split.partners[0], os.WNOHANG)
 
 
+def _state(pid: int) -> str | None:
+    """The state letter of process `pid` (Z once it has exited unreaped),
+    or None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
+
+
+def _wait_for_exit(pid: int, seconds: float) -> str | None:
+    deadline = time.monotonic() + seconds
+    while _state(pid) not in (None, "Z", "X") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _state(pid)
+
+
+@needs_split
+def test_split_partner_exits_when_its_solver_stalls_between_steps(split, monkeypatch):
+    # the partner waits for the next step no longer than the solver waits
+    # at a stage barrier: a window of one-process steps, 4096 here
+    monkeypatch.setattr(integrate, "_WINDOW", 4096)
+    prob = _split_problem((32, 16), steps=200)
+    cfg = StepConfig(sample_stride=4)
+    want = _one_process(prob, cfg)
+    seen = []
+    _on_step(monkeypatch, 40, lambda: seen.append(_wait_for_exit(split.partners[0], 30)))
+    got = solve(prob, cfg)
+    assert seen == ["Z"]   # exited on its own while the solver stalled
+    assert 0 < len(split.steps) < len(want.step_log) - _WARM - _TIMED
+    _assert_same_trace(got, want)
+    with pytest.raises(ChildProcessError):   # reaped
+        os.waitpid(split.partners[0], os.WNOHANG)
+
+
+@needs_split
+def test_split_partner_exits_when_its_solver_is_killed(split, monkeypatch):
+    # the fixture's patience is unbounded: the partner sees its parent change
+    prob = _split_problem((32, 16), steps=200)
+    rfd, wfd = os.pipe()
+
+    def report_partner_and_stall():
+        os.write(wfd, f"{split.partners[0]}\n".encode())
+        time.sleep(60)
+
+    _on_step(monkeypatch, 40, report_partner_and_stall)
+    solver = os.fork()
+    if solver == 0:
+        try:
+            solve(prob, StepConfig(sample_stride=4))
+        finally:
+            os._exit(1)
+    os.close(wfd)
+    try:
+        with open(rfd) as pipe:
+            partner = int(pipe.readline())
+    finally:
+        os.kill(solver, signal.SIGKILL)
+        os.waitpid(solver, 0)
+    try:
+        assert _wait_for_exit(partner, 1.0) in (None, "Z", "X")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(partner, signal.SIGKILL)
+
+
 def _children() -> set[int]:
     me, found = os.getpid(), set()
     for stat in Path("/proc").glob("[0-9]*/stat"):
@@ -615,6 +683,49 @@ def test_split_solve_leaves_no_process_pipe_or_mapping_behind(split, monkeypatch
     gc.collect()
     assert split.partners and split.steps
     assert _held() == before
+
+
+class _PolicyProbe:
+    """Stands in for a shared workspace under `_Workspace._policy`: its fork
+    starts nothing."""
+    _policy = _Workspace._policy
+
+    def __init__(self):
+        self._pid = None
+
+    def _fork(self, per_step):
+        self._pid = "partner"
+        return True
+
+    def _alone(self):
+        self._pid = None
+
+
+def _split_ends_after(split_steps, alone=300e-6):
+    """Drives `_Workspace._policy` with one-process steps of `alone` seconds
+    until the fork and its warm-up, then with the seconds of `split_steps`;
+    how many of those it took when it ended the split, or None."""
+    pace = _PolicyProbe()._policy()
+    next(pace)
+    for _ in range(_WARM + _TIMED + _WARM):
+        pace.send(alone)
+    for n, seconds in enumerate(split_steps, 1):
+        try:
+            pace.send(seconds)
+        except StopIteration:
+            return n
+    return None
+
+
+def test_split_policy_keeps_a_split_that_one_stall_slows_and_ends_a_slow_one():
+    # split steps at 0.7x a one-process step gain about 23 ms a window; one
+    # 40 ms host stall puts the first window over as many steps alone
+    alone = 300e-6
+    stalled = [40e-3] + [0.7 * alone] * (8 * _WINDOW - 1)
+    assert sum(stalled[:_WINDOW]) > _WINDOW * alone
+    assert _split_ends_after(stalled, alone) is None
+    # a competing busy process: split steps 1.5x slower than alone
+    assert _split_ends_after([1.5 * alone] * (8 * _WINDOW), alone) <= 3 * _WINDOW
 
 
 @needs_split
