@@ -12,15 +12,14 @@ from .constants import (AdmissibilityVerdict, BestFeasibility, FeasibleRegion,
                         HarnackConstants, best_feasibility, blowup_preset,
                         check_admissible, check_classical_hypothesis,
                         feasible_region, preset, preset_names)
-from .field import (Field, Grid, gaussian_halfwidth, grad_sq, hessian_sq,
-                    laplacian, log_field, require_positive)
+from .field import Grid, gaussian, log_field, require_positive
 from .harnack import (HarnackReport, LocalizerSpec, ResidualStats,
                       certify_verdict, default_window, evolution_residual,
-                      f_form, h0_report, harnack_h0, harnack_hr,
-                      localizer_min_b, make_localizer, phi_r)
+                      f_form, h0_report, localizer_min_b, make_localizer,
+                      phi_r)
 from .integrate import (ProblemSpec, RescaleSpec, SolveTrace, StepConfig,
-                        TraceStatus, rescale_field, rescale_problem,
-                        rescale_trace, solve, step)
+                        TraceStatus, rescale_problem, rescale_trace, solve,
+                        step)
 
 __version__ = "0.1.0"
 

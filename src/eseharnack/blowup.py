@@ -131,10 +131,13 @@ def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) ->
 
     Precondition: the (time-interpolated) field at t0 reaches the threshold.
     """
-    f0 = trace.field_at(t0)
-    if f0.max() < threshold:
-        raise ThresholdNeverMet(
-            f"max f(., t0={t0}) = {f0.max()} < threshold {threshold}")
+    i, w = trace.bracket(t0)
+    f0 = trace.samples[i]
+    if w is not None:
+        f0 = (1.0 - w) * trace.samples[i - 1] + w * f0
+    peak = float(f0.max())
+    if peak < threshold:
+        raise ThresholdNeverMet(f"max f(., t0={t0}) = {peak} < threshold {threshold}")
     ts, ms = trace.max_curve()
     sel = ms[ts >= t0]
     if len(sel) < 2:

@@ -41,7 +41,7 @@ from .errors import (BetaZero, CapBelowInitial, ConfigError, EseError, InvalidC,
                      NonPositiveField, ThresholdNeverMet, WindowTooSmall)
 # log_field and rescale_trace are not called here, but bench/tracing.py
 # times them as eseharnack.cli.log_field and eseharnack.cli.rescale_trace
-from .field import Field, Grid, log_field  # noqa: F401
+from .field import Grid, gaussian, log_field  # noqa: F401
 from .integrate import (ProblemSpec, RescaleSpec, SolveTrace,  # noqa: F401
                         StepConfig, rescale_problem, rescale_trace, solve, stable_dt)
 
@@ -232,11 +232,11 @@ def build_config(cp: _Parser) -> RunConfig:
             if not 0 < level < math.inf:
                 raise ValueError(f"constant initial data needs a finite level > 0, "
                                  f"got {level}")
-            initial = Field.constant(grid, level).values
+            initial = np.full(grid.extents, level)
         elif kind == "gaussian":
-            initial = Field.gaussian(grid, _get(cp, "problem", "amplitude", float),
-                                     _get(cp, "problem", "width", float),
-                                     **_optional(cp, "problem", center=_parse_floats)).values
+            initial = gaussian(grid, _get(cp, "problem", "amplitude", float),
+                               _get(cp, "problem", "width", float),
+                               **_optional(cp, "problem", center=_parse_floats))
         elif kind == "file":
             initial = traceio.load_array(_get(cp, "problem", "file", str), grid.extents)
         else:

@@ -1,11 +1,12 @@
 """Uniform tensor-product grids and second-order finite-difference operators.
 
-Fields live on a rectangular box in 1, 2 or 3 dimensions with a uniform
-boundary rule, either periodic (wrap) or reflecting (even extension about the
-boundary node).  All spatial derivatives use second-order central stencils,
-applied by one operator per grid (`Stencil`) that owns the boundary rule;
-convergence order is verified in the test suite.  Fields are immutable after
-construction, so the operators are pure functions.
+A grid is a rectangular box in 1, 2 or 3 dimensions with a uniform boundary
+rule, either periodic (wrap) or reflecting (even extension about the
+boundary node).  Values on it are plain float64 arrays of the grid's shape,
+or stacks of them behind a leading batch axis.  All spatial derivatives use
+second-order central stencils, applied by one operator per grid (`Stencil`)
+that owns the boundary rule; convergence order is verified in the test
+suite.  The stencils never write to their input.
 """
 
 from __future__ import annotations
@@ -165,104 +166,57 @@ class Grid:
         return cls(((lo, hi),) * dim, (n,) * dim, boundary)
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Scalar samples on a grid.  Values are read-only after construction."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.shape != self.grid.extents:
-            raise ValueError(
-                f"value shape {vals.shape} does not match grid extents {self.grid.extents}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def is_positive(self) -> bool:
-        return bool(self.values.min() > 0.0)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
-    def interp(self, x) -> float:
-        """Multilinear interpolation at a point x (wraps on periodic grids)."""
-        total = 0.0
-        for ix, weight in self.grid.interp_corners(x):
-            total += weight * float(self.values[ix])
-        return total
-
-    @classmethod
-    def constant(cls, grid: Grid, level: float) -> "Field":
-        return cls(grid, np.full(grid.extents, float(level)))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[..., np.ndarray]) -> "Field":
-        """Sample fn(x1, ..., xd) on the grid (fn must broadcast over arrays)."""
-        return cls(grid, np.asarray(fn(*grid.mesh()), dtype=np.float64))
-
-    @classmethod
-    def gaussian(cls, grid: Grid, amplitude: float, width: float,
-                 center=None) -> "Field":
-        """amplitude * exp(-|x - center|^2 / (2 width^2)); positive everywhere."""
-        for name, value in (("amplitude", amplitude), ("width", width)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"gaussian needs a finite {name} > 0, got {value}")
-        if center is None:
-            center = tuple(0.5 * (lo + hi) for lo, hi in grid.box)
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if center.shape != (grid.dim,):
-            raise ValueError(f"gaussian center {center.tolist()} has {center.size} "
-                             f"coordinates, the grid has {grid.dim} axes")
-        try:
-            spread = 2.0 * width ** 2
-        except OverflowError:
-            raise ValueError(f"gaussian width {width} is too large to square") from None
-        if spread == 0.0:
-            raise ValueError(f"gaussian width {width} is too small to square")
-        # the largest |x - center|^2 on the grid, at the corner farthest from
-        # the centre, summed in the order of the mesh below
-        far = sum(max(d * d for d in (float(ax[0]) - ck, float(ax[-1]) - ck))
-                  for ax, ck in zip(grid.axes(), center.tolist()))
-        if any(not lo <= ck <= hi for (lo, hi), ck in zip(grid.box, center.tolist())):
-            cause = f"center {center.tolist()} lies outside the box {list(grid.box)} and"
-        else:
-            cause = f"width {width} is so small that"
-        if not far < math.inf:
-            raise ValueError(f"gaussian center {center.tolist()} is so far from the box "
-                             f"{list(grid.box)} that |x - center|^2 overflows")
-        if not far / spread < math.inf:
-            raise ValueError(f"gaussian {cause} |x - center|^2 / (2 width^2) overflows "
-                             f"on the grid")
-        r2 = sum((xk - ck) ** 2 for xk, ck in zip(grid.mesh(), center))
-        shape = np.exp(-r2 / spread)
-        if not shape.min() > 0.0:
-            raise ValueError(f"gaussian {cause} the Gaussian underflows to 0 at the grid "
-                             f"point {far ** 0.5!r} from the centre")
-        values = amplitude * shape
-        if not values.min() > 0.0:
-            raise ValueError(f"gaussian amplitude {amplitude} is so small that the Gaussian "
-                             f"underflows to 0 at the grid point {far ** 0.5!r} from the "
-                             f"centre")
-        return cls(grid, values)
+def gaussian(grid: Grid, amplitude: float, width: float, center=None) -> np.ndarray:
+    """amplitude * exp(-|x - center|^2 / (2 width^2)); positive everywhere."""
+    for name, value in (("amplitude", amplitude), ("width", width)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"gaussian needs a finite {name} > 0, got {value}")
+    if center is None:
+        center = tuple(0.5 * (lo + hi) for lo, hi in grid.box)
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.dim,):
+        raise ValueError(f"gaussian center {center.tolist()} has {center.size} "
+                         f"coordinates, the grid has {grid.dim} axes")
+    if not np.isfinite(center).all():
+        raise ValueError(f"gaussian needs a finite center, got {center.tolist()}")
+    try:
+        spread = 2.0 * width ** 2
+    except OverflowError:
+        raise ValueError(f"gaussian width {width} is too large to square") from None
+    if spread == 0.0:
+        raise ValueError(f"gaussian width {width} is too small to square")
+    # the largest |x - center|^2 on the grid, at the corner farthest from
+    # the centre, summed in the order of the mesh below
+    far = sum(max(d * d for d in (float(ax[0]) - ck, float(ax[-1]) - ck))
+              for ax, ck in zip(grid.axes(), center.tolist()))
+    if any(not lo <= ck <= hi for (lo, hi), ck in zip(grid.box, center.tolist())):
+        cause = f"center {center.tolist()} lies outside the box {list(grid.box)} and"
+    else:
+        cause = f"width {width} is so small that"
+    if not far < math.inf:
+        raise ValueError(f"gaussian center {center.tolist()} is so far from the box "
+                         f"{list(grid.box)} that |x - center|^2 overflows")
+    if not far / spread < math.inf:
+        raise ValueError(f"gaussian {cause} |x - center|^2 / (2 width^2) overflows "
+                         f"on the grid")
+    r2 = sum((xk - ck) ** 2 for xk, ck in zip(grid.mesh(), center))
+    shape = np.exp(-r2 / spread)
+    if not shape.min() > 0.0:
+        raise ValueError(f"gaussian {cause} the Gaussian underflows to 0 at the grid "
+                         f"point {far ** 0.5!r} from the centre")
+    values = amplitude * shape
+    if not values.min() > 0.0:
+        raise ValueError(f"gaussian amplitude {amplitude} is so small that the Gaussian "
+                         f"underflows to 0 at the grid point {far ** 0.5!r} from the "
+                         f"centre")
+    return values
 
 
-def require_positive(f: Field, what: str = "field") -> Field:
-    if not f.is_positive():
-        raise NonPositiveField(f"{what} has min value {f.min()} <= 0")
-    return f
-
-
-def gaussian_halfwidth(width: float, rtol: float = 1e-12) -> float:
-    """Half-width L so a Gaussian of the given width has tail <= rtol * peak at |x| = L."""
-    return width * float(np.sqrt(-2.0 * np.log(rtol)))
+def require_positive(values: np.ndarray, what: str = "field") -> np.ndarray:
+    """`values` itself; NonPositiveField unless every value is > 0 (NaN is not)."""
+    if not values.min() > 0.0:
+        raise NonPositiveField(f"{what} has min value {float(values.min())} <= 0")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +391,6 @@ def hessian_sq_nd(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Field-level operators
-
-def laplacian(f: Field) -> Field:
-    return f.with_values(laplacian_nd(f.values, f.grid))
-
-
-def grad_sq(f: Field) -> Field:
-    return f.with_values(grad_sq_nd(f.values, f.grid))
-
-
-def hessian_sq(f: Field) -> Field:
-    return f.with_values(hessian_sq_nd(f.values, f.grid))
-
-
-def log_field(f: Field) -> Field:
-    """Pointwise natural log; fails (never clips) if the field is not positive."""
-    require_positive(f, "log_field input")
-    return f.with_values(np.log(f.values))
+def log_field(values: np.ndarray) -> np.ndarray:
+    """Pointwise natural log; fails (never clips) if a value is not positive."""
+    return np.log(require_positive(values, "log_field input"))

@@ -32,7 +32,7 @@ from .constants import HarnackConstants, a_lower
 from .errors import BetaZero, NonPositiveTime, WindowTooSmall
 # log_field is not called here, but bench/tracing.py times it as
 # eseharnack.harnack.log_field
-from .field import (Field, Grid, grad_sq_nd, gradient_nd, hessian_sq_nd,  # noqa: F401
+from .field import (Grid, grad_sq_nd, gradient_nd, hessian_sq_nd,  # noqa: F401
                     laplacian_nd, log_field)
 from .integrate import SolveTrace
 
@@ -93,13 +93,6 @@ def _window_blocks(trace: SolveTrace, k: HarnackConstants, p: float,
         stop = min(start + step, idx[-1] + 1)
         yield (trace.times[start:stop],
                _solution_part(np.log(trace.samples[start:stop]), trace.grid, k, p))
-
-
-def harnack_h0(u: Field, t: float, k: HarnackConstants, p: float) -> Field:
-    """Pointwise H0 for u = log f at time t > 0."""
-    if t <= 0:
-        raise NonPositiveTime(f"H0 needs t > 0, got {t}")
-    return Field(u.grid, _solution_part(u.values, u.grid, k, p) + k.a / t)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +191,6 @@ def _phi_r_block(grid: Grid, times, loc: LocalizerSpec,
         out += pole
     np.copyto(out, math.inf, where=outside)
     return out
-
-
-def harnack_hr(u: Field, t: float, k: HarnackConstants, p: float, loc: LocalizerSpec) -> Field:
-    """H0 with a/t replaced by phi_R; +inf outside the rectangle.
-
-    Requires beta > 0: the admissible-b bound diverges at beta = 0 and the
-    localized statement is unavailable there.
-    """
-    if k.beta == 0:
-        raise BetaZero("localized Harnack quantity needs beta > 0")
-    if t <= 0:
-        raise NonPositiveTime(f"H_R needs t > 0, got {t}")
-    g = u.grid
-    return Field(g, _solution_part(u.values, g, k, p)
-                 + _phi_r_block(g, [t], loc, cutoff_parts(g, loc))[0])
 
 
 def hr_window_min(trace: SolveTrace, k: HarnackConstants, p: float,

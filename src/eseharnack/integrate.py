@@ -26,11 +26,17 @@ from time import perf_counter, sleep
 import numpy as np
 
 from .errors import CapBelowInitial, NonPositiveField, OutOfWindow
-from .field import Field, Grid, require_positive
+from .field import Grid, require_positive
 
 
 # ---------------------------------------------------------------------------
 # problem description
+
+def _check_shape(values: np.ndarray, grid: Grid) -> None:
+    if values.shape != grid.extents:
+        raise ValueError(
+            f"value shape {values.shape} does not match grid extents {grid.extents}")
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -52,10 +58,13 @@ class ProblemSpec:
             raise ValueError(f"need p > 1 with p^2 finite, got {self.p}")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"need a finite t_end > 0, got {self.t_end}")
-        f0 = require_positive(Field(self.grid, self.initial), "initial data")
+        f0 = np.array(self.initial, dtype=np.float64, copy=True)
+        _check_shape(f0, self.grid)
+        require_positive(f0, "initial data")
         if not f0.max() < math.inf:
-            raise ValueError(f"initial data must be finite, found max {f0.max()}")
-        object.__setattr__(self, "initial", f0.values)
+            raise ValueError(f"initial data must be finite, found max {float(f0.max())}")
+        f0.setflags(write=False)
+        object.__setattr__(self, "initial", f0)
 
     @property
     def n(self) -> int:
@@ -150,17 +159,11 @@ class SolveTrace:
             return i, None
         return i, (t - ts[i - 1]) / (ts[i] - ts[i - 1])
 
-    def field_at(self, t: float) -> Field:
-        """Linear-in-time interpolation between the bracketing samples."""
-        i, w = self.bracket(t)
-        if w is None:
-            return Field(self.grid, self.samples[i])
-        return Field(self.grid, (1.0 - w) * self.samples[i - 1] + w * self.samples[i])
-
     def value_at(self, x, t: float) -> float:
-        """Multilinear in space, linear in time: field_at(t).interp(x), with
-        only the corners that the interpolation reads interpolated in time,
-        each as field_at computes it."""
+        """The solution at (x, t): multilinear in space between the grid
+        points around x, linear in time between the samples that bracket t
+        (`bracket`).  Only the corners that the spatial interpolation reads
+        are interpolated in time, each as (1 - w) * before + w * after."""
         i, w = self.bracket(t)
         before, at = self.samples[i - 1], self.samples[i]
         total = 0.0
@@ -546,18 +549,21 @@ class _Workspace:
         self.close()
 
 
-def step(f: Field, t: float, dt: float, p: float, reaction: bool = True) -> Field:
-    """One classical RK4 step; fails if the input, any stage or the result
-    is not positive."""
+def step(values: np.ndarray, grid: Grid, dt: float, p: float,
+         reaction: bool = True) -> np.ndarray:
+    """One classical RK4 step of `values`, an array of the grid's shape, into
+    a new array; `values` itself when dt is 0.  Fails if the input, any stage
+    or the result is not positive."""
     if dt < 0:
         raise ValueError("need dt >= 0")
     if dt == 0.0:
-        return f
-    if _min(f.values, None) <= 0.0:
-        raise NonPositiveField(f"step input went nonpositive (min={f.values.min()})")
-    ws = _Workspace(f.grid, p, reaction)
-    ws.states[0][...] = f.values
-    return Field(f.grid, ws.states[ws.advance(0, dt)])
+        return values
+    _check_shape(values, grid)
+    if _min(values, None) <= 0.0:
+        raise NonPositiveField(f"step input went nonpositive (min={values.min()})")
+    ws = _Workspace(grid, p, reaction)
+    ws.states[0][...] = values
+    return ws.states[ws.advance(0, dt)]
 
 
 def stable_dt(grid: Grid, p: float, fmax: float, cfg: StepConfig,
@@ -711,13 +717,6 @@ class RescaleSpec:
         return -2.0 / (self.p - 1.0)
 
 
-def rescale_field(f: Field, t: float, spec: RescaleSpec) -> tuple[Field, float]:
-    """The symmetry that preserves the equation: values scaled by lam^delta,
-    box coordinates by lam, time by lam^2."""
-    scaled = Field(f.grid.scaled(spec.lam), f.values * spec.lam ** spec.delta)
-    return scaled, spec.lam ** 2 * t
-
-
 def rescale_problem(prob: ProblemSpec, spec: RescaleSpec) -> ProblemSpec:
     """The rescaled Cauchy problem: initial data scaled by lam^delta on the
     scaled grid, horizon by lam^2.  ValueError if the scaled data would
@@ -731,7 +730,9 @@ def rescale_problem(prob: ProblemSpec, spec: RescaleSpec) -> ProblemSpec:
 
 
 def rescale_trace(trace: SolveTrace, spec: RescaleSpec) -> SolveTrace:
-    """rescale_field applied to every sample, the status time and the dt log."""
+    """The symmetry that preserves the equation, applied to a trace: values
+    scaled by lam^delta, box coordinates by lam, and the sample times, the
+    status time and the dt log by lam^2."""
     status = trace.status
     if status.t_detect is not None:
         status = TraceStatus(status.kind, spec.lam ** 2 * status.t_detect,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eseharnack import Field, Grid, ProblemSpec, StepConfig, solve
+from eseharnack import Grid, ProblemSpec, StepConfig, gaussian, solve
 
 # the width-0.2 Gaussian on [-4, 4] with reflecting walls is the shared
 # baseline run for the Harnack / residual / classical checks
@@ -18,14 +18,23 @@ def gaussian_problem(n_points, t_end=1.0, dim=1, box=BASE_BOX, width=BASE_WIDTH,
                      reaction=True):
     grid = Grid((box,) * dim, (n_points,) * dim, boundary)
     center = (0.0,) * dim
-    return ProblemSpec(grid, p, Field.gaussian(grid, amplitude, width, center).values,
+    return ProblemSpec(grid, p, gaussian(grid, amplitude, width, center),
                        t_end, reaction=reaction)
 
 
 def constant_problem(level=1.0, t_end=2.0, n_points=16, box=(0.0, 100.0), p=2.0):
     # wide box so the CFL cap never binds and the reaction cap rules the step
     grid = Grid.line(*box, n_points)
-    return ProblemSpec(grid, p, Field.constant(grid, level).values, t_end)
+    return ProblemSpec(grid, p, np.full(grid.extents, level), t_end)
+
+
+def field_at(trace, t):
+    """The whole sampled field at time t, linear in time between the samples
+    that bracket t: the reference for the interpolations of the package."""
+    i, w = trace.bracket(t)
+    if w is None:
+        return trace.samples[i]
+    return (1.0 - w) * trace.samples[i - 1] + w * trace.samples[i]
 
 
 @pytest.fixture(scope="session")

@@ -13,16 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from eseharnack import (Field, Grid, HarnackConstants, ProblemSpec,
+from eseharnack import (Grid, HarnackConstants, ProblemSpec,
                         RescaleSpec, StepConfig, best_feasibility,
                         blowup_threshold, center_monotonicity_check,
                         check_admissible, classical_harnack_check,
                         dp_min_path_cost, estimate_blowup_time,
-                        evolution_residual, feasible_region, grad_sq,
-                        h0_report, laplacian, min_path_cost,
+                        evolution_residual, feasible_region, h0_report,
+                        min_path_cost,
                         normalize_threshold_time, preset, random_pairs,
                         rescale_problem, solve)
 from eseharnack.cli import rescale_commutation_discrepancy
+from eseharnack.field import grad_sq_nd, laplacian_nd
 
 from conftest import constant_problem, gaussian_problem, record_acceptance
 
@@ -31,7 +32,7 @@ def test_criterion_01_ode_anchor():
     # n=1, p=2, f0 = 1 on a periodic box at N=128: T* = 1 exactly
     start = time.perf_counter()
     grid = Grid.line(0.0, 12.8, 128, "periodic")
-    prob = ProblemSpec(grid, 2.0, Field.constant(grid, 1.0).values, t_end=2.0)
+    prob = ProblemSpec(grid, 2.0, np.ones(grid.extents), t_end=2.0)
     trace = solve(prob, StepConfig(sample_stride=1))
     est = estimate_blowup_time(trace, 2.0)
     elapsed = time.perf_counter() - start
@@ -231,10 +232,10 @@ def test_criterion_10_operator_quality():
     lap_errs, grad_errs = [], []
     for n in (64, 128, 256, 512):
         g = Grid.line(0.0, 2 * np.pi, n, "periodic")
-        f = Field.from_function(g, np.sin)
-        lap_errs.append(np.abs(laplacian(f).values + f.values).max())
+        f = np.sin(g.axis(0))
+        lap_errs.append(np.abs(laplacian_nd(f, g) + f).max())
         exact = np.cos(g.axis(0)) ** 2
-        grad_errs.append(np.abs(grad_sq(f).values - exact).max())
+        grad_errs.append(np.abs(grad_sq_nd(f, g) - exact).max())
     lap_orders = orders(lap_errs)
     grad_orders = orders(grad_errs)
     ok = all(s >= 1.9 for s in lap_orders + grad_orders)
@@ -243,3 +244,34 @@ def test_criterion_10_operator_quality():
                       f"grad orders={['%.2f' % s for s in grad_orders]}")
     assert all(s >= 1.9 for s in lap_orders)
     assert all(s >= 1.9 for s in grad_orders)
+
+
+def test_criterion_11_heat_kernel_oracle():
+    # with the reaction off, Gaussian data of width w is the heat kernel
+    # shifted by t0 = w^2/2, and for the Li-Yau tuple (1, 0, 0, n/2)
+    # H0 = lap(log f) + n/(2t) equals (n/2)(1/t - 1/(t + t0)) at every x
+    # (Li & Yau 1986).  On a reflecting box the image sum only raises
+    # lap(log f), so the grid minimum still equals the closed form, attained
+    # in the interior.  The discrete minimum sits below it by O(h^2).
+    start = time.perf_counter()
+    k, width, n = HarnackConstants(1.0, 0.0, 0.0, 0.5), 0.5, 1
+    t0 = 0.5 * width ** 2
+    errs = []
+    for n_points in (256, 512, 1024):
+        prob = gaussian_problem(n_points, t_end=1.0, box=(-8.0, 8.0), width=width,
+                                reaction=False)
+        rep = h0_report(solve(prob, StepConfig(sample_stride=4)), k, 2.0, (0.1, 0.9))
+        t, got = rep.curve[-1]
+        errs.append(got - 0.5 * n * (1.0 / t - 1.0 / (t + t0)))
+    elapsed = time.perf_counter() - start
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    richardson = (4.0 * errs[2] - errs[1]) / 3.0
+    ok = (all(1.9 <= s <= 2.1 for s in orders) and all(e < 0 for e in errs)
+          and abs(richardson) <= 1e-6)
+    record_acceptance(11, "heat-kernel oracle", ok,
+                      f"errors={['%.3e' % e for e in errs]} "
+                      f"orders={['%.2f' % s for s in orders]} "
+                      f"richardson={richardson:+.1e} {elapsed:.1f}s")
+    assert all(1.9 <= s <= 2.1 for s in orders)
+    assert all(e < 0 for e in errs)
+    assert abs(richardson) <= 1e-6

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from eseharnack import (Field, Grid, SolveTrace, StepConfig, TraceStatus,
+from eseharnack import (Grid, SolveTrace, StepConfig, TraceStatus,
                         blowup_report, blowup_threshold,
                         center_monotonicity_check, classify_regime,
                         estimate_blowup_time, first_threshold_hit,
@@ -10,7 +12,7 @@ from eseharnack import (Field, Grid, SolveTrace, StepConfig, TraceStatus,
 from eseharnack.errors import (InsufficientSamples, InvalidC, PastBlowup,
                                ThresholdNeverMet)
 
-from conftest import constant_problem, gaussian_problem
+from conftest import constant_problem, field_at, gaussian_problem
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +93,7 @@ def test_tail_fit_reports_quality(const_run):
 
 def test_tail_fit_insufficient_samples():
     g = Grid.line(0.0, 1.0, 16)
-    f = Field.constant(g, 1.0)
-    tr = SolveTrace(g, 2.0, np.array([0.0, 0.1]), np.stack([f.values, f.values]),
+    tr = SolveTrace(g, 2.0, np.array([0.0, 0.1]), np.ones((2, *g.extents)),
                     TraceStatus.blowup(0.1, "f_cap"), np.array([0.1]))
     with pytest.raises(InsufficientSamples):
         tail_fit(tr, 2.0)
@@ -106,7 +107,7 @@ def test_tail_fit_insufficient_samples():
 ], ids=["two-samples", "flat", "rank-deficient"])
 def test_blowup_report_without_a_usable_fit_has_no_estimate(times, levels, why):
     g = Grid.line(0.0, 1.0, 16)
-    samples = np.stack([Field.constant(g, v).values for v in levels])
+    samples = np.stack([np.full(g.extents, v) for v in levels])
     tr = SolveTrace(g, 2.0, np.array(times), samples,
                     TraceStatus.blowup(times[-1], "dt_floor"), np.diff(times))
     with pytest.raises(InsufficientSamples, match=why):
@@ -123,7 +124,11 @@ def test_center_monotonicity_on_constant_growth(const_run):
 
 
 def test_center_monotonicity_threshold_never_met(gauss128):
-    with pytest.raises(ThresholdNeverMet):
+    # t0 = 0.1 lies between two samples; the message names the peak of the
+    # field interpolated in time there
+    assert 0.1 not in gauss128.times
+    peak = float(field_at(gauss128, 0.1).max())
+    with pytest.raises(ThresholdNeverMet, match=re.escape(f"= {peak} < threshold 50.0")):
         center_monotonicity_check(gauss128, threshold=50.0, t0=0.1)
 
 
@@ -160,7 +165,7 @@ def test_normalization_puts_threshold_at_unit_time(peak5_run):
     resc, lam, (x0, t0) = normalize_threshold_time(peak5_run, 1, 2.0, 1.0)
     assert lam == pytest.approx(t0 ** -0.5)
     # the rescaled field at t~ = 1 meets the threshold at the marked point
-    f1 = resc.field_at(1.0)
+    f1 = field_at(resc, 1.0)
     tau = blowup_threshold(1, 2.0, 1.0)
     assert f1.max() >= tau * (1 - 1e-6)
     assert center_monotonicity_check(resc, tau, 1.0)

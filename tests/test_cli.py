@@ -19,17 +19,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eseharnack import Field, Grid, RescaleSpec, StepConfig, rescale_problem, solve
+from eseharnack import Grid, RescaleSpec, StepConfig, gaussian, rescale_problem, solve
 from eseharnack import harnack as ha
 from eseharnack import blowup as bl
 from eseharnack import cli
 from eseharnack.blowup import tail_fit
 from eseharnack.cli import CheckSettings, load_config, main
 from eseharnack.errors import ConfigError
-from eseharnack.integrate import SolveTrace, TraceStatus, _Workspace, rescale_field
+from eseharnack.integrate import SolveTrace, TraceStatus, _Workspace
 from eseharnack.traceio import load_trace, save_trace
 
-from conftest import constant_problem, gaussian_problem, needs_split
+from conftest import constant_problem, field_at, gaussian_problem, needs_split
 
 GAUSS_INI = """
 [problem]
@@ -139,8 +139,7 @@ def _initial_file_ini(path) -> str:
 
 
 def test_initial_file_matches_gaussian_initial(tmp_path):
-    values = Field.gaussian(Grid(((-4.0, 4.0),), (128,), "reflecting"),
-                            1.0, 0.2, (0.0,)).values
+    values = gaussian(Grid(((-4.0, 4.0),), (128,), "reflecting"), 1.0, 0.2, (0.0,))
     path = tmp_path / "f0.npy"
     np.save(path, values)
     tabulated = GAUSS_INI.replace(
@@ -722,9 +721,13 @@ def test_config_rejects_non_finite_box_and_t_end(tmp_path, key, value):
     (GAUSS_INI.replace("center = 0.0", "center = 1e200"), "center [1e+200] is so far"),
     (GAUSS_INI.replace("center = 0.0", "center = 1e150"), "center [1e+150] lies outside"),
     (GAUSS_INI.replace("width = 0.2", "width = 0.005"), "width 0.005 is so small"),
+    # a non-finite centre used to be named as one so far from the box that
+    # |x - center|^2 overflows
+    (GAUSS_INI.replace("center = 0.0", "center = nan"), "finite center, got [nan]"),
+    (GAUSS_INI.replace("center = 0.0", "center = inf"), "finite center, got [inf]"),
 ], ids=["level-zero", "level-nan", "amplitude", "width-nan", "center", "level-inf",
         "amplitude-inf", "width-too-large", "center-overflow", "center-underflow",
-        "width-underflow"])
+        "width-underflow", "center-nan", "center-inf"])
 def test_initial_data_parameter_errors_name_their_key(tmp_path, capsys, ini, message):
     cfg = write(tmp_path, "c.ini", ini)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -1142,10 +1145,11 @@ def _rescale_discrepancy_per_sample(trace, other, spec):
     hi = min(spec.lam ** 2 * trace.t_final, other.t_final)
     worst = 0.0
     for i in ha.window_indices(spec.lam ** 2 * trace.times, (lo, hi)):
-        f, st = rescale_field(Field(trace.grid, trace.samples[i]), trace.times[i], spec)
-        g = other.field_at(st)
-        denom = float(np.abs(f.values).max())
-        worst = max(worst, float(np.abs(f.values - g.values).max()) / denom)
+        # the symmetry: values times lam^delta, at time lam^2 t
+        f = trace.samples[i] * spec.lam ** spec.delta
+        g = field_at(other, spec.lam ** 2 * trace.times[i])
+        denom = float(np.abs(f).max())
+        worst = max(worst, float(np.abs(f - g).max()) / denom)
     return worst
 
 

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-from eseharnack import (Field, Grid, HarnackConstants, HarnackReport,
-                        LocalizerSpec, StepConfig, certify_verdict,
-                        default_window, evolution_residual, f_form, h0_report,
-                        harnack_h0, harnack_hr, localizer_min_b, log_field,
+from eseharnack import (Grid, HarnackConstants, HarnackReport, LocalizerSpec,
+                        StepConfig, certify_verdict, default_window,
+                        evolution_residual, f_form, h0_report, localizer_min_b,
                         make_localizer, phi_r, preset, solve)
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
-from eseharnack.harnack import (PairwiseSum, _solution_part, block_len, hr_window_min,
-                                window_indices)
+from eseharnack.harnack import (PairwiseSum, _phi_r_block, _solution_part, block_len,
+                                cutoff_parts, hr_window_min, window_indices)
 from eseharnack.integrate import SolveTrace, TraceStatus
 
 from conftest import gaussian_problem
@@ -29,40 +28,50 @@ BLOWUP_K = preset("blowup(1,2,1)")[2]
 # ---------------------------------------------------------------------------
 # H0
 
+def _trace(grid, times, samples):
+    return SolveTrace(grid, 2.0, np.asarray(times, dtype=float), np.asarray(samples),
+                      TraceStatus.reached(), np.zeros(0))
+
+
 def test_h0_on_constant_solution_is_reaction_plus_time_term(const_run):
     # constants kill the derivative terms exactly: H0 = c f^(p-1) + a/t
     k, p = HAMILTON, 2.0
-    for t in const_run.times[1:20]:
-        f = const_run.field_at(t)
-        u = log_field(f)
-        h0 = harnack_h0(u, t, k, p)
-        expected = k.c * f.values ** (p - 1.0) + k.a / t
-        assert np.allclose(h0.values, expected, rtol=1e-12)
-        assert h0.min() > 0
+    ts = const_run.times
+    rep = h0_report(const_run, k, p, (ts[1], ts[19]))
+    assert [t for t, _ in rep.curve] == list(ts[1:20])
+    for (t, got), f in zip(rep.curve, const_run.samples[1:20]):
+        assert np.ptp(f) == 0.0
+        assert got == pytest.approx(k.c * f[0] ** (p - 1.0) + k.a / t, rel=1e-12)
+    assert rep.min_h0 > 0
 
 
 def test_h0_requires_positive_time():
     g = Grid.line(0.0, 1.0, 16)
-    u = Field.constant(g, 0.0)
-    with pytest.raises(NonPositiveTime):
-        harnack_h0(u, 0.0, HAMILTON, 2.0)
-    with pytest.raises(NonPositiveTime):
-        harnack_h0(u, -1.0, HAMILTON, 2.0)
+    trace = _trace(g, [0.0, 0.5], np.ones((2, 16)))
+    loc = make_localizer(((0.0, 1.0),), 1, BLOWUP_K)
+    for start in (0.0, -1.0):
+        with pytest.raises(NonPositiveTime):
+            h0_report(trace, HAMILTON, 2.0, (start, 1.0))
+        with pytest.raises(NonPositiveTime):
+            hr_window_min(trace, BLOWUP_K, 2.0, loc, (start, 1.0))
 
 
 def test_h0_blows_up_as_t_vanishes(gauss128):
-    u = log_field(gauss128.field_at(gauss128.times[1]))
-    assert harnack_h0(u, 1e-9, HAMILTON, 2.0).min() >= 1e8
+    trace = _trace(gauss128.grid, [1e-9], gauss128.samples[1:2])
+    assert h0_report(trace, HAMILTON, 2.0, (1e-9, 1e-9)).min_h0 >= 1e8
 
 
 @given(s=st.floats(0.01, 100.0))
 @settings(max_examples=30, deadline=None)
 def test_h0_scales_linearly_in_the_constants(s):
     g = Grid.line(0.0, 2 * np.pi, 64)
-    u = Field.from_function(g, lambda x: 0.3 * np.sin(x))
-    base = harnack_h0(u, 0.7, BLOWUP_K, 2.0).values
-    scaled = harnack_h0(u, 0.7, BLOWUP_K.scaled(s), 2.0).values
-    assert np.allclose(scaled, s * base, rtol=1e-12)
+    x = g.axis(0)
+    times = [0.3, 0.7, 1.1]
+    trace = _trace(g, times, [np.exp(0.3 * np.sin(x + t)) for t in times])
+    base = h0_report(trace, BLOWUP_K, 2.0, (0.3, 1.1)).curve
+    scaled = h0_report(trace, BLOWUP_K.scaled(s), 2.0, (0.3, 1.1)).curve
+    assert [t for t, _ in scaled] == times
+    assert np.allclose([m for _, m in scaled], [s * m for _, m in base], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +130,34 @@ def peaked_run():
 def test_hr_dominates_h0_inside_rectangle(peaked_run):
     k, p = BLOWUP_K, 2.0
     t = peaked_run.times[len(peaked_run.times) // 2]
-    f = peaked_run.field_at(t)
-    u = log_field(f)
+    g = peaked_run.grid
     loc = make_localizer(((-4.0, 4.0),), 1, k)
-    hr = harnack_hr(u, t, k, p, loc)
-    h0 = harnack_h0(u, t, k, p)
-    inside = np.isfinite(hr.values)
+    phi = _phi_r_block(g, [t], loc, cutoff_parts(g, loc))[0]
+    inside = np.isfinite(phi)
     assert inside.any() and not inside.all()
-    # phi_R >= a/t inside R, so H_R >= H0 pointwise there
-    assert np.all(hr.values[inside] >= h0.values[inside])
-    assert hr.values[inside].min() >= h0.min()
+    # phi_R >= a/t inside R, so H_R >= H0 pointwise there, and the minimum
+    # of H_R over R is at least that of H0 over the whole grid
+    assert np.all(phi[inside] >= k.a / t)
+    assert hr_window_min(peaked_run, k, p, loc, (t, t)) >= \
+        h0_report(peaked_run, k, p, (t, t)).min_h0
 
 
 def test_hr_positive_at_small_times(peaked_run):
     k, p = BLOWUP_K, 2.0
     t = peaked_run.times[1]
-    f = peaked_run.field_at(t)
-    hr = harnack_hr(log_field(f), t, k, p, make_localizer(((-4.0, 4.0),), 1, k))
-    finite = hr.values[np.isfinite(hr.values)]
-    assert finite.min() > 0
+    loc = make_localizer(((-4.0, 4.0),), 1, k)
+    assert 0 < hr_window_min(peaked_run, k, p, loc, (t, t)) < math.inf
 
 
 def test_hr_tiny_rectangle_is_pole_dominated(peaked_run):
     k, p = BLOWUP_K, 2.0
     t = peaked_run.t_final
-    f = peaked_run.field_at(t)
     g = peaked_run.grid
     h = g.spacing[0]
     x0 = g.axis(0)[128]
     loc = make_localizer(((x0 - 2 * h, x0 + 2 * h),), 1, k)
-    hr = harnack_hr(log_field(f), t, k, p, loc)
-    finite = hr.values[np.isfinite(hr.values)]
-    assert finite.size >= 1
-    assert np.all(finite > 0)
+    # finite at the grid points strictly inside the rectangle
+    assert 0 < hr_window_min(peaked_run, k, p, loc, (t, t)) < math.inf
 
 
 def _per_sample_phi_r(grid, t, loc):
@@ -174,23 +178,22 @@ def _per_sample_phi_r(grid, t, loc):
 @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hr_with_cutoff_built_once_matches_per_sample_construction(dim, boundary):
-    k, p = BLOWUP_K, 2.0
     g = Grid(((-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0))[:dim], (16, 12, 9)[:dim], boundary)
     rect = ((-1.0, 1.3), (0.1, 2.0), (0.25, 0.75))[:dim]
     loc = make_localizer(rect, dim, BLOWUP_K)
-    u = Field(g, np.random.default_rng(dim).standard_normal(g.extents))
-    for t in (0.01, 0.3, 2.0):
-        expected = _solution_part(u.values, g, k, p) + _per_sample_phi_r(g, t, loc)
-        assert np.array_equal(harnack_hr(u, t, k, p, loc).values, expected)
+    times = (0.01, 0.3, 2.0)
+    block = _phi_r_block(g, times, loc, cutoff_parts(g, loc))
+    for t, phi in zip(times, block):
+        expected = _per_sample_phi_r(g, t, loc)
+        assert np.array_equal(phi, expected)
         assert np.isinf(expected).any() and np.isfinite(expected).any()
 
 
 def test_hr_rejects_beta_zero(peaked_run):
     t = peaked_run.times[1]
-    f = peaked_run.field_at(t)
     loc = LocalizerSpec(((-4.0, 4.0),), 1.0, 100.0)
     with pytest.raises(BetaZero):
-        harnack_hr(log_field(f), t, HAMILTON, 2.0, loc)
+        hr_window_min(peaked_run, HAMILTON, 2.0, loc, (t, t))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eseharnack import (Field, Grid, ProblemSpec, RescaleSpec, StepConfig,
-                        ode_blowup_time, ode_oracle, rescale_field,
-                        rescale_problem, rescale_trace, solve, step)
+from eseharnack import (Grid, ProblemSpec, RescaleSpec, StepConfig, gaussian,
+                        ode_blowup_time, ode_oracle, rescale_problem,
+                        rescale_trace, solve, step)
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack import integrate
 from eseharnack.errors import NonPositiveField, OutOfWindow
-from eseharnack.integrate import (_TIMED, _WARM, _WINDOW, TraceStatus, _capacity,
-                                  _Workspace, stable_dt)
+from eseharnack.integrate import (_TIMED, _WARM, _WINDOW, SolveTrace, TraceStatus,
+                                  _capacity, _Workspace, stable_dt)
 
-from conftest import constant_problem, gaussian_problem, needs_split
+from conftest import constant_problem, field_at, gaussian_problem, needs_split
 from test_stencil import _ref_rk4
 
 
@@ -32,27 +32,26 @@ from test_stencil import _ref_rk4
 def test_step_matches_ode_on_constant_data():
     # spatially constant data reduces to f' = f^p; RK4 local error is O(dt^5)
     g = Grid.line(0.0, 1.0, 16)
-    f = Field.constant(g, 1.0)
     dt = 1e-4
-    out = step(f, 0.0, dt, 2.0)
+    out = step(np.ones(g.extents), g, dt, 2.0)
     exact = ode_oracle(1.0, 2.0, dt)
-    assert np.allclose(out.values, exact, atol=5 * dt ** 5)
+    assert np.allclose(out, exact, atol=5 * dt ** 5)
 
 
 def test_zero_step_is_identity():
     g = Grid.line(0.0, 1.0, 16)
-    f = Field.constant(g, 1.0)
-    assert step(f, 0.0, 0.0, 2.0) is f
+    f = np.ones(g.extents)
+    assert step(f, g, 0.0, 2.0) is f
 
 
 def test_reaction_slows_the_maximum_decay():
     # one step on Gaussian data: the source term keeps the peak higher than
     # the pure-heat step on the same data
     prob = gaussian_problem(128, t_end=0.1)
-    f = Field(prob.grid, prob.initial)
+    f = prob.initial
     dt = 1e-4
-    with_reaction = step(f, 0.0, dt, 2.0, reaction=True)
-    heat_only = step(f, 0.0, dt, 2.0, reaction=False)
+    with_reaction = step(f, prob.grid, dt, 2.0, reaction=True)
+    heat_only = step(f, prob.grid, dt, 2.0, reaction=False)
     assert with_reaction.max() > heat_only.max()
     assert with_reaction.max() < f.max()      # diffusion still wins at width 0.2
 
@@ -61,15 +60,20 @@ def test_step_rejects_positivity_loss():
     g = Grid.line(0.0, 1.0, 16, "reflecting")
     vals = np.full(16, 1e-9)
     vals[8] = 1.0                              # sharp spike, huge negative lap
-    f = Field(g, vals)
     with pytest.raises(NonPositiveField):
-        step(f, 0.0, 1.0, 2.0)
+        step(vals, g, 1.0, 2.0)
 
 
 def test_step_rejects_negative_dt():
     g = Grid.line(0.0, 1.0, 16)
     with pytest.raises(ValueError):
-        step(Field.constant(g, 1.0), 0.0, -1e-3, 2.0)
+        step(np.ones(g.extents), g, -1e-3, 2.0)
+
+
+def test_step_refuses_values_off_the_grid():
+    g = Grid.line(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match=r"value shape \(1,\) does not match grid extents"):
+        step(np.ones(1), g, 1e-3, 2.0)
 
 
 @pytest.mark.parametrize("dim, reaction", [(1, True), (2, True), (2, False)])
@@ -77,11 +81,10 @@ def test_step_equals_one_advance_of_a_solve_workspace(dim, reaction):
     # step() copies its input into states[0]; the solve loop also steps out
     # of states[1], through the other bound plan
     prob = gaussian_problem(32, dim=dim, reaction=reaction)
-    f = Field(prob.grid, prob.initial)
-    dt = stable_dt(prob.grid, prob.p, f.max(), StepConfig(), reaction)
+    dt = stable_dt(prob.grid, prob.p, float(prob.initial.max()), StepConfig(), reaction)
     ws = _Workspace(prob.grid, prob.p, reaction)
     ws.states[1][...] = prob.initial
-    assert np.array_equal(step(f, 0.0, dt, prob.p, reaction).values,
+    assert np.array_equal(step(prob.initial, prob.grid, dt, prob.p, reaction),
                           ws.states[ws.advance(1, dt)])
 
 
@@ -151,8 +154,7 @@ def test_comparison_monotonicity_on_nested_gaussians():
     for t, f in zip(lo.times, lo.samples):
         if t > hi.t_final:
             break
-        g = hi.field_at(t)
-        assert np.all(g.values >= f * (1 - 1e-9))
+        assert np.all(field_at(hi, t) >= f * (1 - 1e-9))
 
 
 def test_dt_floor_declares_blowup_only_while_rising():
@@ -346,19 +348,23 @@ def test_problemspec_holds_a_read_only_copy_of_the_initial_data():
 # ---------------------------------------------------------------------------
 # trace interpolation
 
-def test_field_at_interpolates_linearly(gauss128):
-    ts = gauss128.times
+def test_value_at_interpolates_linearly_in_time(gauss128):
+    # at a grid point the spatial interpolation reads that point alone
+    ts, g = gauss128.times, gauss128.grid
     t_mid = 0.5 * (ts[3] + ts[4])
-    expected = 0.5 * (gauss128.samples[3] + gauss128.samples[4])
-    assert np.allclose(gauss128.field_at(t_mid).values, expected, rtol=1e-12)
-    assert np.array_equal(gauss128.field_at(ts[3]).values, gauss128.samples[3])
+    for i in (0, 37, 64, 127):
+        x = g.point(i)
+        expected = 0.5 * (gauss128.samples[3][i] + gauss128.samples[4][i])
+        assert gauss128.value_at(x, t_mid) == pytest.approx(expected, rel=1e-12)
+        assert gauss128.value_at(x, ts[3]) == gauss128.samples[3][i]
 
 
 @pytest.mark.parametrize("dim, boundary", [(1, "reflecting"), (2, "reflecting"),
                                            (2, "periodic"), (3, "periodic")])
 def test_value_at_equals_interpolating_the_whole_field(dim, boundary):
     # value_at interpolates in time only the corners it reads, so it must
-    # give field_at(t).interp(x) bit for bit, at sample times and between
+    # give the whole field interpolated in time, then in space, bit for bit,
+    # at sample times and between
     prob = gaussian_problem(32 if dim < 3 else 8, t_end=0.05, dim=dim, boundary=boundary)
     trace = solve(prob, StepConfig(sample_stride=3))
     rng = np.random.default_rng(dim)
@@ -367,33 +373,40 @@ def test_value_at_equals_interpolating_the_whole_field(dim, boundary):
         x = rng.uniform(*prob.grid.box[0], dim)
         if boundary == "periodic":
             x += rng.integers(-2, 3, dim) * (prob.grid.box[0][1] - prob.grid.box[0][0])
-        assert trace.value_at(x, t) == trace.field_at(t).interp(x)
+        f = field_at(trace, t)
+        whole = 0.0
+        for ix, weight in trace.grid.interp_corners(x):
+            whole += weight * float(f[ix])
+        assert trace.value_at(x, t) == whole
 
 
-def test_field_at_out_of_window(gauss128):
+def test_value_at_out_of_window(gauss128):
     with pytest.raises(OutOfWindow):
-        gauss128.field_at(gauss128.t_final + 1.0)
+        gauss128.value_at((0.0,), gauss128.t_final + 1.0)
 
 
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
+def _one_sample_trace(grid, level, t):
+    return SolveTrace(grid, 2.0, np.array([t]), np.full((1, *grid.extents), level),
+                      TraceStatus.reached(), np.zeros(0))
+
+
 def test_rescale_identity():
     g = Grid.line(-1.0, 1.0, 16)
-    f = Field.constant(g, 3.0)
-    out, t = rescale_field(f, 0.7, RescaleSpec(1.0, 2.0))
-    assert t == 0.7
+    out = rescale_trace(_one_sample_trace(g, 3.0, 0.7), RescaleSpec(1.0, 2.0))
+    assert out.times.tolist() == [0.7]
     assert out.grid == g
-    assert np.all(out.values == f.values)
+    assert np.all(out.samples == 3.0)
 
 
 def test_rescale_direct_formula():
     # p = 2 so delta = -2; lambda = 2 quarters the values and doubles the box
     g = Grid.line(-1.0, 1.0, 16)
-    f = Field.constant(g, 4.0)
-    out, t = rescale_field(f, 0.25, RescaleSpec(2.0, 2.0))
-    assert t == 1.0
-    assert np.all(out.values == 1.0)
+    out = rescale_trace(_one_sample_trace(g, 4.0, 0.25), RescaleSpec(2.0, 2.0))
+    assert out.times.tolist() == [1.0]
+    assert np.all(out.samples == 1.0)
     assert out.grid.box == ((-2.0, 2.0),)
 
 
@@ -502,7 +515,7 @@ def _split_problem(extents, boundary="reflecting", p=2.0, reaction=True, center=
     """A Gaussian off the centre row on [-2, 2]^dim, run for about `steps` steps."""
     dim = len(extents)
     grid = Grid(((-2.0, 2.0),) * dim, extents, boundary)
-    f0 = Field.gaussian(grid, 1.0, 0.4, (center,) + (0.0,) * (dim - 1)).values
+    f0 = gaussian(grid, 1.0, 0.4, (center,) + (0.0,) * (dim - 1))
     t_end = steps * stable_dt(grid, p, 1.0, StepConfig(), reaction)
     return ProblemSpec(grid, p, f0, t_end, reaction=reaction)
 

@@ -10,7 +10,7 @@ exact.
 import numpy as np
 import pytest
 
-from eseharnack import Field, Grid, ProblemSpec, StepConfig, solve, step
+from eseharnack import Grid, ProblemSpec, StepConfig, solve, step
 from eseharnack.errors import NonPositiveField
 from eseharnack.field import (_plus_first, central_diff, grad_sq_nd, gradient_nd,
                               hessian_sq_nd, laplacian_nd, second_diff)
@@ -309,7 +309,7 @@ def test_step_rejects_nonpositive_input():
     vals = np.ones(16)
     vals[3] = 0.0
     with pytest.raises(NonPositiveField, match="step input"):
-        step(Field(g, vals), 0.0, 1e-6, 2.0)
+        step(vals, g, 1e-6, 2.0)
 
 
 @pytest.mark.parametrize("dim,boundary", [(1, "periodic"), (2, "reflecting")])
@@ -330,7 +330,7 @@ def test_solve_aborts_with_the_reference_stage_failure(dim, boundary):
 
 
 # ---------------------------------------------------------------------------
-# the Field-level stencils
+# the array-level stencils
 
 STENCILS = [
     (lambda v, g: second_diff(v, g, g.dim - 1), lambda v, g: _ref_second_diff(v, g, g.dim - 1)),
@@ -399,7 +399,7 @@ def test_operator_rejects_a_non_contiguous_output(dim):
 def test_non_contiguous_input_gives_the_reference(dim, boundary):
     g = _grid(dim, boundary)
     # every second element of a larger positive array, and in 2-D and 3-D a
-    # Fortran-ordered copy (a Field keeps the Fortran order)
+    # Fortran-ordered array
     wide = _values(Grid(g.box, tuple(2 * n for n in g.extents), boundary), 5, True)
     inputs = [wide[(slice(None, None, 2),) * dim]]
     if dim > 1:
@@ -409,7 +409,7 @@ def test_non_contiguous_input_gives_the_reference(dim, boundary):
         assert np.array_equal(laplacian_nd(v, g), _ref_laplacian_nd(v, g))
         assert np.array_equal(hessian_sq_nd(v, g), _ref_hessian_sq_nd(v, g))
         dt = stable_dt(g, 2.5, float(v.max()), StepConfig())
-        assert np.array_equal(step(Field(g, v), 0.0, dt, 2.5).values,
+        assert np.array_equal(step(v, g, dt, 2.5),
                               _ref_rk4(v, dt, g, 2.5, True))
 
 
