@@ -1,10 +1,9 @@
 """Solver and differential-Harnack verification harness for f_t = lap(f) + f^p."""
 
 from .blowup import (BlowupReport, blowup_report, blowup_threshold,
-                     center_monotonicity_check, classify_regime,
-                     estimate_blowup_time, first_threshold_hit,
+                     center_monotonicity_check, classify_regime, grows_from,
                      normalize_threshold_time, ode_blowup_time, ode_oracle,
-                     tail_fit)
+                     tail_fit, threshold_hit)
 from .classical import (PairVerdict, PathSpec, classical_harnack_check,
                         dp_min_path_cost, min_path_cost, path_cost,
                         random_pairs)

@@ -6,8 +6,11 @@ Harnack inequality implies that any positive solution reaching
     f(x0, t0) >= (4n / (2-c))^{1/(p-1)}
 
 at t0 = 1 grows monotonically at that point afterwards and blows up in finite
-time.  The t0 = 1 normalization is realized here by parabolic rescaling of a
-computed trace, not by re-solving from shifted time.  The `regime` label is
+time.  Parabolic rescaling moves any time t0 > 0 to 1, so at t0 the hypothesis
+reads t0 * f(x0, t0)^{p-1} >= 4n/(2-c): `threshold_hit` finds the first sample
+that meets it, `blowup_report` reports that sample beside the t0 = 1 threshold
+above, and `normalize_threshold_time` rescales the trace (it does not
+re-solve) so that the sample falls at t~ = 1.  The `regime` label is
 Fujita's classification on R^n (n(p-1) vs 2) only: on the harness's periodic
 and reflecting boxes every positive solution blows up, in every regime, by
 T_hi = m0^{1-p}/(p-1), m0 the weighted mean of f0 (trapezoid weights on a
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import blowup_c_valid
 from .errors import (InsufficientSamples, InvalidC, PastBlowup,
                      ThresholdNeverMet)
 from .integrate import RescaleSpec, SolveTrace, rescale_trace
@@ -39,7 +43,7 @@ def classify_regime(n: int, p: float) -> str:
 
 def blowup_threshold(n: int, p: float, c: float) -> float:
     """(4n/(2-c))^{1/(p-1)}, defined for n(p-1) <= c < 2."""
-    if not n * (p - 1.0) <= c < 2.0:
+    if not blowup_c_valid(n, p, c):
         raise InvalidC(f"need n(p-1) <= c < 2, got c={c} for n={n}, p={p}")
     try:
         return (4.0 * n / (2.0 - c)) ** (1.0 / (p - 1.0))
@@ -101,36 +105,34 @@ def tail_fit(trace: SolveTrace, p: float) -> tuple[float, float]:
     return float(root), quality
 
 
-def estimate_blowup_time(trace: SolveTrace, p: float) -> float:
-    """Extrapolated blowup time for a trace that was declared blowup."""
-    if trace.status.kind != "blowup":
-        raise ValueError(f"trace status is {trace.status.kind!r}, not blowup")
-    root, _ = tail_fit(trace, p)
-    return root
-
-
 # ---------------------------------------------------------------------------
 # threshold scanning and monotone growth
 
-def _argmax_at(trace: SolveTrace, i: int) -> tuple[tuple[float, ...], float]:
-    """Grid point where sample i peaks, and the sample's time."""
-    return trace.grid.point(int(np.argmax(trace.samples[i]))), float(trace.times[i])
-
-
-def first_threshold_hit(trace: SolveTrace, threshold: float) -> tuple[tuple[float, ...], float]:
-    """First sampled (x, t) with f(x, t) >= threshold; ThresholdNeverMet otherwise."""
-    _, ms = trace.max_curve()
-    hits = np.flatnonzero(ms >= threshold)
+def threshold_hit(trace: SolveTrace, n: int, p: float, c: float
+                  ) -> tuple[tuple[float, ...], float] | None:
+    """First sampled (x, t) with t > 0 and t * f(x, t)^{p-1} >= 4n/(2-c), x
+    where that sample peaks; None if no sample meets it."""
+    if not blowup_c_valid(n, p, c):
+        raise InvalidC(f"need n(p-1) <= c < 2, got c={c}")
+    ts, ms = trace.max_curve()
+    # a peak whose (p-1)th power overflows meets the threshold as inf does
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = np.flatnonzero((ts > 0) & (ts * ms ** (p - 1.0) >= 4.0 * n / (2.0 - c)))
     if not hits.size:
-        raise ThresholdNeverMet(f"no sample reaches {threshold}")
-    return _argmax_at(trace, hits[0])
+        return None
+    return trace.grid.point(int(np.argmax(trace.samples[hits[0]]))), float(ts[hits[0]])
+
+
+def grows_from(trace: SolveTrace, t0: float) -> bool:
+    """True iff max_x f is nondecreasing (to 1e-9 relative) over sampled t >= t0."""
+    ts, ms = trace.max_curve()
+    sel = ms[ts >= t0]
+    return bool(np.all(sel[1:] >= sel[:-1] * (1.0 - 1e-9)))
 
 
 def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) -> bool:
-    """True iff max_x f is nondecreasing (to 1e-9 relative) over sampled t >= t0.
-
-    Precondition: the (time-interpolated) field at t0 reaches the threshold.
-    """
+    """`grows_from`, once the field at t0 (interpolated in time) reaches the
+    threshold; ThresholdNeverMet if it does not."""
     i, w = trace.bracket(t0)
     f0 = trace.samples[i]
     if w is not None:
@@ -138,32 +140,22 @@ def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) ->
     peak = float(f0.max())
     if peak < threshold:
         raise ThresholdNeverMet(f"max f(., t0={t0}) = {peak} < threshold {threshold}")
-    ts, ms = trace.max_curve()
-    sel = ms[ts >= t0]
-    if len(sel) < 2:
-        return True
-    return bool(np.all(sel[1:] >= sel[:-1] * (1.0 - 1e-9)))
+    return grows_from(trace, t0)
 
 
 def normalize_threshold_time(trace: SolveTrace, n: int, p: float, c: float
                              ) -> tuple[SolveTrace, float, tuple[tuple[float, ...], float]]:
     """Rescale a trace so the blowup threshold is met exactly at t~ = 1.
 
-    Scans for the first sample with t * f^{p-1} >= 4n/(2-c) at some grid
-    point (the scale-invariant form of the threshold condition), then applies
+    Takes the sample `threshold_hit` finds, at t0, and applies
     lambda = t0^{-1/2}.  Returns (rescaled trace, lambda, (x0, t0)).
     """
-    if not n * (p - 1.0) <= c < 2.0:
-        raise InvalidC(f"need n(p-1) <= c < 2, got c={c}")
-    target = 4.0 * n / (2.0 - c)
-    ts, ms = trace.max_curve()
-    hits = np.flatnonzero((ts > 0) & (ts * ms ** (p - 1.0) >= target))
-    if not hits.size:
+    hit = threshold_hit(trace, n, p, c)
+    if hit is None:
         raise ThresholdNeverMet(
             "no sample satisfies t * f^(p-1) >= 4n/(2-c); run longer or raise the data")
-    x0, t = _argmax_at(trace, hits[0])
-    lam = t ** -0.5
-    return rescale_trace(trace, RescaleSpec(lam, p)), lam, (x0, t)
+    lam = hit[1] ** -0.5
+    return rescale_trace(trace, RescaleSpec(lam, p)), lam, hit
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +173,11 @@ class BlowupReport:
 
 
 def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None) -> BlowupReport:
-    """Regime, threshold scan and, if detected, the extrapolated time (None
-    where the tail fit has no use)."""
+    """Regime, the t0 = 1 threshold and `threshold_hit` for a given c, and,
+    if detected, the extrapolated time (None where the tail fit has no use)."""
     regime = classify_regime(n, p)
-    threshold = None
-    met_at = None
-    if c is not None:
-        threshold = blowup_threshold(n, p, c)
-        try:
-            met_at = first_threshold_hit(trace, threshold)
-        except ThresholdNeverMet:
-            met_at = None
+    threshold = None if c is None else blowup_threshold(n, p, c)
+    met_at = None if c is None else threshold_hit(trace, n, p, c)
     detected = trace.status.kind == "blowup"
     t_est = None
     quality = None

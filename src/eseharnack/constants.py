@@ -191,10 +191,15 @@ _FIXED_PRESETS: dict[str, tuple[int, float, HarnackConstants]] = {
 _BLOWUP_RE = re.compile(r"^blowup\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 
 
+def blowup_c_valid(n: int, p: float, c: float) -> bool:
+    """n(p-1) <= c < 2: the c of the blowup preset and of the blowup threshold."""
+    return n * (p - 1.0) <= c < 2.0
+
+
 def blowup_preset(n: int, p: float, c: float) -> tuple[int, float, HarnackConstants]:
     """(alpha, beta, a) = (2, 1, 2n) with user c in [n(p-1), 2), the choice
     that turns H0 >= 0 into the blowup threshold criterion."""
-    if not n * (p - 1.0) <= c < 2.0:
+    if not blowup_c_valid(n, p, c):
         raise InvalidC(f"blowup preset needs n(p-1) <= c < 2, got c={c} for n={n}, p={p}")
     return (n, p, HarnackConstants(2.0, 1.0, float(c), 2.0 * n))
 

@@ -17,11 +17,10 @@ from eseharnack import (Grid, HarnackConstants, ProblemSpec,
                         RescaleSpec, StepConfig, best_feasibility,
                         blowup_threshold, center_monotonicity_check,
                         check_admissible, classical_harnack_check,
-                        dp_min_path_cost, estimate_blowup_time,
-                        evolution_residual, feasible_region, h0_report,
-                        min_path_cost,
+                        dp_min_path_cost, evolution_residual,
+                        feasible_region, h0_report, min_path_cost,
                         normalize_threshold_time, preset, random_pairs,
-                        rescale_problem, solve)
+                        rescale_problem, solve, tail_fit)
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack.field import grad_sq_nd, laplacian_nd
 
@@ -34,7 +33,7 @@ def test_criterion_01_ode_anchor():
     grid = Grid.line(0.0, 12.8, 128, "periodic")
     prob = ProblemSpec(grid, 2.0, np.ones(grid.extents), t_end=2.0)
     trace = solve(prob, StepConfig(sample_stride=1))
-    est = estimate_blowup_time(trace, 2.0)
+    est, _ = tail_fit(trace, 2.0)
     elapsed = time.perf_counter() - start
     ok = (trace.status.kind == "blowup"
           and abs(est - 1.0) <= 1e-2
@@ -188,9 +187,8 @@ def test_criterion_08_rescaling():
     disc = rescale_commutation_discrepancy(solve(prob, cfg),
                                            solve(rescale_problem(prob, spec), cfg), spec)
     cfg = StepConfig(sample_stride=1)
-    base = estimate_blowup_time(solve(constant_problem(t_end=5.0), cfg), 2.0)
-    scaled = estimate_blowup_time(
-        solve(rescale_problem(constant_problem(t_end=5.0), spec), cfg), 2.0)
+    base, _ = tail_fit(solve(constant_problem(t_end=5.0), cfg), 2.0)
+    scaled, _ = tail_fit(solve(rescale_problem(constant_problem(t_end=5.0), spec), cfg), 2.0)
     ratio = scaled / base
     ok = disc <= 1e-3 and abs(ratio - 4.0) <= 0.08
     record_acceptance(8, "parabolic rescaling", ok,

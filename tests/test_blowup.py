@@ -5,10 +5,9 @@ import pytest
 
 from eseharnack import (Grid, SolveTrace, StepConfig, TraceStatus,
                         blowup_report, blowup_threshold,
-                        center_monotonicity_check, classify_regime,
-                        estimate_blowup_time, first_threshold_hit,
+                        center_monotonicity_check, classify_regime, grows_from,
                         normalize_threshold_time, ode_blowup_time, ode_oracle,
-                        solve, tail_fit)
+                        solve, tail_fit, threshold_hit)
 from eseharnack.errors import (InsufficientSamples, InvalidC, PastBlowup,
                                ThresholdNeverMet)
 
@@ -64,24 +63,25 @@ def test_ode_oracle_past_blowup():
 # extrapolated estimate
 
 def test_estimate_on_constant_data(const_run):
-    assert estimate_blowup_time(const_run, 2.0) == pytest.approx(1.0, rel=1e-2)
+    assert blowup_report(const_run, 1, 2.0).t_estimate == pytest.approx(1.0, rel=1e-2)
 
 
 def test_estimate_on_level_two_constant_data():
     tr = solve(constant_problem(level=2.0, t_end=2.0), StepConfig(sample_stride=1))
-    assert estimate_blowup_time(tr, 2.0) == pytest.approx(0.5, rel=1e-2)
+    assert blowup_report(tr, 1, 2.0).t_estimate == pytest.approx(0.5, rel=1e-2)
 
 
 def test_estimate_requires_blowup_status(gauss128):
-    with pytest.raises(ValueError):
-        estimate_blowup_time(gauss128, 2.0)
+    # the tail fit of a run that reached t_end is not reported as a blowup time
+    assert gauss128.status.kind == "reached_t_end"
+    assert blowup_report(gauss128, 1, 2.0).t_estimate is None
 
 
 def test_estimate_invariant_under_f_cap():
     ests = []
     for cap in (1e6, 1e8):
         tr = solve(constant_problem(t_end=2.0), StepConfig(f_cap=cap, sample_stride=1))
-        ests.append(estimate_blowup_time(tr, 2.0))
+        ests.append(blowup_report(tr, 1, 2.0).t_estimate)
     assert ests[0] == pytest.approx(ests[1], rel=1e-2)
 
 
@@ -140,25 +140,50 @@ def peak5_run():
 
 
 def test_peak5_blows_up_and_grows_from_threshold(peak5_run):
+    # the peak 5 exceeds the t = 1 threshold 4 from the start, but at t = 0
+    # the hypothesis t * f >= 4 does not hold; it first holds at t0 = 0.1846
     assert peak5_run.status.kind == "blowup"
-    x0, t0 = first_threshold_hit(peak5_run, blowup_threshold(1, 2.0, 1.0))
-    assert t0 == 0.0            # peak 5 exceeds threshold 4 from the start
+    x0, t0 = threshold_hit(peak5_run, 1, 2.0, 1.0)
+    assert t0 == pytest.approx(0.1845703125)
     assert x0 == (0.0,)
+    i = int(np.searchsorted(peak5_run.times, t0))
+    assert peak5_run.times[i] == t0
+    peaks = peak5_run.samples.max(axis=1)
+    assert peak5_run.times[i - 1] * peaks[i - 1] < 4.0 <= t0 * peaks[i]
+    assert grows_from(peak5_run, t0)
 
 
-def test_threshold_scans_match_per_sample_loop(peak5_run, const_run):
-    def loop_hit(trace, hit):
+def test_threshold_scans_match_per_sample_loop(peak5_run, const_run, gauss128):
+    # the report and the t0 = 1 normalization take the one scan's sample
+    def loop_hit(trace, target):
         for t, values in zip(trace.times, trace.samples):
-            if hit(t, values.max()):
+            if t > 0 and t * values.max() >= target:
                 i = np.unravel_index(int(np.argmax(values)), trace.grid.extents)
                 return tuple(float(ax[j]) for ax, j in zip(trace.grid.axes(), i)), t
         return None
 
-    for trace in (peak5_run, const_run):
-        for tau in (1.5, 4.0, 20.0):
-            assert first_threshold_hit(trace, tau) == loop_hit(trace, lambda t, m: m >= tau)
-        _, _, met = normalize_threshold_time(trace, 1, 2.0, 1.0)
-        assert met == loop_hit(trace, lambda t, m: t > 0 and t * m ** 1.0 >= 4.0)
+    found = []
+    for trace in (peak5_run, const_run, gauss128):
+        for c in (1.0, 1.5, 1.9, 1.999):
+            met = loop_hit(trace, 4.0 / (2.0 - c))
+            found.append(met is not None)
+            assert threshold_hit(trace, 1, 2.0, c) == met
+            assert blowup_report(trace, 1, 2.0, c).threshold_met_at == met
+            if met is None:
+                with pytest.raises(ThresholdNeverMet):
+                    normalize_threshold_time(trace, 1, 2.0, c)
+            else:
+                assert normalize_threshold_time(trace, 1, 2.0, c)[2] == met
+    assert any(found) and not all(found)
+
+
+def test_threshold_hit_where_the_peak_power_overflows():
+    # (1e300)^1.5 is past the float range: that sample meets any threshold
+    g = Grid.line(0.0, 1.0, 16)
+    samples = np.stack([np.full(g.extents, v) for v in (1.0, 2.0, 1e300)])
+    tr = SolveTrace(g, 2.5, np.array([0.0, 0.1, 0.2]), samples,
+                    TraceStatus.blowup(0.2, "f_cap"), np.full(2, 0.1))
+    assert threshold_hit(tr, 1, 2.5, 1.6) == ((0.0,), 0.2)
 
 
 def test_normalization_puts_threshold_at_unit_time(peak5_run):
@@ -172,6 +197,14 @@ def test_normalization_puts_threshold_at_unit_time(peak5_run):
     assert resc.status.kind == "blowup"
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_threshold_scan_rejects_c_outside_range(peak5_run, c):
+    # c = 2 divided by zero, and c > 2 made every positive sample a hit
+    for scan in (threshold_hit, normalize_threshold_time):
+        with pytest.raises(InvalidC, match=re.escape(f"need n(p-1) <= c < 2, got c={c}")):
+            scan(peak5_run, 1, 2.0, c)
+
+
 def test_normalization_requires_threshold(gauss128):
     with pytest.raises(ThresholdNeverMet):
         normalize_threshold_time(gauss128, 1, 2.0, 1.0)
@@ -180,9 +213,9 @@ def test_normalization_requires_threshold(gauss128):
 def test_blowup_time_rescaling_consistency(peak5_run):
     # lambda-rescaled trace must extrapolate to lambda^2 times the estimate
     from eseharnack import RescaleSpec, rescale_trace
-    est = estimate_blowup_time(peak5_run, 2.0)
+    est, _ = tail_fit(peak5_run, 2.0)
     scaled = rescale_trace(peak5_run, RescaleSpec(3.0, 2.0))
-    est_scaled = estimate_blowup_time(scaled, 2.0)
+    est_scaled, _ = tail_fit(scaled, 2.0)
     assert est_scaled == pytest.approx(9.0 * est, rel=2e-2)
 
 

@@ -1027,14 +1027,34 @@ def test_no_sample_in_the_window_exits_two_naming_the_keys(tmp_path, capsys, sav
             else f"[step] sample_stride = {stride}") in err
 
 
-def test_cmd_verify_trace_from_another_grid_exits_two(tmp_path, capsys):
-    cfg_path = write(tmp_path, "g.ini", GAUSS_INI.replace("extents = 128", "extents = 64"))
+@pytest.mark.parametrize("change", ["grid", "amplitude", "first-sample", "start-time"])
+def test_cmd_verify_trace_of_another_problem_exits_two(tmp_path, capsys, change):
+    # beside the grid and p, the trace must start at t = 0 from the configured
+    # initial data: with other data, every check used to run on a problem the
+    # config does not describe (rescale failed with 1.66)
+    ini = GAUSS_INI.replace("extents = 128", "extents = 64")
     solve_out = tmp_path / "solved"
-    assert main(["solve", "--config", cfg_path, "--out", str(solve_out)]) == 0
-    reuse = GAUSS_INI + f"\n[verify]\ntrace_dir = {solve_out / 'trace'}\n"
-    cfg2 = write(tmp_path, "g2.ini", reuse)
-    assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "run")]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert main(["solve", "--config", write(tmp_path, "g.ini", ini),
+                 "--out", str(solve_out)]) == 0
+    trace = solve_out / "trace"
+    if change == "grid":
+        ini = GAUSS_INI
+    elif change == "amplitude":
+        ini = ini.replace("amplitude = 1.0", "amplitude = 2.0")
+    elif change == "first-sample":   # one ulp off at one point
+        samples = np.load(trace / "samples.npy")
+        samples[0, 5] = np.nextafter(samples[0, 5], 2.0)
+        np.save(trace / "samples.npy", samples)
+    else:
+        meta = json.loads((trace / "metadata.json").read_text())
+        meta["sample_times"] = [t + 0.1 for t in meta["sample_times"]]
+        (trace / "metadata.json").write_text(json.dumps(meta))
+    cfg = write(tmp_path, "g2.ini", ini + f"\n[verify]\ntrace_dir = {trace}\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "loaded trace does not match the configured problem" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_cmd_verify_missing_trace_dir(tmp_path):
@@ -1073,6 +1093,62 @@ def test_cmd_verify_fits_the_blowup_tail_once(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["t_estimate"] == summary["blowup"]["t_estimate"]
     assert len(fits) == 1
+
+
+# its max f falls from 9.88 to 7.60 by t = 0.06, then grows, and the run
+# blows up at t = 0.29
+_AMPLITUDE_10_INI = """
+[problem]
+dim = 1
+p = 2.0
+box = -4:4
+extents = 128
+boundary = reflecting
+initial = gaussian
+amplitude = 10.0
+width = 0.2
+t_end = 5.0
+
+[constants]
+preset = hamilton_1d
+
+[checks]
+enabled = blowup
+blowup_c = 1.5
+"""
+
+
+def test_blowup_check_starts_where_t_f_meets_the_threshold(tmp_path):
+    # the hypothesis at t0 is t0 f(x0, t0)^(p-1) >= 4n/(2-c) = 8; a raw
+    # f >= 8 scan took t0 = 0, from where max f falls, and failed the check
+    cfg = write(tmp_path, "a.ini", _AMPLITUDE_10_INI)
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"blowup": True}
+    assert summary["t_detect"] == pytest.approx(0.2934, abs=1e-4)
+    assert summary["blowup"]["threshold_value"] == 8.0
+    x0, t0 = summary["blowup"]["threshold_met_at"]
+    assert t0 == pytest.approx(0.2579, abs=1e-4)
+    rc = load_config(cfg)
+    ts, ms = solve(rc.problem, rc.step).max_curve()
+    i = int(np.flatnonzero(ts * ms >= 8.0)[0])
+    assert ts[i] == t0 and ms[0] > 8.0
+    assert np.all(np.diff(ms[i:]) >= 0)
+
+
+def test_blowup_check_passes_below_the_unit_time_threshold(tmp_path):
+    # level 0.5 meets t f >= 8 at t0 = 1.7786 with max f = 4.52, under the
+    # t = 1 threshold 8: the growth check starts there without testing f >= 8
+    ini = CONST_CONFIG.read_text().replace("level = 1.0", "level = 0.5").replace(
+        "t_end = 2.0", "t_end = 3").replace("enabled = h0, residual, blowup",
+                                            "enabled = blowup\nblowup_c = 1.5")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", write(tmp_path, "c.ini", ini), "--out", str(out)]) == 0
+    blowup = json.loads((out / "summary.json").read_text())["blowup"]
+    assert blowup["threshold_value"] == 8.0
+    assert blowup["threshold_met_at"][1] == pytest.approx(1.7786, abs=1e-4)
+    assert blowup["threshold_met_at"][1] * 4.52 == pytest.approx(8.03, abs=0.01)
 
 
 def test_cmd_solve_abort_exits_three(tmp_path):
@@ -1415,11 +1491,15 @@ def test_config_only_errors_exit_two_before_any_solve(tmp_path, capsys, monkeypa
 
 
 def test_hr_check_fails_where_every_h_r_overflows(tmp_path, const_trace):
-    # c f^(p-1) = 10 * 1e308 overflows on every sample, so no H_R inside the
-    # rectangle is finite: a failed check, neither a pass nor a config error
+    # c f^(p-1) = 10 * 1e308 overflows on every sample after the initial one
+    # (which the trace must keep, and which lies before the window), so no
+    # H_R inside the rectangle is finite: a failed check, neither a pass nor
+    # a config error
     trace = tmp_path / "trace"
     shutil.copytree(const_trace, trace)
-    np.save(trace / "samples.npy", np.full_like(np.load(trace / "samples.npy"), 1e308))
+    samples = np.load(trace / "samples.npy")
+    samples[1:] = 1e308
+    np.save(trace / "samples.npy", samples)
     ini = CONST_CONFIG.read_text().replace(
         "preset = hamilton_1d", "alpha = 2.0\nbeta = 1.0\nc = 10.0\na = 2.0").replace(
         "enabled = h0, residual, blowup", "enabled = hr")
@@ -1582,6 +1662,22 @@ def test_cmd_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs,
                  "--axis", "problem.level=0.5,1.0"]) == 2
     assert f"--jobs {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify"], ["sweep", "--jobs", "2", "--axis", "problem.amplitude=1.0,2.0"]])
+def test_negative_seed_exits_two_before_any_solve(tmp_path, capsys, monkeypatch, args):
+    # numpy refused it only once the classical check drew its pairs, exit 4
+    # after the solve; without that check it was written into summary.json
+    for name in ("solve", "ProcessPoolExecutor"):
+        monkeypatch.setattr(cli, name, _refuse_to_start)
+    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
+    cfg = write(tmp_path, "g.ini", GAUSS_INI)
+    out = tmp_path / "run"
+    assert main([*args, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --seed -1 must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
 
 
