@@ -133,11 +133,8 @@ def grows_from(trace: SolveTrace, t0: float) -> bool:
 def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) -> bool:
     """`grows_from`, once the field at t0 (interpolated in time) reaches the
     threshold; ThresholdNeverMet if it does not."""
-    i, w = trace.bracket(t0)
-    f0 = trace.samples[i]
-    if w is not None:
-        f0 = (1.0 - w) * trace.samples[i - 1] + w * f0
-    peak = float(f0.max())
+    (below,), (above,), (w,) = trace.bracket([t0])
+    peak = float(((1.0 - w) * trace.samples[below] + w * trace.samples[above]).max())
     if peak < threshold:
         raise ThresholdNeverMet(f"max f(., t0={t0}) = {peak} < threshold {threshold}")
     return grows_from(trace, t0)

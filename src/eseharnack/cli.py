@@ -436,10 +436,27 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
                 ", ".join(v.name for v in hyp.violated))
 
     out.mkdir(parents=True, exist_ok=True)
+    # a trace of another problem is refused before the worker starts
+    loaded = _load_matching_trace(rc) if rc.trace_dir else None
     # started first, so that it runs alongside the main solve and checks
     worker = nullcontext() if rc.rescaled is None else _rescaled_solve(rc)
     with worker as rescaled_trace, _naming_the_window_keys(rc):
-        return _solve_and_check(rc, out, seed, verdict, rescaled_trace)
+        return _solve_and_check(rc, out, seed, verdict, rescaled_trace, loaded)
+
+
+def _load_matching_trace(rc: RunConfig) -> SolveTrace:
+    """The trace at `[verify] trace_dir`; ConfigError unless it is a solve of
+    the configured problem up to its horizon."""
+    trace = traceio.load_trace(rc.trace_dir)
+    # a solve stops at the first t >= t_end, which can round one ulp over
+    t_end = rc.problem.t_end
+    if (trace.grid != rc.problem.grid or trace.p != rc.problem.p or trace.times[0] != 0
+            or trace.reaction != rc.problem.reaction
+            or not trace.t_final <= t_end + math.ulp(t_end)
+            or (trace.status.kind == "reached_t_end" and trace.t_final < t_end)
+            or not np.array_equal(trace.samples[0], rc.problem.initial)):
+        raise ConfigError("loaded trace does not match the configured problem")
+    return trace
 
 
 @contextmanager
@@ -459,18 +476,13 @@ def _naming_the_window_keys(rc: RunConfig):
 
 
 def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.AdmissibilityVerdict,
-                     rescaled_trace) -> tuple[int, dict]:
-    """`run_pipeline` after validation: solve (or load), run the enabled
-    checks and write the reports.  `rescaled_trace()` returns the solve of
-    the rescaled problem, which the rescale check compares with."""
+                     rescaled_trace, loaded: SolveTrace | None) -> tuple[int, dict]:
+    """`run_pipeline` after validation: solve (unless a trace was `loaded`),
+    run the enabled checks and write the reports.  `rescaled_trace()`
+    returns the solve of the rescaled problem, which the rescale check
+    compares with."""
     n, p, k = rc.problem.n, rc.problem.p, rc.constants
-    if rc.trace_dir:
-        trace = traceio.load_trace(rc.trace_dir)
-        if (trace.grid != rc.problem.grid or trace.p != p or trace.times[0] != 0
-                or not np.array_equal(trace.samples[0], rc.problem.initial)):
-            raise ConfigError("loaded trace does not match the configured problem")
-    else:
-        trace = solve(rc.problem, rc.step)
+    trace = solve(rc.problem, rc.step) if loaded is None else loaded
 
     cs = rc.checks
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
@@ -605,13 +617,10 @@ def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
         block = idx[start:start + step]
         rows = slice(block[0], block[-1] + 1)
         f = trace.samples[rows] * spec.lam ** spec.delta
-        brackets = [other.bracket(spec.lam ** 2 * t) for t in trace.times[rows]]
-        hit = np.array([i for i, _ in brackets])
-        below = np.array([i if w is None else i - 1 for i, w in brackets])
-        w = [0.0 if w is None else w for _, w in brackets]
-        g = (ha.column([1.0 - wj for wj in w], trace.grid) * other.samples[below]
-             + ha.column(w, trace.grid) * other.samples[hit])
-        n = len(brackets)
+        below, above, w = other.bracket(spec.lam ** 2 * trace.times[rows])
+        g = (ha.column(1.0 - w, trace.grid) * other.samples[below]
+             + ha.column(w, trace.grid) * other.samples[above])
+        n = len(w)
         gaps = np.abs(f - g).reshape(n, -1).max(axis=1)
         for gap, denom in zip(gaps, np.abs(f).reshape(n, -1).max(axis=1)):
             worst = max(worst, float(gap) / float(denom))

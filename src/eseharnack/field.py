@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveField
+from .errors import NonPositiveField, OutOfWindow
 
 BOUNDARIES = ("periodic", "reflecting")
 _F8 = np.dtype(np.float64)
@@ -98,57 +98,32 @@ class Grid:
         """Coordinate arrays of shape `extents`, one per axis ('ij' indexing)."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def contains(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            return False
-        if self.boundary == "periodic":
-            return True
-        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.box))
-
-    def interp_corners(self, x) -> list[tuple[tuple[int, ...], float]]:
-        """The corners that multilinear interpolation at a point x reads, as
-        (index, weight) with weight != 0, in a fixed order (wraps on periodic
-        grids)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have {self.dim} coordinates")
-        idx0, idx1, w = [], [], []
-        for k in range(self.dim):
-            lo, hi = self.box[k]
-            h = self.spacing[k]
-            n = self.extents[k]
-            s = (x[k] - lo) / h
-            if self.boundary == "periodic":
-                s = s % n
-                i0 = int(np.floor(s))
-                frac = s - i0
-                i0 %= n
-                i1 = (i0 + 1) % n
-            else:
-                if not lo <= x[k] <= hi:
-                    raise ValueError(f"point {x} outside grid box")
-                i0 = min(int(np.floor(s)), n - 2)
-                i0 = max(i0, 0)
-                frac = s - i0
-                i1 = i0 + 1
-            idx0.append(i0)
-            idx1.append(i1)
-            w.append(frac)
-        corners = []
-        for corner in range(1 << self.dim):
-            weight = 1.0
-            ix = []
-            for k in range(self.dim):
-                if corner >> k & 1:
-                    weight *= w[k]
-                    ix.append(idx1[k])
-                else:
-                    weight *= 1.0 - w[k]
-                    ix.append(idx0[k])
-            if weight != 0.0:
-                corners.append((tuple(ix), weight))
-        return corners
+    def corners(self, xs) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+        """The corners that multilinear interpolation at the m points xs, of
+        shape (m, dim), reads: per corner its index arrays and weights, bit k
+        of the corner number choosing axis k's upper index.  Periodic grids
+        wrap; OutOfWindow for points of another shape, a point outside a
+        reflecting box or one too far off for its grid index to be finite."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise OutOfWindow(f"points must have shape (m, {self.dim}), got {xs.shape}")
+        ends, weights = [], []
+        periodic = self.boundary == "periodic"
+        for x, (lo, hi), h, n in zip(xs.T, self.box, self.spacing, self.extents):
+            with np.errstate(over="ignore", invalid="ignore"):   # refused below
+                s = (x - lo) / h % n if periodic else (x - lo) / h
+            inside = np.isfinite(s) if periodic else (lo <= x) & (x <= hi)
+            if not inside.all():
+                raise OutOfWindow(f"point {xs[np.argmin(inside)].tolist()} outside the "
+                                  f"grid box {list(self.box)}")
+            i0 = np.floor(s) if periodic else np.clip(np.floor(s), 0, n - 2)
+            frac = s - i0
+            i0 = i0.astype(np.intp) % n
+            ends.append((i0, (i0 + 1) % n))
+            weights.append((1.0 - frac, frac))
+        return [(tuple(e[c >> k & 1] for k, e in enumerate(ends)),
+                 math.prod((w[c >> k & 1] for k, w in enumerate(weights)), start=1.0))
+                for c in range(1 << self.dim)]
 
     def scaled(self, lam: float) -> "Grid":
         """Grid with every coordinate multiplied by lam (same extents/boundary)."""

@@ -129,6 +129,7 @@ class SolveTrace:
     samples: np.ndarray
     status: TraceStatus
     step_log: np.ndarray
+    reaction: bool = True   # False: a solve of the pure heat equation
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -145,33 +146,34 @@ class SolveTrace:
     def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
         return self.times, self.samples.max(axis=tuple(range(1, self.samples.ndim)))
 
-    def window(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
+    def bracket(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(below, above, w), one entry per time of the array ts: the
+        solution at ts[j] is (1 - w[j]) * samples[below[j]] + w[j] *
+        samples[above[j]], where a sample time has below == above and w == 0.
+        OutOfWindow for a time outside [times[0], times[-1]]."""
+        times, ts = self.times, np.asarray(ts, dtype=float)
+        off = ~((times[0] <= ts) & (ts <= times[-1]))
+        if off.any():
+            raise OutOfWindow(f"t={ts[off][0]} outside sampled window "
+                              f"[{times[0]}, {times[-1]}]")
+        above = np.searchsorted(times, ts)
+        hit = times[above] == ts
+        below = np.where(hit, above, above - 1)
+        w = np.divide(ts - times[below], times[above] - times[below],
+                      out=np.zeros(ts.shape), where=~hit)
+        return below, above, w
 
-    def bracket(self, t: float) -> tuple[int, float | None]:
-        """(i, w): the solution at time t is samples[i] when w is None, and
-        (1 - w) * samples[i - 1] + w * samples[i] otherwise."""
-        ts = self.times
-        if not ts[0] <= t <= ts[-1]:
-            raise OutOfWindow(f"t={t} outside sampled window [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t))
-        if i == 0 or ts[i] == t:
-            return i, None
-        return i, (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-
-    def value_at(self, x, t: float) -> float:
-        """The solution at (x, t): multilinear in space between the grid
-        points around x, linear in time between the samples that bracket t
-        (`bracket`).  Only the corners that the spatial interpolation reads
-        are interpolated in time, each as (1 - w) * before + w * after."""
-        i, w = self.bracket(t)
-        before, at = self.samples[i - 1], self.samples[i]
+    def values_at(self, xs, ts) -> np.ndarray:
+        """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim):
+        multilinear in space between the grid points around xs[j]
+        (`Grid.corners`), linear in time between the samples that bracket
+        ts[j] (`bracket`).  Only the corners that the spatial interpolation
+        reads are interpolated in time."""
+        below, above, w = self.bracket(ts)
         total = 0.0
-        for ix, weight in self.grid.interp_corners(x):
-            value = float(at[ix])
-            if w is not None:
-                value = (1.0 - w) * float(before[ix]) + w * value
-            total += weight * value
+        for ix, weight in self.grid.corners(xs):
+            total = total + weight * ((1.0 - w) * self.samples[(below, *ix)]
+                                      + w * self.samples[(above, *ix)])
         return total
 
 
@@ -688,7 +690,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         record(t, y)
     samples.resize((len(times), *grid.extents), refcheck=False)
     return SolveTrace(grid, prob.p, np.array(times), samples, status,
-                      np.asarray(step_log))
+                      np.asarray(step_log), prob.reaction)
 
 
 # ---------------------------------------------------------------------------
@@ -739,4 +741,4 @@ def rescale_trace(trace: SolveTrace, spec: RescaleSpec) -> SolveTrace:
                              status.reason, status.criterion)
     return SolveTrace(trace.grid.scaled(spec.lam), trace.p, spec.lam ** 2 * trace.times,
                       trace.samples * spec.lam ** spec.delta, status,
-                      trace.step_log * spec.lam ** 2)
+                      trace.step_log * spec.lam ** 2, trace.reaction)

@@ -1,12 +1,13 @@
 """On-disk format: solve traces and initial data, all as .npy arrays.
 
-A trace directory holds three files: metadata.json (grid, p, status and the
-sample times), steps.npy (the full accepted-dt log) and samples.npy (every
-sample stacked, float64 of shape (n_samples, *extents)).  Floats in the
-metadata use repr, which round-trips exactly.  `[problem] initial = file`
-reads one .npy array of the grid's extents.  Every array is read through
-`load_array`: float64 of exactly the expected shape, finite and positive.
-`load_trace` also checks the metadata, naming the bad key.
+A trace directory holds three files: metadata.json (grid, p, whether the
+reaction term was on, status and the sample times), steps.npy (the full
+accepted-dt log) and samples.npy (every sample stacked, float64 of shape
+(n_samples, *extents)).  Floats in the metadata use repr, which round-trips
+exactly.  `[problem] initial = file` reads one .npy array of the grid's
+extents.  Every array is read through `load_array`: float64 of exactly the
+expected shape, finite and positive.  `load_trace` also checks the
+metadata, naming the bad key.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ def save_trace(outdir, trace: SolveTrace) -> None:
     g = trace.grid
     meta = {
         "p": trace.p,
+        "reaction": trace.reaction,
         "grid": {"box": [list(iv) for iv in g.box],
                  "extents": list(g.extents),
                  "boundary": g.boundary},
@@ -100,6 +102,9 @@ def load_trace(outdir) -> SolveTrace:
         p = meta["p"]
         if type(p) not in (int, float):   # neither a string nor a bool
             raise ValueError(f"p must be a number, got {p!r}")
+        reaction = meta["reaction"]
+        if type(reaction) is not bool:
+            raise ValueError(f"reaction must be true or false, got {reaction!r}")
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, RecursionError) as exc:   # the last: nested too deep
@@ -122,4 +127,4 @@ def load_trace(outdir) -> SolveTrace:
                           f"found {times[0]} to {times[-1]}")
     samples = load_array(out / "samples.npy", (len(times), *grid.extents))
     steps = load_array(out / "steps.npy", (n_steps,))
-    return SolveTrace(grid, float(p), times, samples, status, steps)
+    return SolveTrace(grid, float(p), times, samples, status, steps, reaction)

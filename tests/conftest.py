@@ -30,10 +30,13 @@ def constant_problem(level=1.0, t_end=2.0, n_points=16, box=(0.0, 100.0), p=2.0)
 
 def field_at(trace, t):
     """The whole sampled field at time t, linear in time between the samples
-    that bracket t: the reference for the interpolations of the package."""
-    i, w = trace.bracket(t)
-    if w is None:
-        return trace.samples[i]
+    that bracket t: the reference for the interpolations of the package.
+    Between samples i - 1 and i, i the first sample after t (or the last
+    sample): a sample time gets w = 0 or, at the last sample, w = 1, which
+    reproduce that sample exactly."""
+    ts = trace.times
+    i = min(int(np.searchsorted(ts, t, side="right")), len(ts) - 1)
+    w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
     return (1.0 - w) * trace.samples[i - 1] + w * trace.samples[i]
 
 

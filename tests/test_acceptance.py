@@ -273,3 +273,27 @@ def test_criterion_11_heat_kernel_oracle():
     assert all(1.9 <= s <= 2.1 for s in orders)
     assert all(e < 0 for e in errs)
     assert abs(richardson) <= 1e-6
+
+
+def test_criterion_11_heat_kernel_oracle_2d():
+    # the same oracle in 2-D, with the tuple (1, 0, 0, n/2) = (1, 0, 0, 1):
+    # the last window sample's min H0 sits below (n/2)(1/t - 1/(t + t0)) by
+    # O(h^2) on 32^2, 64^2 and 128^2 grids
+    start = time.perf_counter()
+    k, width, n = HarnackConstants(1.0, 0.0, 0.0, 1.0), 0.5, 2
+    t0 = 0.5 * width ** 2
+    errs = []
+    for n_points in (32, 64, 128):
+        prob = gaussian_problem(n_points, t_end=0.5, dim=n, box=(-4.0, 4.0), width=width,
+                                reaction=False)
+        rep = h0_report(solve(prob, StepConfig(sample_stride=8)), k, 2.0, (0.05, 0.45))
+        t, got = rep.curve[-1]
+        errs.append(got - 0.5 * n * (1.0 / t - 1.0 / (t + t0)))
+    elapsed = time.perf_counter() - start
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    ok = all(e < 0 for e in errs) and 1.9 <= orders[-1] <= 2.2
+    record_acceptance(11, "heat-kernel oracle, 2-D", ok,
+                      f"errors={['%.3e' % e for e in errs]} "
+                      f"orders={['%.2f' % s for s in orders]} {elapsed:.1f}s")
+    assert all(e < 0 for e in errs)
+    assert 1.9 <= orders[-1] <= 2.2

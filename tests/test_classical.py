@@ -135,11 +135,17 @@ def test_slack_invariant_under_rescaling(gauss256):
 
 
 def test_out_of_window_errors(gauss256):
-    t_lo, t_hi = gauss256.window()
+    t_lo, t_hi = gauss256.times[0], gauss256.times[-1]
     with pytest.raises(OutOfWindow):
         classical_harnack_check(gauss256, [((0.0,), t_lo + 0.1, (0.0,), t_hi + 5.0)], 1)
     with pytest.raises(OutOfWindow):
         classical_harnack_check(gauss256, [((9.0,), 0.2, (0.0,), 0.5)], 1)
+    with pytest.raises(OutOfWindow):   # endpoints of another dimension
+        classical_harnack_check(gauss256, [((0.0, 0.0), 0.2, (0.0, 0.0), 0.5)], 1)
+
+
+def test_no_pairs_give_no_verdicts(gauss256):
+    assert classical_harnack_check(gauss256, [], 1) == []
 
 
 def test_pair_time_order_validation(gauss256):

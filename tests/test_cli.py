@@ -404,16 +404,13 @@ def test_hr_rect_fuzz_never_exits_four(tmp_path, initial, rect):
     assert _verify_with(tmp_path, initial, [("checks", "hr_rect", text)]) in (0, 1, 2, 3)
 
 
-def _drop_sample_times(path):
-    meta = json.loads(path.read_text())
-    del meta["sample_times"]
-    path.write_text(json.dumps(meta))
-
-
-def _drop_n_steps(path):
-    meta = json.loads(path.read_text())
-    del meta["n_steps"]
-    path.write_text(json.dumps(meta))
+def _drop(key):
+    """Damage that drops metadata.json's top-level `key`."""
+    def damage(path):
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+    return damage
 
 
 def _set_meta(key, value):
@@ -443,7 +440,7 @@ def _reverse_sample_times(path):
 @pytest.mark.parametrize("name, damage, message", [
     ("samples.npy", lambda path: np.save(path, np.load(path)[:-1]), r"samples\.npy.*shape"),
     ("samples.npy", lambda path: path.unlink(), r"samples\.npy"),
-    ("metadata.json", _drop_sample_times, r"metadata\.json.*missing key 'sample_times'"),
+    ("metadata.json", _drop("sample_times"), r"metadata\.json.*missing key 'sample_times'"),
     ("samples.npy", lambda path: np.save(path, -np.load(path)), r"samples\.npy.*positive"),
     ("metadata.json", _reverse_sample_times, r"metadata\.json.*increasing"),
     ("steps.npy", lambda path: np.save(path, np.stack([np.load(path)] * 2)),
@@ -456,7 +453,7 @@ def _reverse_sample_times(path):
                                                       np.inf, np.load(path))),
      r"steps\.npy.*finite"),
     ("steps.npy", lambda path: path.unlink(), r"steps\.npy"),
-    ("metadata.json", _drop_n_steps, r"metadata\.json.*missing key 'n_steps'"),
+    ("metadata.json", _drop("n_steps"), r"metadata\.json.*missing key 'n_steps'"),
     ("samples.npy", lambda path: np.save(path, np.load(path) * np.inf), r"samples\.npy.*finite"),
     ("samples.npy", lambda path: np.save(path, np.load(path) * np.nan), r"samples\.npy.*finite"),
     ("metadata.json", _set_meta("sample_times", []), r"metadata\.json.*nonempty"),
@@ -474,6 +471,12 @@ def _reverse_sample_times(path):
     # a string p was taken through float() and verified with exit 0
     ("metadata.json", _set_meta("p", "2.0"), r"metadata\.json: p must be a number, got '2\.0'"),
     ("metadata.json", _set_meta("p", True), r"metadata\.json: p must be a number, got True"),
+    ("metadata.json", _set_meta("reaction", 1), r"metadata\.json: reaction must be true or "
+                                                r"false, got 1"),
+    ("metadata.json", _set_meta("reaction", "true"), r"metadata\.json: reaction must be"),
+    ("metadata.json", _set_meta("reaction", None), r"metadata\.json: reaction must be"),
+    # a trace written before the key existed
+    ("metadata.json", _drop("reaction"), r"metadata\.json.*missing key 'reaction'"),
     ("metadata.json", _set_meta("sample_times", lambda ts: [-0.5] + ts[1:]),
      r"metadata\.json.*sample_times.*t >= 0"),
     ("metadata.json", _set_meta("sample_times", lambda ts: ts[:-1] + [float("inf")]),
@@ -505,7 +508,7 @@ def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message
 _META_KEYS = ("p", "grid", "grid.box", "grid.box.0", "grid.box.0.0", "grid.box.0.1",
               "grid.extents", "grid.extents.0", "grid.boundary", "status", "status.kind",
               "status.t_detect", "status.reason", "status.criterion", "sample_times",
-              "sample_times.0", "sample_times.1", "sample_times.-1", "n_steps")
+              "sample_times.0", "sample_times.1", "sample_times.-1", "n_steps", "reaction")
 _META_VALUES = st.one_of(
     st.sampled_from([None, True, False, "x", "2.0", {}, [], [1.0], 0, 1, -1, 2 ** 63,
                      10 ** 400, -10 ** 400, 1e308, -1e308, 5e-324]),
@@ -1027,11 +1030,15 @@ def test_no_sample_in_the_window_exits_two_naming_the_keys(tmp_path, capsys, sav
             else f"[step] sample_stride = {stride}") in err
 
 
-@pytest.mark.parametrize("change", ["grid", "amplitude", "first-sample", "start-time"])
+@pytest.mark.parametrize("change", ["grid", "amplitude", "first-sample", "start-time",
+                                    "longer-t_end", "shorter-t_end", "reaction"])
 def test_cmd_verify_trace_of_another_problem_exits_two(tmp_path, capsys, change):
     # beside the grid and p, the trace must start at t = 0 from the configured
     # initial data: with other data, every check used to run on a problem the
-    # config does not describe (rescale failed with 1.66)
+    # config does not describe (rescale failed with 1.66).  It must also end
+    # at the configured horizon and be a solve of the configured equation
+    # (with the reaction off, the h0 check judged the heat trace as a solve
+    # of f_t = lap(f) + f^p)
     ini = GAUSS_INI.replace("extents = 128", "extents = 64")
     solve_out = tmp_path / "solved"
     assert main(["solve", "--config", write(tmp_path, "g.ini", ini),
@@ -1041,6 +1048,11 @@ def test_cmd_verify_trace_of_another_problem_exits_two(tmp_path, capsys, change)
         ini = GAUSS_INI
     elif change == "amplitude":
         ini = ini.replace("amplitude = 1.0", "amplitude = 2.0")
+    elif change.endswith("t_end"):
+        ini = ini.replace("t_end = 0.5", "t_end = 1.0" if change == "longer-t_end"
+                          else "t_end = 0.25")
+    elif change == "reaction":
+        ini = ini.replace("t_end = 0.5", "t_end = 0.5\nreaction = off")
     elif change == "first-sample":   # one ulp off at one point
         samples = np.load(trace / "samples.npy")
         samples[0, 5] = np.nextafter(samples[0, 5], 2.0)
@@ -1055,6 +1067,20 @@ def test_cmd_verify_trace_of_another_problem_exits_two(tmp_path, capsys, change)
     err = capsys.readouterr().err
     assert "loaded trace does not match the configured problem" in err
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("t_end, code", [("0.5", 2), ("5.0", 0)])
+def test_verify_refuses_a_blowup_trace_past_the_horizon(tmp_path, capsys, const_trace,
+                                                        t_end, code):
+    # constant_blowup.ini's trace blows up near t = 1 under t_end = 2.  Under
+    # t_end = 0.5 it runs past the horizon, and was verified with exit 0 and
+    # a blowup at 0.99999999; under t_end = 5 it stops early, as a blowup may
+    ini = CONST_CONFIG.read_text().replace("t_end = 2.0", f"t_end = {t_end}")
+    cfg = write(tmp_path, "c.ini", f"{ini}\n[verify]\ntrace_dir = {const_trace}\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+    assert ("loaded trace does not match the configured problem"
+            in capsys.readouterr().err) == (code == 2)
 
 
 def test_cmd_verify_missing_trace_dir(tmp_path):

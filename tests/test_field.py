@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eseharnack import Grid, SolveTrace, TraceStatus, gaussian, log_field
-from eseharnack.errors import NonPositiveField
+from eseharnack.errors import NonPositiveField, OutOfWindow
 from eseharnack.field import grad_sq_nd, hessian_sq_nd, laplacian_nd
 
 
@@ -233,7 +233,7 @@ def test_log_field_rejects_nonpositive():
 def _interp(grid, values, x):
     trace = SolveTrace(grid, 2.0, np.array([1.0]), values[None], TraceStatus.reached(),
                        np.zeros(0))
-    return trace.value_at(x, 1.0)
+    return trace.values_at([x], [1.0])[0]
 
 
 def test_interp_exact_on_multilinear():
@@ -251,5 +251,18 @@ def test_interp_periodic_wraps():
 
 def test_interp_reflecting_out_of_box_raises():
     g = Grid.line(0.0, 1.0, 8, "reflecting")
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfWindow):
         _interp(g, np.ones(g.extents), (1.5,))
+
+
+@pytest.mark.parametrize("boundary, xs", [
+    ("reflecting", [(0.5, 0.5, 0.5)]),      # another dimension
+    ("reflecting", [0.5, 0.5]),             # no point axis
+    ("reflecting", [(0.5, np.nan)]),
+    ("periodic", [(0.5, np.inf)]),
+    ("periodic", [(0.5, 1e308), (-1e308, 0.5)]),   # (x - lo) / h overflows
+])
+def test_corners_refuse_points_of_another_shape_or_off_the_grid(boundary, xs):
+    g = Grid(((0.0, 1.0), (0.0, 2.0)), (8, 8), boundary)
+    with pytest.raises(OutOfWindow):
+        g.corners(xs)

@@ -348,41 +348,82 @@ def test_problemspec_holds_a_read_only_copy_of_the_initial_data():
 # ---------------------------------------------------------------------------
 # trace interpolation
 
-def test_value_at_interpolates_linearly_in_time(gauss128):
+def test_values_at_interpolates_linearly_in_time(gauss128):
     # at a grid point the spatial interpolation reads that point alone
     ts, g = gauss128.times, gauss128.grid
     t_mid = 0.5 * (ts[3] + ts[4])
-    for i in (0, 37, 64, 127):
-        x = g.point(i)
-        expected = 0.5 * (gauss128.samples[3][i] + gauss128.samples[4][i])
-        assert gauss128.value_at(x, t_mid) == pytest.approx(expected, rel=1e-12)
-        assert gauss128.value_at(x, ts[3]) == gauss128.samples[3][i]
+    idx = [0, 37, 64, 127]
+    xs = [g.point(i) for i in idx]
+    expected = 0.5 * (gauss128.samples[3][idx] + gauss128.samples[4][idx])
+    assert gauss128.values_at(xs, [t_mid] * 4) == pytest.approx(expected, rel=1e-12)
+    assert np.array_equal(gauss128.values_at(xs, [ts[3]] * 4), gauss128.samples[3][idx])
+
+
+def test_bracket_at_sample_times_and_between(gauss128):
+    ts = gauss128.times
+    t_mid = 0.5 * (ts[3] + ts[4])
+    below, above, w = gauss128.bracket([ts[0], ts[3], t_mid, ts[-1]])
+    assert below.tolist() == [0, 3, 3, len(ts) - 1]
+    assert above.tolist() == [0, 3, 4, len(ts) - 1]
+    assert w.tolist() == [0.0, 0.0, (t_mid - ts[3]) / (ts[4] - ts[3]), 0.0]
+    assert [a.shape for a in gauss128.bracket([])] == [(0,)] * 3
+
+
+def _corners_at(grid, x):
+    """Scalar oracle: the (index, weight) pairs that multilinear
+    interpolation at one point x reads, corner bit k choosing axis k's
+    upper index, per axis s = (x - lo) / h wrapped (periodic) or its floor
+    clamped to [0, n - 2] (reflecting)."""
+    ends, fracs = [], []
+    for xk, (lo, hi), h, n in zip(x, grid.box, grid.spacing, grid.extents):
+        s = (xk - lo) / h
+        if grid.boundary == "periodic":
+            s = s % n
+            i0 = int(np.floor(s))
+            fracs.append(s - i0)
+            ends.append((i0 % n, (i0 % n + 1) % n))
+        else:
+            i0 = max(min(int(np.floor(s)), n - 2), 0)
+            fracs.append(s - i0)
+            ends.append((i0, i0 + 1))
+    corners = []
+    for corner in range(1 << grid.dim):
+        weight, ix = 1.0, []
+        for k in range(grid.dim):
+            up = corner >> k & 1
+            weight *= fracs[k] if up else 1.0 - fracs[k]
+            ix.append(ends[k][up])
+        corners.append((tuple(ix), weight))
+    return corners
 
 
 @pytest.mark.parametrize("dim, boundary", [(1, "reflecting"), (2, "reflecting"),
                                            (2, "periodic"), (3, "periodic")])
-def test_value_at_equals_interpolating_the_whole_field(dim, boundary):
-    # value_at interpolates in time only the corners it reads, so it must
+def test_values_at_equals_interpolating_the_whole_field(dim, boundary):
+    # values_at interpolates in time only the corners it reads, so it must
     # give the whole field interpolated in time, then in space, bit for bit,
     # at sample times and between
     prob = gaussian_problem(32 if dim < 3 else 8, t_end=0.05, dim=dim, boundary=boundary)
     trace = solve(prob, StepConfig(sample_stride=3))
     rng = np.random.default_rng(dim)
-    (lo, hi), ts = trace.window(), trace.times
-    for t in [*rng.uniform(lo, hi, 150), *ts[rng.integers(len(ts), size=50)], lo, hi]:
-        x = rng.uniform(*prob.grid.box[0], dim)
-        if boundary == "periodic":
-            x += rng.integers(-2, 3, dim) * (prob.grid.box[0][1] - prob.grid.box[0][0])
+    ts = trace.times
+    lo, hi = ts[0], ts[-1]
+    times = [*rng.uniform(lo, hi, 150), *ts[rng.integers(len(ts), size=50)], lo, hi]
+    xs = rng.uniform(*prob.grid.box[0], (len(times), dim))
+    if boundary == "periodic":
+        xs += rng.integers(-2, 3, xs.shape) * (prob.grid.box[0][1] - prob.grid.box[0][0])
+    got = trace.values_at(xs, times)
+    for x, t, value in zip(xs, times, got):
         f = field_at(trace, t)
         whole = 0.0
-        for ix, weight in trace.grid.interp_corners(x):
+        for ix, weight in _corners_at(trace.grid, x):
             whole += weight * float(f[ix])
-        assert trace.value_at(x, t) == whole
+        assert value == whole
 
 
-def test_value_at_out_of_window(gauss128):
+def test_values_at_out_of_window(gauss128):
     with pytest.raises(OutOfWindow):
-        gauss128.value_at((0.0,), gauss128.t_final + 1.0)
+        gauss128.values_at([(0.0,)], [gauss128.t_final + 1.0])
 
 
 # ---------------------------------------------------------------------------
