@@ -20,12 +20,10 @@ import csv
 import itertools
 import json
 import math
-import multiprocessing.connection
 import os
 import sys
 import threading
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -562,9 +560,10 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: ends this worker process as soon as its parent
-    process is gone.  A parent killed by SIGKILL runs no cleanup, and its
-    worker would otherwise run on, re-parented."""
+    """Ends this worker process, of the rescale check or of `sweep --jobs`, as
+    soon as its parent process is gone.  A parent killed by SIGKILL runs no
+    cleanup, and its worker would otherwise run on, re-parented."""
+    import multiprocessing.connection
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -574,27 +573,44 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _rescale_worker(send, problem: ProblemSpec, step: StepConfig) -> None:
+    """The rescale check's worker: sends (True, the solve of `problem`), or
+    (False, the exception that solving or sending it raised).  It calls
+    integrate.solve, not this module's `solve`, which bench/tracing.py wraps."""
+    _exit_with_parent()
+    try:
+        send.send((True, integrate.solve(problem, step)))
+    except Exception as exc:
+        send.send((False, exc))
+
+
 @contextmanager
 def _rescaled_solve(rc: RunConfig):
     """Solve `rc.rescaled` in one worker process while the caller goes on;
-    yields a function that waits for that solve and returns its trace.
-    On exit a worker still running is stopped, not waited for.
-    """
+    yields a function that waits for that solve and returns its trace, or
+    raises what it raised.  On exit the worker is stopped, not waited for."""
     # The default start method, as sweep's: a forked worker imports nothing
     # and finishes before the caller's checks do (spawn works too, but its
-    # imports put it on the critical path).  integrate.solve, not this
-    # module's `solve`, which bench/tracing.py wraps in a function that
-    # does not pickle.
-    with ProcessPoolExecutor(max_workers=1, initializer=_exit_with_parent) as pool:
-        future = pool.submit(integrate.solve, rc.rescaled, rc.step)
+    # imports put it on the critical path).
+    import multiprocessing
+    recv, send = multiprocessing.Pipe(duplex=False)
+    proc = multiprocessing.Process(target=_rescale_worker, args=(send, rc.rescaled, rc.step))
+    with recv:
+        with send:   # the worker's end: closed here, a worker gone reads as EOFError
+            proc.start()
+
+        def result() -> SolveTrace:
+            ok, value = recv.recv()
+            if not ok:
+                raise value
+            return value
+
         try:
-            yield future.result
+            yield result
         finally:
-            if not future.done():
-                # concurrent.futures has no public way to stop a running
-                # task before Python 3.14's terminate_workers
-                for proc in list(pool._processes.values()):
-                    proc.terminate()
+            proc.terminate()
+            proc.join()
+            proc.close()
 
 
 def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
@@ -648,7 +664,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:   # numpy refuses it, but only once the classical check draws
+    if args.seed < 0:   # the classical draw refuses it, but only after the solve
         raise ConfigError(f"--seed {args.seed} must be >= 0")
     rc = load_config(args.config)
     out = Path(args.out or rc.outdir)
@@ -762,6 +778,7 @@ def cmd_sweep(args) -> int:
     # the fork start method forks every worker at the first submit
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eseharnack import (PathSpec, RescaleSpec, classical_harnack_check,
+from eseharnack import (Grid, PathSpec, RescaleSpec, classical_harnack_check,
                         dp_min_path_cost, min_path_cost, path_cost,
                         random_pairs, rescale_trace)
+from eseharnack.classical import _Uniform
 from eseharnack.errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
+from eseharnack.harnack import default_window
+from eseharnack.integrate import SolveTrace, TraceStatus
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +162,71 @@ def test_random_pairs_are_reproducible(gauss256):
     assert a == b
     c = random_pairs(gauss256, 10, seed=43)
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# the draws of np.random.default_rng, made without numpy.random
+
+_SEEDS = [*range(200), 2**32, 2**64 - 1, 2**64, 2**100 + 12345]
+# ranges across 16 decades, the unit interval and empty ranges
+_RANGES = [(-3.0 * 10.0**k, 7.0 * 10.0**k) for k in range(-8, 8)] + [
+    (0.0, 1.0), (2.5, 2.5), (-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("seeds", [_SEEDS[:100], _SEEDS[100:]], ids=["low", "high"])
+def test_uniform_replica_equals_numpy_default_rng_bit_for_bit(seeds):
+    for seed in seeds:
+        rng, replica = np.random.default_rng(seed), _Uniform(seed)
+        want = [rng.uniform(lo, hi).hex() for _ in range(3) for lo, hi in _RANGES]
+        got = [replica.uniform(lo, hi).hex() for _ in range(3) for lo, hi in _RANGES]
+        assert got == want, seed
+
+
+def _numpy_random_pairs(trace, n_pairs, seed, t_window):
+    """random_pairs as it drew with numpy: the oracle the replica must meet."""
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = t_window
+    gap = 0.05 * (t_hi - t_lo)
+    pairs = []
+    for _ in range(n_pairs):
+        t1 = rng.uniform(t_lo, t_hi - gap)
+        t2 = rng.uniform(t1 + gap, t_hi)
+        x1 = tuple(rng.uniform(lo, hi) for lo, hi in trace.grid.box)
+        x2 = tuple(rng.uniform(lo, hi) for lo, hi in trace.grid.box)
+        pairs.append((x1, t1, x2, t2))
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 3, 2**64])
+def test_random_pairs_are_the_draws_of_numpy_default_rng(gauss256, dim, seed):
+    trace = gauss256
+    if dim > 1:
+        grid = Grid(((-1.0, 1.0), (0.0, 3.0), (-2.0, 0.5))[:dim], (4,) * dim, "reflecting")
+        trace = SolveTrace(grid, 2.0, np.linspace(0.0, 1.0, 5), np.ones((5,) * (dim + 1)),
+                           TraceStatus.reached(), np.zeros(0))
+    window = default_window(trace)
+    want = [(x1, t1.hex(), x2, t2.hex())
+            for x1, t1, x2, t2 in _numpy_random_pairs(trace, 50, seed, window)]
+    got = [(x1, t1.hex(), x2, t2.hex()) for x1, t1, x2, t2 in random_pairs(trace, 50, seed)]
+    assert got == want
+
+
+@pytest.mark.parametrize("seed, lo, hi", [
+    (-1, 0.0, 1.0), (1.5, 0.0, 1.0), ("3", 0.0, 1.0),
+    (0, 1.0, 0.0), (0, 0.0, -0.0), (0, 0.0, math.inf), (0, math.nan, 1.0),
+    (0, -1e308, 1e308),
+], ids=["negative-seed", "float-seed", "str-seed", "hi-below-lo", "negative-zero-span",
+        "infinite-span", "nan-lo", "overflowing-span"])
+def test_uniform_replica_raises_as_numpy_does(seed, lo, hi):
+    with pytest.raises(Exception) as numpy_error:
+        np.random.default_rng(seed).uniform(lo, hi)
+    with pytest.raises(numpy_error.type):
+        _Uniform(seed).uniform(lo, hi)
+
+
+def test_uniform_replica_refuses_a_seed_of_none():
+    # numpy takes None as a request for fresh OS entropy; a draw that no seed
+    # reproduces has no place in a report
+    with pytest.raises(TypeError):
+        _Uniform(None)

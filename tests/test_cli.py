@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import math
@@ -11,7 +12,6 @@ import sys
 import tempfile
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1282,16 +1282,17 @@ def test_rescale_worker_runs_under_spawn(tmp_path, monkeypatch):
     # interpreter, which forkserver (Python 3.14's default) also needs
     cfg = write(tmp_path, "g.ini", GAUSS_INI)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
-    pools = []
+    spawn = multiprocessing.get_context("spawn")
+    started = []
 
-    def spawn_pool(max_workers, **kwargs):
-        spawn = multiprocessing.get_context("spawn")
-        pools.append(ProcessPoolExecutor(max_workers, mp_context=spawn, **kwargs))
-        return pools[-1]
+    def spawn_process(**kwargs):
+        started.append(spawn.Process(**kwargs))
+        return started[-1]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(multiprocessing, "Pipe", spawn.Pipe)
+    monkeypatch.setattr(multiprocessing, "Process", spawn_process)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "spawn")]) == 0
-    assert len(pools) == 1
+    assert [type(proc).__name__ for proc in started] == ["SpawnProcess"]
     for name in REPORTS:
         assert ((tmp_path / "default" / name).read_bytes()
                 == (tmp_path / "spawn" / name).read_bytes()), name
@@ -1444,6 +1445,115 @@ def test_early_exit_stops_the_rescaled_solve(tmp_path, monkeypatch, private_temp
     assert list(private_tempdir.iterdir()) == []
 
 
+# verify of the config argv[1] in a fresh interpreter, whose rescale worker
+# fails as argv[3] says; argv[2] names a marker file.  The patches are made
+# before the worker is forked, so it inherits them.
+_WORKER_FAULT = """
+import os, signal, sys, time
+from multiprocessing import connection
+from pathlib import Path
+from eseharnack import cli
+
+config, marker, fault = sys.argv[1:]
+main_pid = os.getpid()
+
+
+def wait_for_marker():
+    deadline = time.monotonic() + 50
+    while not Path(marker).exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+if fault == "stalls-mid-send":
+    # the worker writes the first chunk of its result, then stalls; the H0
+    # check, in this process, waits for that and fails
+    send = connection.Connection._send
+
+    def stalled_send(self, buf, *args):
+        if os.getpid() == main_pid:
+            return send(self, buf, *args)
+        send(self, buf[:4], *args)
+        Path(marker).write_text(str(os.getpid()))
+        time.sleep(600)
+
+    def h0_report(*args):
+        wait_for_marker()
+        raise RuntimeError("a bug in the H0 check")
+
+    connection.Connection._send = stalled_send
+    cli.ha.h0_report = h0_report
+else:
+    # the worker (which alone calls integrate.solve) is killed once the
+    # classical check, the last before this process waits for it, is done
+    check = cli.cl.classical_harnack_check
+
+    def killed_solve(*args):
+        wait_for_marker()
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def marking_check(*args):
+        verdicts = check(*args)
+        Path(marker).touch()
+        return verdicts
+
+    cli.integrate.solve = killed_solve
+    cli.cl.classical_harnack_check = marking_check
+sys.exit(cli.main(["verify", "--config", config, "--out", str(Path(marker).parent / "run")]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("fault, message", [
+    ("stalls-mid-send", "RuntimeError: a bug in the H0 check"),
+    ("killed", "\nEOFError"),
+])
+def test_verify_exits_four_when_the_rescale_worker_fails_mid_result(tmp_path, fault, message):
+    # A worker stopped while it writes its result must not hang the run, as
+    # a process pool's result thread does, waiting for good on the rest of
+    # the message.  A worker killed while this process waits for its result
+    # reads as the end of the pipe.
+    cfg = write(tmp_path, "g.ini", GAUSS_INI)
+    marker = tmp_path / "marker"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _WORKER_FAULT, cfg, str(marker), fault],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4, done.stderr
+    assert message in done.stderr
+    if fault == "stalls-mid-send":   # stopped and reaped before the run exits
+        assert _running({int(marker.read_text())}) == set()
+
+
+def test_verify_imports_neither_numpy_random_nor_concurrent_futures(tmp_path):
+    # numpy 1.x imports numpy.random with numpy itself; numpy 2 leaves it out
+    # until it is asked for, and then it adds some 6 MB to a run's peak
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    script = f"""
+import json, sys
+import numpy
+eager = "numpy.random" in sys.modules
+sys.path.insert(0, {str(bench)!r})
+from workloads import GAUSS_2D_INI
+from eseharnack.cli import main
+with open({str(tmp_path / "g2.ini")!r}, "w") as fh:
+    fh.write(GAUSS_2D_INI)
+for i, cfg in enumerate([{str(GAUSS_CONFIG)!r}, {str(tmp_path / "g2.ini")!r}]):
+    assert main(["verify", "--config", cfg, "--out", {str(tmp_path)!r} + f"/run{{i}}"]) == 0
+print(json.dumps([eager, "numpy.random" in sys.modules, "concurrent.futures" in sys.modules]))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    eager, random_loaded, futures_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert random_loaded == eager
+    assert not futures_loaded
+
+
 def test_verify_builds_the_rescaled_problem_once(tmp_path, monkeypatch):
     # build_config builds it to validate rescale_lambda, and the worker solves it
     built = []
@@ -1462,13 +1572,19 @@ def _refuse_to_start(*args, **kwargs):
     pytest.fail("a solve ran or a process started")
 
 
+def _refuse_solves_and_processes(monkeypatch):
+    """Makes a solve, in this process or a worker, and the start of any
+    process, the rescale check's worker or a sweep pool's, fail the test."""
+    for target, name in ((cli, "solve"), (cli.integrate, "solve"),
+                         (multiprocessing.process.BaseProcess, "start")):
+        monkeypatch.setattr(target, name, _refuse_to_start)
+
+
 def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys, monkeypatch,
                                                              private_tempdir):
     # lambda = 0.25 scales the level-1 data to 16, above f_cap: refused with
     # the config, before either solve and before the worker starts
-    for name in ("solve", "ProcessPoolExecutor"):
-        monkeypatch.setattr(cli, name, _refuse_to_start)
-    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
+    _refuse_solves_and_processes(monkeypatch)
     ini = CONST_INI.replace("[step]\n", "[step]\nf_cap = 10\n") + \
         "\n[checks]\nenabled = rescale\nrescale_lambda = 0.25\n"
     cfg = write(tmp_path, "c.ini", ini)
@@ -1502,9 +1618,7 @@ def test_config_only_errors_exit_two_before_any_solve(tmp_path, capsys, monkeypa
                                                      change, key):
     # each needs only the config, so each is refused before anything is
     # solved or started; sweep refuses such a template before forking
-    for name in ("solve", "ProcessPoolExecutor"):
-        monkeypatch.setattr(cli, name, _refuse_to_start)
-    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
+    _refuse_solves_and_processes(monkeypatch)
     cfg = write(tmp_path, "c.ini", CONST_INI.replace(*change))
     for args in (["verify", "--allow-inadmissible"],
                  ["sweep", "--jobs", "2", "--axis", "step.sample_stride=1,2"]):
@@ -1696,9 +1810,7 @@ def test_cmd_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
 def test_negative_seed_exits_two_before_any_solve(tmp_path, capsys, monkeypatch, args):
     # numpy refused it only once the classical check drew its pairs, exit 4
     # after the solve; without that check it was written into summary.json
-    for name in ("solve", "ProcessPoolExecutor"):
-        monkeypatch.setattr(cli, name, _refuse_to_start)
-    monkeypatch.setattr(cli.integrate, "solve", _refuse_to_start)
+    _refuse_solves_and_processes(monkeypatch)
     cfg = write(tmp_path, "g.ini", GAUSS_INI)
     out = tmp_path / "run"
     assert main([*args, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
@@ -1727,7 +1839,7 @@ def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, lev
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = write(tmp_path, "c.ini", CONST_INI)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"),
                  "--jobs", "64", "--axis", f"problem.level={levels}"]) == 0
