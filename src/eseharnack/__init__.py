@@ -13,9 +13,8 @@ from .constants import (AdmissibilityVerdict, BestFeasibility, FeasibleRegion,
                         feasible_region, preset, preset_names)
 from .field import Grid, gaussian, log_field, require_positive
 from .harnack import (HarnackReport, LocalizerSpec, ResidualStats,
-                      certify_verdict, default_window, evolution_residual,
-                      f_form, h0_report, localizer_min_b, make_localizer,
-                      phi_r)
+                      default_window, evolution_residual, f_form, h0_report,
+                      localizer_min_b, make_localizer, phi_r)
 from .integrate import (ProblemSpec, RescaleSpec, SolveTrace, StepConfig,
                         TraceStatus, rescale_problem, rescale_trace, solve,
                         step)

@@ -14,15 +14,16 @@ multiplicative form:
 
     f(x1, t1) <= f(x2, t2) * (t2/t1)^n * exp(|x2-x1|^2 / (2 (t2-t1))).
 
-The checker evaluates this on solver traces; a small dynamic-programming
-minimizer over a waypoint lattice serves as an independent cross-check of
-the closed form.
+The checker evaluates this on solver traces, at endpoint pairs drawn from
+`random.Random(seed)`; a small dynamic-programming minimizer over a
+waypoint lattice serves as an independent cross-check of the closed form.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -168,82 +169,31 @@ def classical_harnack_check(trace: SolveTrace, pairs, dim: int,
     return out
 
 
-# np.random.default_rng(seed).uniform without importing numpy.random (6 MB and
-# 10 ms under numpy 2): SeedSequence hashes and mixes the seed's 32-bit words
-# into four; four 64-bit words seed PCG64 (O'Neill 2014; pcg_setseq_128_srandom_r),
-# a 128-bit LCG with an XSL-RR output; a double is its top 53 bits times 2^-53.
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    def hashmix(v: int) -> int:
-        nonlocal const
-        v ^= const
-        const = const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-    return hashmix
-
-
-def _seed_state(seed: int) -> list[int]:
-    """SeedSequence(seed).generate_state(4, np.uint64), as Python ints."""
-    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-
-    def mix(dst: int, v: int) -> None:
-        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
-        pool[dst] = x ^ x >> 16
-
-    for src, dst in product(range(4), repeat=2):
-        if src != dst:
-            mix(dst, pool[src])
-    for w, dst in product(words[4:], range(4)):
-        mix(dst, w)
-    state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
-    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
-
-
-class _Uniform:
-    """`uniform(lo, hi)` draws as np.random.default_rng(seed).uniform(lo, hi) does,
-    raising where it does; a `seed` of None (fresh OS entropy) is refused."""
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        s0, s1, i0, i1 = _seed_state(seed)
-        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
-
-    def uniform(self, lo, hi) -> float:
-        lo = float(lo)
-        span = float(hi) - lo
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
-        if math.copysign(1.0, span) < 0:
-            raise ValueError("high - low < 0")
-        self.state = s = (self.state * _PCG_MULT + self.inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        x = (x >> rot | x << (64 - rot)) & _M64
-        return lo + span * ((x >> 11) * 2.0 ** -53)
-
-
 def random_pairs(trace: SolveTrace, n_pairs: int, seed: int,
                  t_window: tuple[float, float] | None = None) -> list[tuple]:
-    """Seeded endpoint pairs in the trace's box and window, t2 - t1 >= 5 % of the window."""
-    rng = _Uniform(seed)
+    """Seeded endpoint pairs in the trace's box and window, t2 - t1 >= 5 % of the window.
+
+    Coordinates are lo + (hi - lo) * random.Random(seed).random(); a seed that
+    is not an integer (None: fresh OS entropy) raises TypeError, a negative one
+    ValueError (Random(-s) is Random(s)).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
+
+    def draw(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * rng.random()
+
     if t_window is None:
         t_window = default_window(trace)
     t_lo, t_hi = t_window
     gap = 0.05 * (t_hi - t_lo)
-    box = trace.grid.box
     pairs = []
     for _ in range(n_pairs):
-        t1 = rng.uniform(t_lo, t_hi - gap)
-        t2 = rng.uniform(t1 + gap, t_hi)
-        x1 = tuple(rng.uniform(lo, hi) for lo, hi in box)
-        x2 = tuple(rng.uniform(lo, hi) for lo, hi in box)
+        t1 = draw(t_lo, t_hi - gap)
+        t2 = draw(t1 + gap, t_hi)
+        x1 = tuple(draw(lo, hi) for lo, hi in trace.grid.box)
+        x2 = tuple(draw(lo, hi) for lo, hi in trace.grid.box)
         pairs.append((x1, t1, x2, t2))
     return pairs

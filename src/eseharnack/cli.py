@@ -350,6 +350,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def make_out_dir(path, source: str) -> Path:
+    """`path` as a directory, made if missing; ConfigError naming it and its
+    `source` (`--out` or `[output] dir`) if it cannot be made."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source} {str(out)!r}: cannot make the directory: "
+                          f"{exc.strerror}") from None
+    return out
+
+
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -414,9 +426,10 @@ def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
         return ha.hr_window_min(trace, k, p, loc, window)
 
 
-def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
-                 require_checks: bool) -> tuple[int, dict]:
-    """Solve (or load) and run the enabled checks; returns (exit_code, summary)."""
+def run_pipeline(rc: RunConfig, out: Path, out_source: str, seed: int,
+                 allow_inadmissible: bool, require_checks: bool) -> tuple[int, dict]:
+    """Solve (or load) and run the enabled checks, writing the reports into
+    `out` (given by `out_source`); returns (exit_code, summary)."""
     n, p, k = rc.problem.n, rc.problem.p, rc.constants
     verdict = co.check_admissible(n, p, k)
     if not verdict.admissible and not allow_inadmissible:
@@ -433,7 +446,7 @@ def run_pipeline(rc: RunConfig, out: Path, seed: int, allow_inadmissible: bool,
                 "constants fail the classical-Harnack hypotheses: " +
                 ", ".join(v.name for v in hyp.violated))
 
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out, out_source)
     # a trace of another problem is refused before the worker starts
     loaded = _load_matching_trace(rc) if rc.trace_dir else None
     # started first, so that it runs alongside the main solve and checks
@@ -648,8 +661,9 @@ def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
 
 def cmd_solve(args) -> int:
     rc = load_config(args.config)
-    out = Path(args.out or rc.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    source = "--out" if args.out else "[output] dir"
+    out = make_out_dir(args.out or rc.outdir, source)
+    make_out_dir(out / "trace", source)   # a file in its way is refused before the solve
     trace = solve(rc.problem, rc.step)
     traceio.save_trace(out / "trace", trace)
     report = bl.blowup_report(trace, rc.problem.n, rc.problem.p)
@@ -668,12 +682,17 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--seed {args.seed} must be >= 0")
     rc = load_config(args.config)
     out = Path(args.out or rc.outdir)
-    code, summary = run_pipeline(rc, out, args.seed, args.allow_inadmissible,
-                                 require_checks=True)
+    code, summary = run_pipeline(rc, out, "--out" if args.out else "[output] dir", args.seed,
+                                 args.allow_inadmissible, require_checks=True)
     for name, ok in summary["checks"].items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}")
     print(f"summary: {out / 'summary.json'}")
     return code
+
+
+# every cell of the region map is a feasibility solve in Python, so a
+# million points a side is far past any useful map (and an 8 MB axis)
+_MAX_GRID_COUNT = 10 ** 6
 
 
 def _parse_grid_spec(flag: str, raw: str) -> np.ndarray:
@@ -689,8 +708,8 @@ def _parse_grid_spec(flag: str, raw: str) -> np.ndarray:
                           f"lo, hi and an integer count") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{flag} {raw!r} needs finite lo and hi")
-    if count < 1:
-        raise ConfigError(f"{flag} {raw!r} needs count >= 1")
+    if not 1 <= count <= _MAX_GRID_COUNT:
+        raise ConfigError(f"{flag} {raw!r} needs 1 <= count <= {_MAX_GRID_COUNT}")
     return np.linspace(lo, hi, count)
 
 
@@ -715,9 +734,7 @@ def cmd_region(args) -> int:
                              math.nan, math.nan, math.nan, False))
     if not any_valid:
         raise ConfigError("no grid point has alpha > beta >= 0")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "region.csv"
+    path = make_out_dir(args.out, "--out") / "region.csv"
     write_csv(path, ["n", "p", "alpha", "beta", "c_lo", "c_hi", "a_min", "feasible"], rows)
     n_feas = sum(1 for r in rows if r[-1])
     print(f"{len(rows)} cells ({n_feas} feasible) -> {path}")
@@ -737,7 +754,7 @@ def _sweep_worker(packed):
     config_path, overrides, outdir, seed, allow_inadmissible = packed
     try:
         rc = load_config(config_path, overrides=overrides)
-        code, summary = run_pipeline(rc, Path(outdir), seed, allow_inadmissible,
+        code, summary = run_pipeline(rc, Path(outdir), "--out", seed, allow_inadmissible,
                                      require_checks=False)
     except EseError as exc:
         return 2, {"status": "config_error", "error": str(exc)}
@@ -766,8 +783,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--seed {args.seed} must be >= 0")
     load_config(args.config)  # validate template before spawning workers
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out, "--out")
     points = list(_axis_points(axes))
     jobs = []
     for i, (label, overrides) in enumerate(points):

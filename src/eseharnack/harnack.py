@@ -421,7 +421,7 @@ class HarnackReport:
     curve: list[tuple[float, float]]   # (t, min over grid of H0)
     t_window: tuple[float, float]
     tol: float
-    verdict: str                       # 'consistent' | 'violated' (see certify_verdict)
+    verdict: str                       # 'consistent' | 'violated'
     constants: HarnackConstants
 
     @property
@@ -465,15 +465,3 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     verdict = "consistent" if best >= -tol else "violated"
     return HarnackReport(best, arg_x, arg_t, curve, t_window, tol, verdict, k)
 
-
-def certify_verdict(coarse: HarnackReport, fine: HarnackReport,
-                    eps: float | None = None) -> str:
-    """Two-resolution certification: min H0 >= -eps on the coarse grid and
-    >= -eps/2 on the refined one.  Single-resolution positivity is only ever
-    reported as 'consistent'."""
-    eps = coarse.tol if eps is None else eps
-    if coarse.min_h0 >= -eps and fine.min_h0 >= -0.5 * eps:
-        return "certified"
-    if coarse.min_h0 >= -eps:
-        return "consistent"
-    return "violated"

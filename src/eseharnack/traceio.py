@@ -107,6 +107,8 @@ def load_trace(outdir) -> SolveTrace:
             raise ValueError(f"reaction must be true or false, got {reaction!r}")
     except KeyError as exc:
         raise ConfigError(f"{meta_path}: missing key {exc.args[0]!r}") from None
+    except OSError as exc:   # unreadable, e.g. a directory
+        raise ConfigError(f"{meta_path}: cannot read: {exc.strerror}") from None
     except (TypeError, ValueError, RecursionError) as exc:   # the last: nested too deep
         raise ConfigError(f"{meta_path}: {exc}") from None
     if status.kind not in _KINDS:

@@ -490,6 +490,9 @@ def _reverse_sample_times(path):
     # and this one with a RecursionError
     ("metadata.json", lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
      r"metadata\.json: maximum recursion depth"),
+    # exited 4 with an IsADirectoryError
+    ("metadata.json", lambda path: (path.unlink(), path.mkdir()),
+     r"metadata\.json: cannot read: Is a directory"),
 ])
 def test_load_trace_damaged_file_is_config_error(tmp_path, name, damage, message):
     save_trace(tmp_path / "trace",
@@ -1714,6 +1717,10 @@ def test_cmd_region_degenerate_grid_is_error(tmp_path):
     (("--n", "0"), "--n 0"),
     (("--p", "nan"), "--p nan"),
     (("--p", "1.0"), "--p 1.0"),
+    # these exited 4 with a MemoryError, an IndexError and a ValueError
+    (("--alpha", "0.5:2:1000000000000000"), "--alpha '0.5:2:1000000000000000'"),
+    (("--beta", f"0:0.9:{2 ** 63}"), f"--beta '0:0.9:{2 ** 63}'"),
+    (("--alpha", f"0.5:2:{10 ** 29}"), f"--alpha '0.5:2:{10 ** 29}'"),
 ])
 def test_cmd_region_bad_argument_exits_two(tmp_path, capsys, change, message):
     args = {"--n": "1", "--p": "2.0", "--alpha": "0.5:2.0:4", "--beta": "0.0:0.9:4"}
@@ -1723,6 +1730,48 @@ def test_cmd_region_bad_argument_exits_two(tmp_path, capsys, change, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (out / "region.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# output directories
+
+@pytest.mark.parametrize("command", ["solve", "verify", "verify-output-dir", "region",
+                                     "sweep"])
+def test_output_dir_that_cannot_be_made_exits_two(tmp_path, capsys, monkeypatch, command):
+    # a path under a regular file exited 4 with a NotADirectoryError
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    ini = GAUSS_INI
+    if command == "verify-output-dir":
+        ini += f"\n[output]\ndir = {out}\n"
+    cfg = write(tmp_path, "g.ini", ini)
+    argv = {"solve": ["solve", "--config", cfg],
+            "verify": ["verify", "--config", cfg],
+            "verify-output-dir": ["verify", "--config", cfg],
+            "region": ["region", "--n", "1", "--p", "2.0", "--alpha", "0.5:2.0:4",
+                       "--beta", "0.0:0.9:4"],
+            "sweep": ["sweep", "--config", cfg, "--axis", "problem.amplitude=1.0"],
+            }[command]
+    if command != "verify-output-dir":
+        argv += ["--out", str(out)]
+    _refuse_solves_and_processes(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    source = "[output] dir" if command == "verify-output-dir" else "--out"
+    assert f"{source} {str(out)!r}: cannot make the directory: Not a directory" in err
+    assert "Traceback" not in err
+
+
+def test_solve_refuses_a_file_where_its_trace_goes_before_the_solve(tmp_path, capsys,
+                                                                    monkeypatch):
+    # exited 4 with a FileExistsError, after the whole solve
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "trace").write_text("")
+    _refuse_solves_and_processes(monkeypatch)
+    cfg = write(tmp_path, "c.ini", CONST_INI)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert (f"--out {str(tmp_path / 'run' / 'trace')!r}: cannot make the directory: "
+            f"File exists") in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-from eseharnack import (Grid, HarnackConstants, HarnackReport, LocalizerSpec,
-                        StepConfig, certify_verdict, default_window,
-                        evolution_residual, f_form, h0_report, localizer_min_b,
-                        make_localizer, phi_r, preset, solve)
+from eseharnack import (Grid, HarnackConstants, LocalizerSpec,
+                        StepConfig, default_window, evolution_residual, f_form,
+                        h0_report, localizer_min_b, make_localizer, phi_r,
+                        preset, solve)
 from eseharnack.errors import (BetaZero, NonPositiveTime, WindowTooSmall)
 from eseharnack.field import (grad_sq_nd, gradient_nd, hessian_sq_nd,
                               laplacian_nd)
@@ -455,16 +455,6 @@ def test_h0_report_flags_violations(gauss256):
     rep = h0_report(gauss256, bad, 2.0)
     assert rep.verdict == "violated"
     assert rep.min_h0 < -1e-2
-
-
-def test_certify_verdict_policy():
-    def rep(min_h0):
-        return HarnackReport(min_h0, (0.0,), 0.5, [(0.5, min_h0)], (0.1, 0.9),
-                             1e-2, "consistent", HAMILTON)
-    assert certify_verdict(rep(-5e-3), rep(-2e-3)) == "certified"
-    assert certify_verdict(rep(-5e-3), rep(-8e-3)) == "consistent"
-    assert certify_verdict(rep(-5e-2), rep(-1e-3)) == "violated"
-    assert certify_verdict(rep(1e-3), rep(2e-3)) == "certified"
 
 
 # ---------------------------------------------------------------------------
