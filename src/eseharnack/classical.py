@@ -30,8 +30,8 @@ from itertools import product
 import numpy as np
 
 from .errors import NonMonotoneTime, NonPositiveTime
-from .harnack import default_window
-from .integrate import SolveTrace
+from .field import Grid
+from .integrate import PointValues, SolveTrace
 
 
 @dataclass(frozen=True)
@@ -139,39 +139,56 @@ class PairVerdict:
 
 def classical_harnack_check(trace: SolveTrace, pairs, dim: int,
                             tol: float = 1e-3) -> list[PairVerdict]:
-    """Check f(x1,t1) <= f(x2,t2) (t2/t1)^n exp(|dx|^2/(2 dt)) per pair.
+    """Check f(x1,t1) <= f(x2,t2) (t2/t1)^n exp(|dx|^2/(2 dt)) per pair
+    (`PairCheck`, fed the whole trace)."""
+    if not pairs:
+        return []
+    check = PairCheck(trace.grid, pairs, dim, tol)
+    check.take(trace.times, trace.samples)
+    return check.verdicts()
+
+
+class PairCheck(PointValues):
+    """The classical check of endpoint pairs (x1, t1, x2, t2), from a run's
+    samples taken a block at a time (`PointValues` of the endpoints).
 
     Computed in log space so huge right-hand sides cannot overflow; a pair
     passes when slack >= 1 - tol, the tolerance absorbing interpolation
-    error (reported, never hidden).  OutOfWindow for an endpoint outside
-    the trace's window or box (`SolveTrace.values_at`).
+    error (reported, never hidden).  `verdicts` raises NonMonotoneTime
+    unless 0 < t1 < t2, OutOfWindow for an endpoint outside the run's
+    window; an endpoint off the box is refused at once.
     """
-    pairs = [(np.atleast_1d(np.asarray(x1, dtype=float)), t1,
-              np.atleast_1d(np.asarray(x2, dtype=float)), t2) for x1, t1, x2, t2 in pairs]
-    if any(not 0 < t1 < t2 for _, t1, _, t2 in pairs):
-        raise NonMonotoneTime("need 0 < t1 < t2 per pair")
-    if not pairs:
-        return []
-    x1s, t1s, x2s, t2s = zip(*pairs)
-    f1s, f2s = trace.values_at(x1s, t1s), trace.values_at(x2s, t2s)
-    out = []
-    for (x1a, t1, x2a, t2), f1, f2 in zip(pairs, f1s.tolist(), f2s.tolist()):
-        dx2 = float(np.sum((x2a - x1a) ** 2))
-        log_rhs = math.log(f2) + dim * math.log(t2 / t1) + 0.5 * dx2 / (t2 - t1)
-        log_slack = log_rhs - math.log(f1)
-        with np.errstate(over="ignore"):
-            slack = float(np.exp(log_slack))
-            rhs = float(np.exp(log_rhs))
-        out.append(PairVerdict(tuple(float(c) for c in x1a), float(t1),
-                               tuple(float(c) for c in x2a), float(t2),
-                               f1, rhs, slack, log_slack,
-                               passed=log_slack >= math.log1p(-tol)))
-    return out
+
+    def __init__(self, grid: Grid, pairs, dim: int, tol: float = 1e-3):
+        self.pairs = [(np.atleast_1d(np.asarray(x1, dtype=float)), t1,
+                       np.atleast_1d(np.asarray(x2, dtype=float)), t2)
+                      for x1, t1, x2, t2 in pairs]
+        x1s, t1s, x2s, t2s = zip(*self.pairs)
+        super().__init__(grid, x1s + x2s, t1s + t2s)
+        self.dim, self.tol = dim, tol
+
+    def verdicts(self) -> list[PairVerdict]:
+        if any(not 0 < t1 < t2 for _, t1, _, t2 in self.pairs):
+            raise NonMonotoneTime("need 0 < t1 < t2 per pair")
+        f = self.values().tolist()
+        out = []
+        for (x1a, t1, x2a, t2), f1, f2 in zip(self.pairs, f, f[len(self.pairs):]):
+            dx2 = float(np.sum((x2a - x1a) ** 2))
+            log_rhs = math.log(f2) + self.dim * math.log(t2 / t1) + 0.5 * dx2 / (t2 - t1)
+            log_slack = log_rhs - math.log(f1)
+            with np.errstate(over="ignore"):
+                slack = float(np.exp(log_slack))
+                rhs = float(np.exp(log_rhs))
+            out.append(PairVerdict(tuple(float(c) for c in x1a), float(t1),
+                                   tuple(float(c) for c in x2a), float(t2),
+                                   f1, rhs, slack, log_slack,
+                                   passed=log_slack >= math.log1p(-self.tol)))
+        return out
 
 
-def random_pairs(trace: SolveTrace, n_pairs: int, seed: int,
-                 t_window: tuple[float, float] | None = None) -> list[tuple]:
-    """Seeded endpoint pairs in the trace's box and window, t2 - t1 >= 5 % of the window.
+def random_pairs(grid: Grid, n_pairs: int, seed: int,
+                 t_window: tuple[float, float]) -> list[tuple]:
+    """Seeded endpoint pairs in the grid's box and the window, t2 - t1 >= 5 % of the window.
 
     Coordinates are lo + (hi - lo) * random.Random(seed).random(); a seed that
     is not an integer (None: fresh OS entropy) raises TypeError, a negative one
@@ -185,15 +202,13 @@ def random_pairs(trace: SolveTrace, n_pairs: int, seed: int,
     def draw(lo: float, hi: float) -> float:
         return lo + (hi - lo) * rng.random()
 
-    if t_window is None:
-        t_window = default_window(trace)
     t_lo, t_hi = t_window
     gap = 0.05 * (t_hi - t_lo)
     pairs = []
     for _ in range(n_pairs):
         t1 = draw(t_lo, t_hi - gap)
         t2 = draw(t1 + gap, t_hi)
-        x1 = tuple(draw(lo, hi) for lo, hi in trace.grid.box)
-        x2 = tuple(draw(lo, hi) for lo, hi in trace.grid.box)
+        x1 = tuple(draw(lo, hi) for lo, hi in grid.box)
+        x2 = tuple(draw(lo, hi) for lo, hi in grid.box)
         pairs.append((x1, t1, x2, t2))
     return pairs

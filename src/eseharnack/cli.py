@@ -362,8 +362,17 @@ def make_out_dir(path, source: str) -> Path:
     return out
 
 
+@contextmanager
+def _writing(path):
+    """A report file that cannot be written, as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+
+
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -374,7 +383,9 @@ def write_summary(path, summary: dict) -> None:
     # JSON has no token for a non-finite float, so each is written as the
     # string _fmt puts in the CSVs; allow_nan=False refuses any left over
     strict = json.loads(json.dumps(summary), parse_constant=lambda c: _fmt(float(c)))
-    Path(path).write_text(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    with _writing(path):
+        Path(path).write_text(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False)
+                              + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +406,9 @@ def _run_summary(trace: SolveTrace, report: bl.BlowupReport,
     return out
 
 
-def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dict]:
-    """Consistency checks around the blowup machinery.
+def _check_blowup(run: integrate.Peaks, report: bl.BlowupReport) -> tuple[bool, dict]:
+    """Consistency checks around the blowup machinery, on what a check pass
+    kept of a run.
 
     If blowup was detected, the extrapolated time must exceed 0.95 times the
     last sample's time and, when a sample met the threshold (its
@@ -404,9 +416,9 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
     """
     ok = True
     if report.detected:
-        ok &= report.t_estimate is not None and report.t_estimate > 0.95 * trace.t_final
+        ok &= report.t_estimate is not None and report.t_estimate > 0.95 * run.t_final
         if report.threshold_met_at is not None:
-            ok &= bl.grows_from(trace, report.threshold_met_at[1])
+            ok &= bl.grows_from(run, report.threshold_met_at[1])
     info = {
         "regime": report.regime,
         "threshold_value": report.threshold_value,
@@ -420,10 +432,9 @@ def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dic
     return ok, info
 
 
-def _min_hr_over_window(trace: SolveTrace, k, p, loc, window) -> float:
-    """`hr_window_min`, an H_R past the float range taken as inf unwarned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ha.hr_window_min(trace, k, p, loc, window)
+# bench/tracing.py times cli._min_hr_over_window by name; verify reads the
+# H_R minimum from its check pass
+_min_hr_over_window = ha.hr_window_min
 
 
 def run_pipeline(rc: RunConfig, out: Path, out_source: str, seed: int,
@@ -486,18 +497,65 @@ def _naming_the_window_keys(rc: RunConfig):
                           f"{samples}") from None
 
 
+def _checks(rc: RunConfig, seed: int, plan: np.ndarray) -> tuple[ha.Checks, cl.PairCheck | None]:
+    """The check pass of the enabled checks on a run whose samples are
+    planned at the times `plan`, and its classical pairs, drawn in the
+    window that the plan's last time fixes."""
+    cs, grid, t_final = rc.checks, rc.problem.grid, float(plan[-1])
+    window = (cs.t_min_frac * t_final, cs.t_max_frac * t_final)
+    pairs = None
+    if "classical" in cs.enabled:
+        pairs = cl.PairCheck(grid, cl.random_pairs(grid, cs.classical_pairs, seed, window),
+                             grid.dim, cs.classical_tol)
+    checks = ha.Checks(grid, rc.constants, rc.problem.p, plan, window, h0="h0" in cs.enabled,
+                       loc=rc.localizer, residual="residual" in cs.enabled,
+                       extra=[] if pairs is None else [pairs])
+    return checks, pairs
+
+
+def _checked_solve(rc: RunConfig, seed: int):
+    """The solve, checked as it records its samples: (trace, checks, pairs).
+
+    The checks are planned on the sample times of a run at its first dt
+    (`integrate.planned_times`), which a diffusion-capped run that reaches
+    t_end keeps.  A run that does not, but is not aborted, is solved again
+    with the checks planned on its own times: a solve is deterministic bit
+    for bit, so the second one must end where the first did."""
+    checks, pairs = _checks(rc, seed, integrate.planned_times(rc.problem, rc.step))
+    trace = solve(rc.problem, rc.step, checks)
+    if checks.complete or trace.status.kind == "aborted":
+        return trace, checks, pairs
+    checks, pairs = _checks(rc, seed, trace.times)
+    again = solve(rc.problem, rc.step, checks)
+    if not checks.complete or (again.status, len(again.step_log)) != (trace.status,
+                                                                      len(trace.step_log)):
+        raise RuntimeError(f"a second solve of the problem ended {again.status} after "
+                           f"{len(again.step_log)} steps, the first {trace.status} after "
+                           f"{len(trace.step_log)}")
+    return again, checks, pairs
+
+
 def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.AdmissibilityVerdict,
                      rescaled_trace, loaded: SolveTrace | None) -> tuple[int, dict]:
     """`run_pipeline` after validation: solve (unless a trace was `loaded`),
-    run the enabled checks and write the reports.  `rescaled_trace()`
-    returns the solve of the rescaled problem, which the rescale check
-    compares with."""
+    run the enabled checks and write the reports.  The checks run as the
+    solve records its samples, unless the trace is kept: loaded, or solved
+    for the rescale check, which compares it whole with `rescaled_trace()`,
+    the solve of the rescaled problem."""
     n, p, k = rc.problem.n, rc.problem.p, rc.constants
-    trace = solve(rc.problem, rc.step) if loaded is None else loaded
-
     cs = rc.checks
+    checks = None
+    if loaded is None and rc.rescaled is None:
+        trace, checks, pairs = _checked_solve(rc, seed)
+    else:
+        trace = solve(rc.problem, rc.step) if loaded is None else loaded
+        if trace.status.kind != "aborted":   # no check runs on an aborted run
+            checks, pairs = _checks(rc, seed, trace.times)
+            checks.feed(trace.samples)
+
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
-    blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None)
+    blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None,
+                              None if checks is None else checks.peaks)
     summary: dict = {
         **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,
@@ -513,10 +571,8 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
         write_summary(out / "summary.json", summary)
         return 3, summary
 
-    window = ha.default_window(trace, cs.t_min_frac, cs.t_max_frac)
-
     if "h0" in cs.enabled:
-        report = ha.h0_report(trace, k, p, window, cs.h0_tol)
+        report = checks.h0_report(cs.h0_tol)
         summary["min_h0"] = report.min_h0
         summary["checks"]["h0"] = report.passed
         summary["h0"] = {"min": report.min_h0,
@@ -528,7 +584,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
 
     if "hr" in cs.enabled:
         loc = rc.localizer
-        min_hr = _min_hr_over_window(trace, k, p, loc, window)
+        min_hr = checks.hr_min()
         summary["hr"] = {"min": min_hr, "rect": [list(iv) for iv in loc.rect],
                          "a": loc.a, "b": loc.b}
         # inf, where no H_R inside is finite, fails as an overflowing residual does
@@ -536,8 +592,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
 
     if "residual" in cs.enabled:
         # a term past the float range makes the statistics inf or nan: a failed check
-        with np.errstate(over="ignore", invalid="ignore"):
-            stats = ha.evolution_residual(trace, k, p, window)
+        stats = checks.residual()
         summary["residual_stats"] = {"max_rel": stats.max_rel,
                                      "mean_rel": stats.mean_rel,
                                      "max_abs": stats.max_abs,
@@ -548,11 +603,10 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
         summary["checks"]["residual"] = stats.mean_rel <= cs.residual_tol
 
     if check_blowup:
-        summary["checks"]["blowup"], summary["blowup"] = _check_blowup(trace, blowup)
+        summary["checks"]["blowup"], summary["blowup"] = _check_blowup(checks.peaks, blowup)
 
-    if "classical" in cs.enabled:
-        pairs = cl.random_pairs(trace, cs.classical_pairs, seed, window)
-        verdicts = cl.classical_harnack_check(trace, pairs, n, cs.classical_tol)
+    if pairs is not None:
+        verdicts = pairs.verdicts()
         frac = sum(v.passed for v in verdicts) / len(verdicts)
         summary["classical_pass_fraction"] = frac
         summary["checks"]["classical"] = frac == 1.0

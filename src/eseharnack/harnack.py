@@ -17,8 +17,10 @@ rectangle, and the residual of the exact evolution identity
 with phi = a/t (so phi_t = -a/t^2 and the space derivatives of phi vanish).
 The identity holds exactly in the continuum; the residual reported here is
 pure discretization error and must shrink under refinement.  The checks
-over a time window take its samples a block at a time (`block_len`), with
-the arithmetic each sample gets on its own.
+over a time window run in one pass (`Checks`) over a run's samples, a
+block at a time (`block_len`) as a solve records them, with the arithmetic
+each sample gets on its own; the functions that take a trace feed it
+through that pass.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .constants import HarnackConstants, a_lower
 from .errors import BetaZero, NonPositiveTime, WindowTooSmall
 # log_field is not called here, but bench/tracing.py times it as
 # eseharnack.harnack.log_field
-from .field import (Grid, grad_sq_nd, gradient_nd, hessian_sq_nd,  # noqa: F401
-                    laplacian_nd, log_field)
-from .integrate import SolveTrace
+from .field import (Grid, central_diff, grad_sq_nd, gradient_nd,  # noqa: F401
+                    hessian_sq_nd, laplacian_nd, log_field)
+from .integrate import Blocks, Peaks, SolveTrace
 
 
 def _solution_part(u: np.ndarray, grid: Grid, k: HarnackConstants,
@@ -76,23 +78,6 @@ def _window_error(times: np.ndarray, window: tuple[float, float], found: int,
     return WindowTooSmall(
         f"the window [{lo!r}, {hi!r}] holds {found} of the trace's {len(times)} samples, "
         f"which span [{float(times[0])!r}, {float(times[-1])!r}]; {need}")
-
-
-def _window_blocks(trace: SolveTrace, k: HarnackConstants, p: float,
-                   t_window: tuple[float, float]):
-    """The samples inside a window, a block at a time: yields (times, part)
-    with the block's sample times and `_solution_part` of their log, of
-    shape (len(times), *extents)."""
-    if t_window[0] <= 0:
-        raise NonPositiveTime("window must start at t > 0")
-    idx = window_indices(trace.times, t_window)
-    if not len(idx):
-        raise _window_error(trace.times, t_window, 0, "the check needs at least one")
-    step = block_len(trace.grid)
-    for start in range(idx[0], idx[-1] + 1, step):
-        stop = min(start + step, idx[-1] + 1)
-        yield (trace.times[start:stop],
-               _solution_part(np.log(trace.samples[start:stop]), trace.grid, k, p))
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +184,7 @@ def hr_window_min(trace: SolveTrace, k: HarnackConstants, p: float,
     (the grid points strictly inside the rectangle); inf if there are none."""
     if k.beta == 0:
         raise BetaZero("localized Harnack quantity needs beta > 0")
-    g = trace.grid
-    parts = cutoff_parts(g, loc)
-    best = math.inf
-    for times, hr in _window_blocks(trace, k, p, t_window):
-        hr += _phi_r_block(g, times, loc, parts)
-        finite = hr[np.isfinite(hr)]
-        if finite.size:
-            best = min(best, float(finite.min()))
-    return best
+    return _fed(trace, k, p, t_window, loc=loc).hr_min()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +276,8 @@ class PairwiseSum:
 
 def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
                        t_window: tuple[float, float]) -> ResidualStats:
-    """Residual of the evolution identity over a time window of a trace.
+    """Residual of the evolution identity over a time window of a trace
+    (`Checks`).
 
     H is evaluated with phi = a/t on every needed sample.  Time derivatives
     use the nonuniform 3-point stencil on the sampled times, applied to the
@@ -307,91 +285,8 @@ def evolution_residual(trace: SolveTrace, k: HarnackConstants, p: float,
     exact -a/t^2 (differencing a known closed form would only add quadrature
     noise).  Spatial terms use the central stencils.  Values are normalized
     by max |H_t| over the window.
-
-    The centres are walked in order, a block of at most `block_len(grid)`
-    at a time.  The log and the solution part of H are computed once per
-    sample, a block ahead: the time differences at a block's edges read the
-    last solution-part row of the block before and the first of the block
-    after.  Each block's |residual| updates the max and a `PairwiseSum`, so
-    `mean_abs` is the sum over all centres and points in numpy's exact
-    pairwise order (the order of `np.mean` of the stacked rows) divided by
-    their count, and the residual holds the arrays of one block of centres,
-    never a whole (n_centres, *extents) array.
     """
-    lo, hi = t_window
-    if hi <= lo:
-        raise WindowTooSmall("empty time window")
-    g = trace.grid
-    ts = trace.times
-    in_win = window_indices(ts, t_window)
-    if len(in_win) < 3:
-        raise _window_error(ts, t_window, len(in_win), "the residual needs at least 3")
-    # three or more samples in a row: the middle ones have both time neighbours
-    centers = in_win[(in_win > 0) & (in_win < len(ts) - 1)]
-    first, end, n_centres = int(centers[0]), int(centers[-1]) + 1, len(centers)
-    block = block_len(g)
-    abs_sum = PairwiseSum(n_centres * g.size)
-    block_max = []
-    ht_max = 0.0
-
-    def log_and_part(i, j):
-        u = np.log(trace.samples[i:j])
-        return u, _solution_part(u, g, k, p)
-
-    # per centre: a/t, a/t^2, and the weights of the second-order 3-point
-    # derivative for unevenly spaced samples,
-    #   (hm/hp (f(t+hp) - f(t)) + hp/hm (f(t) - f(t-hm))) / (hm + hp)
-    times = ts[first:end]
-    hm = [b - a for a, b in zip(ts[first - 1:end - 1], times)]
-    hp = [b - a for a, b in zip(times, ts[first + 1:end + 1])]
-    a_t = column([k.a / t for t in times], g)
-    a_t2 = column([k.a / t ** 2 for t in times], g)
-    w_fwd = column([m / q for m, q in zip(hm, hp)], g)
-    w_back = column([q / m for m, q in zip(hm, hp)], g)
-    w_sum = column([m + q for m, q in zip(hm, hp)], g)
-
-    s_before = log_and_part(first - 1, first)[1]
-    u, s = log_and_part(first, min(first + block, end))
-    i = first
-    while i < end:
-        m = len(s)
-        j = i + m
-        # the next block of centres, or after the last block the sample
-        # after the last centre
-        u_next, s_next = log_and_part(j, min(j + block, end) if j < end else end + 1)
-        back, fwd = np.empty(s.shape), np.empty(s.shape)
-        np.subtract(s[1:], s[:-1], out=fwd[:-1])
-        np.subtract(s_next[:1], s[-1:], out=fwd[-1:])
-        np.subtract(s[:1], s_before, out=back[:1])
-        back[1:] = fwd[:-1]
-        r = slice(i - first, j - first)
-        phi = a_t[r]
-        h_t = (w_fwd[r] * fwd + w_back[r] * back) / w_sum[r] - a_t2[r]
-        del back, fwd
-        x = np.exp(u * (p - 1.0))
-        # grad H = grad s, as a/t is spatially constant
-        grad_u = gradient_nd(u, g)
-        adv = sum(gh * gu for gh, gu in zip(gradient_nd(s, g), grad_u))
-        rhs = (laplacian_nd(s, g)
-               + 2.0 * adv
-               + (p - 1.0) * x * (s + phi)
-               + 2.0 * (k.alpha - k.beta) * hessian_sq_nd(u, g)
-               + (k.alpha * (p - 1.0) + k.beta - k.c * p) * (p - 1.0) * x
-               * sum(gu * gu for gu in grad_u)
-               - (p - 1.0) * x * phi
-               - a_t2[r])
-        res = np.abs(np.subtract(h_t, rhs, out=rhs), out=rhs)
-        abs_sum.add(res.reshape(-1))
-        block_max.append(res.max())
-        for row_max in np.abs(h_t).reshape(m, -1).max(axis=1):
-            ht_max = max(ht_max, float(row_max))
-        s_before, u, s = s[-1:].copy(), u_next, s_next
-        i = j
-
-    return ResidualStats(max_abs=float(np.max(block_max)),
-                         mean_abs=abs_sum.total / abs_sum.size,
-                         normalizer=ht_max,
-                         n_times=n_centres)
+    return _fed(trace, k, p, t_window, residual=True).residual()
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +341,190 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
     """Minimum of H0 over grid x window, with argmin and per-sample curve."""
     if t_window is None:
         t_window = default_window(trace)
-    g = trace.grid
-    curve: list[tuple[float, float]] = []
-    best = math.inf
-    arg_flat = None
-    arg_t = math.nan
-    for times, h0 in _window_blocks(trace, k, p, t_window):
-        h0 += column([k.a / t for t in times], g)
+    return _fed(trace, k, p, t_window, h0=True).h0_report(tol)
+
+
+# ---------------------------------------------------------------------------
+# the checks of a run, in one pass over its samples
+
+class Checks(Blocks):
+    """The checks of one run over a time window, on its samples a block
+    (`block_len`) at a time, as a solve records them or a trace is fed
+    (`integrate.Blocks`, whose plan of sample times fixes the window's
+    samples).  Every block goes to `peaks` and to each of `extra`, which
+    take samples as `integrate.PointValues` does.  A block inside the window
+    has u = log f and the solution part of H computed once, for the enabled
+    checks: H0 (`h0`), the H_R minimum (a localizer `loc`) and the residual
+    (`residual`).  Each sample gets the arithmetic it gets in a check on its
+    own, so the reports are those of the checks run alone, bit for bit.
+    The window's arithmetic ignores overflow and invalid operations: a term
+    past the float range makes a statistic inf or nan, a failed check.
+
+    The residual's centres are the window's samples but the run's first and
+    last, which lack a time neighbour.  It keeps one block of centres in
+    hand: their time differences read the solution part of the sample
+    before them and of the one after.  Each block's |residual| updates the
+    max and a `PairwiseSum`, whose size, the centre count, the plan fixes:
+    `mean_abs` is the sum over all centres and points in numpy's exact
+    pairwise order (that of `np.mean` of the stacked rows) divided by their
+    count, while the residual holds the arrays of one block of centres.
+    """
+
+    def __init__(self, grid: Grid, k: HarnackConstants, p: float, plan: np.ndarray,
+                 window: tuple[float, float], h0: bool = False,
+                 loc: LocalizerSpec | None = None, residual: bool = False, extra=()):
+        super().__init__(grid, block_len(grid), plan, window)
+        self.grid, self.k, self.p = grid, k, p
+        self.peaks = Peaks(grid)
+        self._takers = [self.peaks, *extra]
+        positive = window[0] > 0   # H0 and H_R are refused on any other window
+        self.curve: list[tuple[float, float]] | None = [] if h0 and positive else None
+        self._best: tuple = (math.inf, None, math.nan)   # min H0, its flat index and t
+        self._poles = cutoff_parts(grid, loc) if loc is not None and positive else None
+        self.loc, self._hr = loc, math.inf
+        self.n_centres = max(0, min(self.end, len(plan) - 1) - max(self.first, 1))
+        self._sum = PairwiseSum(self.n_centres * grid.size) if residual else None
+        self._block_max: list[float] = []
+        self._ht_max = 0.0
+        self._before = self._prev = self._pending = None
+
+    def block(self, i: int, times: np.ndarray, samples: np.ndarray) -> None:
+        for taker in self._takers:
+            taker.take(times, samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.first <= i < self.end:
+                u = np.log(samples)
+                s = _solution_part(u, self.grid, self.k, self.p)
+                if self.curve is not None:
+                    self._h0(times, s + column([self.k.a / t for t in times], self.grid))
+                if self._poles is not None:
+                    self._hr_min(times, s)
+                if self._sum is not None:
+                    self._residual_block(i, times, u, s)
+            elif self._sum is not None and i + len(times) == self.first:
+                self._before = (times[-1], samples[-1:].copy())
+            elif self._pending is not None and i == self.end:   # the sample after the window
+                self._centres(times[0], self._part(samples[:1]))
+
+    def close(self) -> None:
+        super().close()
+        if self._pending is not None:   # the run's last sample is no centre
+            times, u, s = self._pending
+            self._pending = (times[:-1], u[:-1], s[:-1]) if len(times) > 1 else None
+            if self._pending is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._centres(times[-1], s[-1:])
+
+    def _part(self, values: np.ndarray) -> np.ndarray:
+        return _solution_part(np.log(values), self.grid, self.k, self.p)
+
+    def _h0(self, times: np.ndarray, h0: np.ndarray) -> None:
         rows = h0.reshape(len(times), -1)
         for t, m, row in zip(times, rows.min(axis=1), rows):
             m = float(m)
-            curve.append((t, m))
-            if m < best:
-                best = m
-                arg_flat = int(np.argmin(row))
-                arg_t = t
-    arg_x = () if arg_flat is None else g.point(arg_flat)
-    verdict = "consistent" if best >= -tol else "violated"
-    return HarnackReport(best, arg_x, arg_t, curve, t_window, tol, verdict, k)
+            self.curve.append((t, m))
+            if m < self._best[0]:
+                self._best = (m, int(np.argmin(row)), t)
 
+    def _hr_min(self, times: np.ndarray, s: np.ndarray) -> None:
+        hr = s + _phi_r_block(self.grid, times, self.loc, self._poles)
+        finite = hr[np.isfinite(hr)]
+        if finite.size:
+            self._hr = min(self._hr, float(finite.min()))
+
+    def _residual_block(self, i: int, times, u, s) -> None:
+        if self._pending is not None:
+            self._centres(times[0], s[:1])
+        elif i == 0:   # the run's first sample has no time before it: no centre
+            self._prev = (times[0], s[:1])
+            times, u, s = times[1:], u[1:], s[1:]
+        elif self._prev is None:
+            t, values = self._before
+            self._prev, self._before = (t, self._part(values)), None
+        if len(times):
+            self._pending = (times, u, s)
+
+    def _centres(self, t_next: float, s_next: np.ndarray) -> None:
+        """The residual at the centres in hand, s_next the solution part of
+        the sample after them, at t_next."""
+        (t_prev, s_prev), (times, u, s) = self._prev, self._pending
+        g, k, p = self.grid, self.k, self.p
+        # per centre: a/t, a/t^2, and the weights of the second-order 3-point
+        # derivative for unevenly spaced samples,
+        #   (hm/hp (f(t+hp) - f(t)) + hp/hm (f(t) - f(t-hm))) / (hm + hp)
+        ts = [t_prev, *times, t_next]
+        hm = [b - a for a, b in zip(ts, ts[1:-1])]
+        hp = [b - a for a, b in zip(ts[1:-1], ts[2:])]
+        phi = column([k.a / t for t in times], g)
+        a_t2 = column([k.a / t ** 2 for t in times], g)
+        # the right-hand side, term by term in the order of the identity,
+        # each added into it in place, which holds few arrays at once; grad H
+        # = grad s, as a/t is spatially constant
+        grad_u = gradient_nd(u, g)
+        rhs = laplacian_nd(s, g)
+        rhs += 2.0 * sum(central_diff(s, g, axis) * gu for axis, gu in enumerate(grad_u))
+        x = np.exp(u * (p - 1.0))
+        rhs += (p - 1.0) * x * (s + phi)
+        grad_sq = sum(gu * gu for gu in grad_u)
+        del grad_u
+        rhs += 2.0 * (k.alpha - k.beta) * hessian_sq_nd(u, g)
+        rhs += (k.alpha * (p - 1.0) + k.beta - k.c * p) * (p - 1.0) * x * grad_sq
+        del grad_sq
+        rhs -= (p - 1.0) * x * phi
+        rhs -= a_t2
+        del x
+        back, fwd = np.empty(s.shape), np.empty(s.shape)
+        np.subtract(s[1:], s[:-1], out=fwd[:-1])
+        np.subtract(s_next, s[-1:], out=fwd[-1:])
+        np.subtract(s[:1], s_prev, out=back[:1])
+        back[1:] = fwd[:-1]
+        h_t = (column([m / q for m, q in zip(hm, hp)], g) * fwd
+               + column([q / m for m, q in zip(hm, hp)], g) * back) \
+            / column([m + q for m, q in zip(hm, hp)], g) - a_t2
+        del back, fwd
+        res = np.abs(np.subtract(h_t, rhs, out=rhs), out=rhs)
+        self._sum.add(res.reshape(-1))
+        self._block_max.append(res.max())
+        for row_max in np.abs(h_t).reshape(len(times), -1).max(axis=1):
+            self._ht_max = max(self._ht_max, float(row_max))
+        self._prev, self._pending = (times[-1], s[-1:].copy()), None
+
+    def _window_holds(self, least: int, need: str) -> None:
+        found = self.end - self.first
+        if found < least:
+            raise _window_error(self.plan, self.window, found, need)
+
+    def _positive_window(self) -> None:
+        if self.window[0] <= 0:
+            raise NonPositiveTime("window must start at t > 0")
+        self._window_holds(1, "the check needs at least one")
+
+    def h0_report(self, tol: float = 1e-2) -> HarnackReport:
+        """Minimum of H0 over grid x window, with argmin and per-sample curve."""
+        self._positive_window()
+        best, flat, t = self._best
+        arg_x = () if flat is None else self.grid.point(flat)
+        verdict = "consistent" if best >= -tol else "violated"
+        return HarnackReport(best, arg_x, t, self.curve, self.window, tol, verdict, self.k)
+
+    def hr_min(self) -> float:
+        """Minimum of H_R over its finite values in the window; inf if none."""
+        self._positive_window()
+        return self._hr
+
+    def residual(self) -> ResidualStats:
+        lo, hi = self.window
+        if hi <= lo:
+            raise WindowTooSmall("empty time window")
+        self._window_holds(3, "the residual needs at least 3")
+        return ResidualStats(max_abs=float(np.max(self._block_max)),
+                             mean_abs=self._sum.total / self._sum.size,
+                             normalizer=self._ht_max, n_times=self.n_centres)
+
+
+def _fed(trace: SolveTrace, k: HarnackConstants, p: float, window: tuple[float, float],
+         **enabled) -> Checks:
+    """`Checks` of the enabled checks, fed the whole trace."""
+    checks = Checks(trace.grid, k, p, trace.times, window, **enabled)
+    checks.feed(trace.samples)
+    return checks

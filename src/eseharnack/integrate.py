@@ -163,18 +163,147 @@ class SolveTrace:
                       out=np.zeros(ts.shape), where=~hit)
         return below, above, w
 
+    def peak(self, i: int) -> tuple[float, ...]:
+        """The grid point where sample i peaks (its first maximum)."""
+        return self.grid.point(int(np.argmax(self.samples[i])))
+
     def values_at(self, xs, ts) -> np.ndarray:
-        """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim):
-        multilinear in space between the grid points around xs[j]
-        (`Grid.corners`), linear in time between the samples that bracket
-        ts[j] (`bracket`).  Only the corners that the spatial interpolation
-        reads are interpolated in time."""
-        below, above, w = self.bracket(ts)
+        """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim)
+        (`PointValues`); OutOfWindow for a time outside [times[0],
+        times[-1]] or a point off the grid box."""
+        points = PointValues(self.grid, xs, ts)
+        points.take(self.times, self.samples)
+        return points.values()
+
+
+class PointValues:
+    """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim),
+    from a run's samples taken in time order, a block at a time: multilinear
+    in space between the grid points around xs[j] (`Grid.corners`), linear in
+    time between the last sample at or before ts[j] and the first at or
+    after it, with `SolveTrace.bracket`'s arithmetic.  Of those two samples
+    only the corners that the spatial interpolation reads are kept."""
+
+    def __init__(self, grid: Grid, xs, ts):
+        self.ts = np.asarray(ts, dtype=float)
+        self._corners = grid.corners(xs)
+        shape = (len(self._corners), len(self.ts))
+        self._below, self._above = np.empty(shape), np.empty(shape)
+        self._t_below, self._t_above = np.full(len(self.ts), np.nan), np.full(len(self.ts), np.nan)
+        self._span: list[float] = []   # the first and last time taken
+
+    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
+        """The next samples of the run, of shape (len(times), *extents)."""
+        if not self._span:
+            self._span = [times[0], times[-1]]
+        self._span[1] = times[-1]
+        below = np.searchsorted(times, self.ts, "right") - 1
+        above = np.searchsorted(times, self.ts)
+        for rows, j, t_at, values in (
+                (below, np.flatnonzero(below >= 0), self._t_below, self._below),
+                (above, np.flatnonzero((above < len(times)) & np.isnan(self._t_above)),
+                 self._t_above, self._above)):
+            r = rows[j]
+            t_at[j] = times[r]
+            for c, (ix, _) in enumerate(self._corners):
+                values[c, j] = samples[(r, *(i[j] for i in ix))]
+
+    def values(self) -> np.ndarray:
+        first, last = self._span
+        off = ~((first <= self.ts) & (self.ts <= last))
+        if off.any():
+            raise OutOfWindow(f"t={self.ts[off][0]} outside sampled window [{first}, {last}]")
+        hit = self._t_above == self.ts
+        w = np.divide(self.ts - self._t_below, self._t_above - self._t_below,
+                      out=np.zeros(self.ts.shape), where=~hit)
         total = 0.0
-        for ix, weight in self.grid.corners(xs):
-            total = total + weight * ((1.0 - w) * self.samples[(below, *ix)]
-                                      + w * self.samples[(above, *ix)])
+        for (_, weight), below, above in zip(self._corners, self._below, self._above):
+            total = total + weight * ((1.0 - w) * below + w * above)
         return total
+
+
+class Peaks:
+    """How high, and where, each sample of a run peaks, taken a block of
+    samples at a time: what `blowup` reads of a run (`max_curve`, `peak`,
+    `t_final`, as of a `SolveTrace`), without the samples."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._times: list[np.ndarray] = []
+        self._maxima: list[np.ndarray] = []
+        self._flat: list[np.ndarray] = []   # each sample's argmax, a flat index
+
+    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
+        rows = samples.reshape(len(times), -1)
+        flat = rows.argmax(axis=1)
+        self._times.append(times)
+        self._maxima.append(rows[np.arange(len(flat)), flat])
+        self._flat.append(flat)
+
+    def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.concatenate(self._times), np.concatenate(self._maxima)
+
+    def peak(self, i: int) -> tuple[float, ...]:
+        return self.grid.point(int(np.concatenate(self._flat)[i]))
+
+    @property
+    def t_final(self) -> float:
+        return float(self._times[-1][-1])
+
+
+class Blocks:
+    """A run's samples, taken one at a time as `solve` records them (`add`)
+    or a trace's at once (`feed`), handed on in time order to
+    `block(i, times, samples)`, i the index of the first: runs of at most
+    `length` samples, each inside the window [lo, hi] or outside it whole.
+
+    The samples are expected at the times `plan`, which fix the window's
+    samples before any comes; a sample at another time, or past the plan's
+    end, stops the hand-on for good (`complete` is then False)."""
+
+    def __init__(self, grid: Grid, length: int, plan: np.ndarray, window: tuple[float, float]):
+        self.plan, self.window = plan, window
+        self.first = int(np.searchsorted(plan, window[0]))   # the window holds first..end-1
+        self.end = max(self.first, int(np.searchsorted(plan, window[1], "right")))
+        self._rows = np.empty((length, *grid.extents))
+        self.count = self._start = 0
+        self._off = False
+
+    @property
+    def complete(self) -> bool:
+        """Whether every sample came, each at its planned time."""
+        return not self._off and self.count == len(self.plan)
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        i = self.count
+        self._off = self._off or i == len(self.plan) or t != self.plan[i]
+        if self._off:
+            return
+        if i - self._start == len(self._rows) or i in (self.first, self.end):
+            self._hand(i)
+        self._rows[i - self._start] = values
+        self.count += 1
+
+    def _hand(self, stop: int) -> None:
+        if stop > self._start:
+            self.block(self._start, self.plan[self._start:stop], self._rows[:stop - self._start])
+            self._start = stop
+
+    def feed(self, samples: np.ndarray) -> None:
+        """The samples of the plan's times, then `close`."""
+        n = len(self._rows)
+        for lo, hi in ((0, self.first), (self.first, self.end), (self.end, len(self.plan))):
+            for i in range(lo, hi, n):
+                self.block(i, self.plan[i:min(i + n, hi)], samples[i:min(i + n, hi)])
+        self.count = self._start = len(self.plan)
+        self.close()
+
+    def close(self) -> None:
+        """Hands on the samples still held; `solve` calls it at the end."""
+        self._hand(self.count)
+
+    def block(self, i: int, times: np.ndarray, samples: np.ndarray) -> None:
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +727,26 @@ def _capacity(t_end: float, dt: float, stride: int, row_bytes: int) -> int:
     return math.ceil(min(rows, max(2, _RESERVE_BYTES // row_bytes)))
 
 
+class _Kept:
+    """The sink that keeps every sample: each is written once, into one
+    array of shape (capacity, *extents).  A run that needs more rows grows
+    the array in place (doubling); `close` cuts it to the sample count."""
+
+    def __init__(self, capacity: int, extents: tuple[int, ...]):
+        self.samples = np.empty((capacity, *extents))
+        self.count = 0
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        if self.count == len(self.samples):
+            # no view of the array exists, so realloc may move it
+            self.samples.resize((2 * self.count, *self.samples.shape[1:]), refcheck=False)
+        self.samples[self.count] = values
+        self.count += 1
+
+    def close(self) -> None:
+        self.samples.resize((self.count, *self.samples.shape[1:]), refcheck=False)
+
+
 def check_cap(prob: ProblemSpec, cfg: StepConfig) -> float:
     """The initial maximum of `prob`; CapBelowInitial unless `cfg.f_cap`
     exceeds it, since the run would then be declared a blowup at t = 0."""
@@ -608,7 +757,35 @@ def check_cap(prob: ProblemSpec, cfg: StepConfig) -> float:
     return fmax
 
 
-def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
+# steps a plan replays at a time, and at most
+_PLAN_CHUNK, _PLAN_STEPS = 1 << 12, 1 << 24
+
+
+def planned_times(prob: ProblemSpec, cfg: StepConfig | None = None) -> np.ndarray:
+    """The sample times of a solve of `prob` whose every step takes the
+    first step's dt until the last, which ends at t_end: those of a run that
+    the diffusion cap keeps at one dt, as `solve` records them.  The steps
+    are replayed in chunks (`np.cumsum` adds in order, as the solve does);
+    a plan of more than `_PLAN_STEPS` steps stops short."""
+    cfg = cfg or StepConfig()
+    t_end, stride = prob.t_end, cfg.sample_stride
+    dt = stable_dt(prob.grid, prob.p, float(prob.initial.max()), cfg, prob.reaction)
+    times, t, steps = [np.zeros(1)], 0.0, 0
+    while t < t_end and steps < _PLAN_STEPS and not (dt < cfg.dt_min or t + dt == t):
+        acc = np.cumsum(np.concatenate(([t], np.full(_PLAN_CHUNK, dt))))
+        prev, ts = acc[:-1], acc[1:]   # t before and after each step
+        short = t_end - prev < dt   # a step that takes t_end - t instead
+        done = short | (ts >= t_end)
+        n = int(np.argmax(done)) + 1 if done.any() else _PLAN_CHUNK
+        if short[n - 1]:
+            ts[n - 1] = prev[n - 1] + (t_end - prev[n - 1])
+        times.append(ts[stride - 1 - steps % stride:n:stride])
+        t, steps = float(ts[n - 1]), steps + n
+    times = np.concatenate(times)
+    return times if times[-1] == t else np.append(times, t)
+
+
+def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveTrace:
     """Integrate until t_end, blowup declaration, or abort.
 
     Blowup is declared when max f exceeds cfg.f_cap, or when the stable dt
@@ -617,11 +794,12 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     or a step whose result is not finite (an overflow), aborts with the
     timestamp attached; the failed step is not recorded.
 
-    Each sample is written once, into one array of shape
-    (capacity, *extents).  The capacity comes from the first step's dt, which
-    the diffusion cap keeps for the whole run; a reaction-capped run takes
-    smaller steps, and the array then grows in place (doubling).  It is cut
-    to the sample count at the end and handed to the trace as it is.
+    Each recorded sample goes to `sink.add(t, values)`, values the solver's
+    state, which the sink copies if it keeps it, and `sink.close()` follows
+    the last; the trace then holds the times and no samples.  With no sink
+    the samples are kept (`_Kept`) and the trace holds them: the capacity
+    comes from the first step's dt, which the diffusion cap keeps for the
+    whole run; a reaction-capped run takes smaller steps and grows the array.
     """
     cfg = cfg or StepConfig()
     fmax = check_cap(prob, cfg)
@@ -631,23 +809,18 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
     y = ws.states[cur]
     y[...] = prob.initial
 
-    capacity = _capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
-                         cfg.sample_stride, 8 * grid.size)
-    samples = np.empty((capacity, *grid.extents))
-    samples[0] = y
+    kept = sink if sink is not None else _Kept(_capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
+                                   cfg.sample_stride, 8 * grid.size), grid.extents)
     t = 0.0
     times = [t]
+    kept.add(t, y)
     step_log: list[float] = []
     prev_max = fmax
     status: TraceStatus | None = None
     accepted = 0
 
     def record(at: float, values: np.ndarray) -> None:
-        n = len(times)
-        if n == len(samples):
-            # no view of the array exists, so realloc may move it
-            samples.resize((2 * n, *grid.extents), refcheck=False)
-        samples[n] = values
+        kept.add(at, values)
         times.append(at)
 
     with ws:   # ends a forked partner, whatever ends the loop
@@ -688,7 +861,8 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None) -> SolveTrace:
         status = TraceStatus.reached()
     if times[-1] != t:
         record(t, y)
-    samples.resize((len(times), *grid.extents), refcheck=False)
+    kept.close()
+    samples = kept.samples if sink is None else np.empty((0, *grid.extents))
     return SolveTrace(grid, prob.p, np.array(times), samples, status,
                       np.asarray(step_log), prob.reaction)
 

@@ -23,6 +23,7 @@ from eseharnack import (Grid, HarnackConstants, ProblemSpec,
                         rescale_problem, solve, tail_fit)
 from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack.field import grad_sq_nd, laplacian_nd
+from eseharnack.harnack import default_window
 
 from conftest import constant_problem, gaussian_problem, record_acceptance
 
@@ -198,7 +199,7 @@ def test_criterion_08_rescaling():
 
 
 def test_criterion_09_classical_harnack(gauss256):
-    pairs = random_pairs(gauss256, 100, seed=0)
+    pairs = random_pairs(gauss256.grid, 100, 0, default_window(gauss256))
     verdicts = classical_harnack_check(gauss256, pairs, 1, tol=1e-3)
     all_pass = all(v.passed for v in verdicts)
     min_slack = min(v.slack for v in verdicts)

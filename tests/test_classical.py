@@ -9,7 +9,6 @@ from eseharnack import (Grid, PathSpec, RescaleSpec, classical_harnack_check,
                         random_pairs, rescale_trace)
 from eseharnack.errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
 from eseharnack.harnack import default_window
-from eseharnack.integrate import SolveTrace, TraceStatus
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def test_dp_2d():
 # the integrated inequality on solved traces
 
 def test_hundred_seeded_pairs_pass(gauss256):
-    pairs = random_pairs(gauss256, 100, seed=0)
+    pairs = random_pairs(gauss256.grid, 100, 0, default_window(gauss256))
     verdicts = classical_harnack_check(gauss256, pairs, 1)
     assert len(verdicts) == 100
     assert all(v.passed for v in verdicts)
@@ -119,7 +118,7 @@ def test_slack_tends_to_one_for_collapsing_pairs(gauss256):
 
 
 def test_pure_heat_run_satisfies_the_inequality(heat256):
-    pairs = random_pairs(heat256, 50, seed=1)
+    pairs = random_pairs(heat256.grid, 50, 1, default_window(heat256))
     verdicts = classical_harnack_check(heat256, pairs, 1)
     assert all(v.passed for v in verdicts)
 
@@ -127,7 +126,7 @@ def test_pure_heat_run_satisfies_the_inequality(heat256):
 def test_slack_invariant_under_rescaling(gauss256):
     lam = 2.0
     scaled = rescale_trace(gauss256, RescaleSpec(lam, 2.0))
-    pairs = random_pairs(gauss256, 20, seed=5)
+    pairs = random_pairs(gauss256.grid, 20, 5, default_window(gauss256))
     base = classical_harnack_check(gauss256, pairs, 1)
     moved = [(tuple(lam * np.asarray(x1)), lam ** 2 * t1,
               tuple(lam * np.asarray(x2)), lam ** 2 * t2)
@@ -157,26 +156,24 @@ def test_pair_time_order_validation(gauss256):
 
 
 def test_random_pairs_are_reproducible(gauss256):
-    a = random_pairs(gauss256, 10, seed=42)
-    b = random_pairs(gauss256, 10, seed=42)
+    a = random_pairs(gauss256.grid, 10, 42, default_window(gauss256))
+    b = random_pairs(gauss256.grid, 10, 42, default_window(gauss256))
     assert a == b
-    c = random_pairs(gauss256, 10, seed=43)
+    c = random_pairs(gauss256.grid, 10, 43, default_window(gauss256))
     assert a != c
 
 
 # ---------------------------------------------------------------------------
 # the draws of random.Random(seed)
 
-def _box_trace(box):
-    grid = Grid(box, (4,) * len(box), "reflecting")
-    return SolveTrace(grid, 2.0, np.linspace(0.0, 1.0, 5), np.ones((5,) + (4,) * len(box)),
-                      TraceStatus.reached(), np.zeros(0))
+def _box_grid(box):
+    return Grid(box, (4,) * len(box), "reflecting")
 
 
 def test_random_pairs_golden_stream_at_seed_zero():
     # random.Random guarantees this stream for an integer seed on every
     # Python version; any change to the draw shows here
-    pairs = random_pairs(_box_trace(((-1.0, 3.0),)), 2, 0, (0.25, 0.75))
+    pairs = random_pairs(_box_grid(((-1.0, 3.0),)), 2, 0, (0.25, 0.75))
     got = [(x1[0].hex(), t1.hex(), x2[0].hex(), t2.hex()) for x1, t1, x2, t2 in pairs]
     assert got == [
         ("0x1.5d54a20a5d2f0p-1", "0x1.4d5d076882eeep-1",
@@ -198,15 +195,14 @@ def test_random_pairs_draw_t1_t2_x1_x2_in_turn(dim, seed):
         t2 = t1 + gap + (0.9 - (t1 + gap)) * u()
         x1, x2 = (tuple(lo + (hi - lo) * u() for lo, hi in box) for _ in range(2))
         want.append((x1, t1, x2, t2))
-    assert random_pairs(_box_trace(box), 20, seed, (0.1, 0.9)) == want
+    assert random_pairs(_box_grid(box), 20, seed, (0.1, 0.9)) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_random_pairs_lie_in_the_box_and_window(dim):
     box = ((-1.0, 1.0), (0.0, 3.0), (-2.0, 0.5))[:dim]
-    trace = _box_trace(box)
-    t_lo, t_hi = default_window(trace)
-    for x1, t1, x2, t2 in random_pairs(trace, 200, 3):
+    t_lo, t_hi = 0.05, 0.9
+    for x1, t1, x2, t2 in random_pairs(_box_grid(box), 200, 3, (t_lo, t_hi)):
         assert len(x1) == len(x2) == dim
         assert all(lo <= c <= hi for x in (x1, x2) for c, (lo, hi) in zip(x, box))
         assert t_lo <= t1 and t1 + 0.05 * (t_hi - t_lo) <= t2 <= t_hi
@@ -219,4 +215,4 @@ def test_random_pairs_refuse_a_seed_that_is_not_a_non_negative_integer(seed, err
     # None would draw from fresh OS entropy, which no seed reproduces, and
     # Random(-1) would silently equal Random(1)
     with pytest.raises(error):
-        random_pairs(_box_trace(((-1.0, 1.0),)), 1, seed)
+        random_pairs(_box_grid(((-1.0, 1.0),)), 1, seed, (0.05, 0.9))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1428,7 +1429,7 @@ def _too_few_residual_samples(ini, monkeypatch):
 def _raise_in_the_h0_check(ini, monkeypatch):
     def h0_report(*args):
         raise RuntimeError("a bug in a check")
-    monkeypatch.setattr(cli.ha, "h0_report", h0_report)
+    monkeypatch.setattr(cli.ha.Checks, "h0_report", h0_report)
     return ini
 
 
@@ -1484,24 +1485,24 @@ if fault == "stalls-mid-send":
         raise RuntimeError("a bug in the H0 check")
 
     connection.Connection._send = stalled_send
-    cli.ha.h0_report = h0_report
+    cli.ha.Checks.h0_report = h0_report
 else:
     # the worker (which alone calls integrate.solve) is killed once the
     # classical check, the last before this process waits for it, is done
-    check = cli.cl.classical_harnack_check
+    check = cli.cl.PairCheck.verdicts
 
     def killed_solve(*args):
         wait_for_marker()
         time.sleep(0.2)
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def marking_check(*args):
-        verdicts = check(*args)
+    def marking_check(self):
+        verdicts = check(self)
         Path(marker).touch()
         return verdicts
 
     cli.integrate.solve = killed_solve
-    cli.cl.classical_harnack_check = marking_check
+    cli.cl.PairCheck.verdicts = marking_check
 sys.exit(cli.main(["verify", "--config", config, "--out", str(Path(marker).parent / "run")]))
 """
 
@@ -1990,6 +1991,96 @@ def test_sweep_axis_fuzz_never_exits_four_and_leaves_no_process(tmp_path, axes, 
         args += ["--axis", axis]
     assert main(args) in (0, 1, 2, 3)
     assert _descendants(os.getpid()) <= before
+
+
+# ---------------------------------------------------------------------------
+# verify checks the samples as the solve records them
+
+_REPORTS = ("summary.json", "h0_curve.csv", "classical_pairs.csv")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_config(name, tmp_path):
+    """The benchmark's config of workload `name` at its reduced size."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return str(workloads.write_config(name, "small", BENCH.parent, tmp_path))
+
+
+def _streamed_configs(tmp_path):
+    gauss = GAUSS_CONFIG.read_text().replace("extents = 256", "extents = 64").replace(
+        "t_end = 1.0", "t_end = 0.25").replace(", rescale\n", "\n")
+    const = CONST_CONFIG.read_text()
+    return {
+        "1d-reflecting": write(tmp_path, "g.ini", gauss),
+        "1d-periodic": write(tmp_path, "gp.ini", gauss.replace("reflecting", "periodic")),
+        "2d-hr": _bench_config("gauss-2d-verify", tmp_path),
+        "constant-blowup": str(CONST_CONFIG),
+        # one sample per step: 0.01, then the 0.005 to t_end
+        "two-steps": write(tmp_path, "c.ini", const.replace("t_end = 2.0", "t_end = 0.015").replace(
+            "enabled = h0, residual, blowup",
+            "enabled = h0, blowup, classical\nt_min_frac = 0.3\nt_max_frac = 1.0")),
+    }
+
+
+@pytest.mark.parametrize("name", ["1d-reflecting", "1d-periodic", "2d-hr", "constant-blowup",
+                                  "two-steps"])
+def test_verify_writes_the_same_reports_solving_loading_or_solving_again(
+        tmp_path, monkeypatch, name):
+    # checked while solving; from the saved trace; and solved a second time
+    # after a plan of sample times that no run keeps
+    cfg = _streamed_configs(tmp_path)[name]
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+    saved = write(tmp_path, "saved.ini", Path(cfg).read_text()
+                  + f"\n[verify]\ntrace_dir = {tmp_path / 'solve' / 'trace'}\n")
+    runs = {"in-process": cfg, "trace_dir": saved}
+    for run, path in runs.items():
+        assert main(["verify", "--config", path, "--out", str(tmp_path / run)]) == 0
+    monkeypatch.setattr(cli.integrate, "planned_times", lambda prob, step: np.zeros(1))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    written = [r for r in _REPORTS if (tmp_path / "in-process" / r).exists()]
+    assert "summary.json" in written and len(written) >= 2
+    for run in ("trace_dir", "again"):
+        for report in _REPORTS:
+            assert ((tmp_path / run / report).exists()
+                    == (tmp_path / "in-process" / report).exists())
+        for report in written:
+            assert (tmp_path / run / report).read_bytes() == \
+                (tmp_path / "in-process" / report).read_bytes(), (run, report)
+
+
+def test_a_2d_verify_holds_no_trace(tmp_path):
+    # the reduced 2-D benchmark config: 64^2 points, t_end 0.2, a sample every
+    # 8 steps, some 3 MB of samples that a solve alone holds.  verify holds a
+    # few samples in its checks and the ten arrays of the solver's workspace
+    # (some 30 % of the trace, measured after a first run's imports).
+    cfg = _bench_config("gauss-2d-verify", tmp_path)
+    rc = load_config(cfg)
+    trace_bytes = solve(rc.problem, rc.step).samples.nbytes
+    assert trace_bytes > 3e6
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trace_bytes / 3, peak / trace_bytes
+
+
+@pytest.mark.parametrize("report", _REPORTS)
+def test_a_report_that_cannot_be_written_exits_two(tmp_path, capsys, report):
+    ini = CONST_CONFIG.read_text().replace("enabled = h0, residual, blowup",
+                                           "enabled = h0, residual, blowup, classical")
+    out = tmp_path / "run"
+    (out / report).mkdir(parents=True)
+    assert main(["verify", "--config", write(tmp_path, "c.ini", ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {str(out / report)!r}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
