@@ -29,9 +29,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NonMonotoneTime, NonPositiveTime
+from .errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
 from .field import Grid
-from .integrate import PointValues, SolveTrace
+from .integrate import SolveTrace
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,15 @@ def classical_harnack_check(trace: SolveTrace, pairs, dim: int,
     return check.verdicts()
 
 
-class PairCheck(PointValues):
+class PairCheck:
     """The classical check of endpoint pairs (x1, t1, x2, t2), from a run's
-    samples taken a block at a time (`PointValues` of the endpoints).
+    samples taken in time order, a block at a time (`take`).
+
+    `values` is the solution at the endpoints, x1s then x2s: multilinear in
+    space between the grid points around x (`Grid.corners`), linear in time
+    between the last sample at or before t and the first at or after it,
+    with `SolveTrace.bracket`'s arithmetic.  Of those two samples only the
+    corners that the spatial interpolation reads are kept.
 
     Computed in log space so huge right-hand sides cannot overflow; a pair
     passes when slack >= 1 - tol, the tolerance absorbing interpolation
@@ -164,8 +170,42 @@ class PairCheck(PointValues):
                        np.atleast_1d(np.asarray(x2, dtype=float)), t2)
                       for x1, t1, x2, t2 in pairs]
         x1s, t1s, x2s, t2s = zip(*self.pairs)
-        super().__init__(grid, x1s + x2s, t1s + t2s)
         self.dim, self.tol = dim, tol
+        self.ts = np.asarray(t1s + t2s, dtype=float)
+        self._corners = grid.corners(x1s + x2s)
+        shape = (len(self._corners), len(self.ts))
+        self._below, self._above = np.empty(shape), np.empty(shape)
+        self._t_below, self._t_above = np.full(len(self.ts), np.nan), np.full(len(self.ts), np.nan)
+        self._span: list[float] = []   # the first and last time taken
+
+    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
+        """The next samples of the run, of shape (len(times), *extents)."""
+        if not self._span:
+            self._span = [times[0], times[-1]]
+        self._span[1] = times[-1]
+        below = np.searchsorted(times, self.ts, "right") - 1
+        above = np.searchsorted(times, self.ts)
+        for rows, j, t_at, values in (
+                (below, np.flatnonzero(below >= 0), self._t_below, self._below),
+                (above, np.flatnonzero((above < len(times)) & np.isnan(self._t_above)),
+                 self._t_above, self._above)):
+            r = rows[j]
+            t_at[j] = times[r]
+            for c, (ix, _) in enumerate(self._corners):
+                values[c, j] = samples[(r, *(i[j] for i in ix))]
+
+    def values(self) -> np.ndarray:
+        first, last = self._span
+        off = ~((first <= self.ts) & (self.ts <= last))
+        if off.any():
+            raise OutOfWindow(f"t={self.ts[off][0]} outside sampled window [{first}, {last}]")
+        hit = self._t_above == self.ts
+        w = np.divide(self.ts - self._t_below, self._t_above - self._t_below,
+                      out=np.zeros(self.ts.shape), where=~hit)
+        total = 0.0
+        for (_, weight), below, above in zip(self._corners, self._below, self._above):
+            total = total + weight * ((1.0 - w) * below + w * above)
+        return total
 
     def verdicts(self) -> list[PairVerdict]:
         if any(not 0 < t1 < t2 for _, t1, _, t2 in self.pairs):

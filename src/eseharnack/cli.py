@@ -25,7 +25,7 @@ import sys
 import threading
 import traceback
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -362,17 +362,8 @@ def make_out_dir(path, source: str) -> Path:
     return out
 
 
-@contextmanager
-def _writing(path):
-    """A report file that cannot be written, as a ConfigError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
-
-
 def write_csv(path, header, rows) -> None:
-    with _writing(path), open(path, "w", newline="") as fh:
+    with traceio.writing(path), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -383,7 +374,7 @@ def write_summary(path, summary: dict) -> None:
     # JSON has no token for a non-finite float, so each is written as the
     # string _fmt puts in the CSVs; allow_nan=False refuses any left over
     strict = json.loads(json.dumps(summary), parse_constant=lambda c: _fmt(float(c)))
-    with _writing(path):
+    with traceio.writing(path):
         Path(path).write_text(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False)
                               + "\n")
 
@@ -419,17 +410,7 @@ def _check_blowup(run: integrate.Peaks, report: bl.BlowupReport) -> tuple[bool, 
         ok &= report.t_estimate is not None and report.t_estimate > 0.95 * run.t_final
         if report.threshold_met_at is not None:
             ok &= bl.grows_from(run, report.threshold_met_at[1])
-    info = {
-        "regime": report.regime,
-        "threshold_value": report.threshold_value,
-        "threshold_met_at": ([list(report.threshold_met_at[0]), report.threshold_met_at[1]]
-                             if report.threshold_met_at else None),
-        "detected": report.detected,
-        "t_estimate": report.t_estimate,
-        "fit_residual": report.fit_residual,
-        "method": report.method,
-    }
-    return ok, info
+    return ok, asdict(report)
 
 
 # bench/tracing.py times cli._min_hr_over_window by name; verify reads the
@@ -513,14 +494,24 @@ def _checks(rc: RunConfig, seed: int, plan: np.ndarray) -> tuple[ha.Checks, cl.P
     return checks, pairs
 
 
-def _checked_solve(rc: RunConfig, seed: int):
-    """The solve, checked as it records its samples: (trace, checks, pairs).
+def _checked_solve(rc: RunConfig, seed: int, kept: SolveTrace | None):
+    """The run and its check pass: (trace, checks, pairs).
 
-    The checks are planned on the sample times of a run at its first dt
-    (`integrate.planned_times`), which a diffusion-capped run that reaches
-    t_end keeps.  A run that does not, but is not aborted, is solved again
-    with the checks planned on its own times: a solve is deterministic bit
-    for bit, so the second one must end where the first did."""
+    A `kept` trace, loaded from `[verify] trace_dir`, holds its samples, as
+    does a solve for the rescale check, which compares the trace whole with
+    the rescaled solve; the pass replays them.  Otherwise the pass runs as
+    the solve records its samples, planned on the sample times of a run at
+    its first dt (`integrate.planned_times`), which a diffusion-capped run
+    that reaches t_end keeps.  A run that does not, but is not aborted, is
+    solved again with the pass planned on its own times: a solve is
+    deterministic bit for bit, so the second one must end where the first
+    did."""
+    if kept is None and rc.rescaled is not None:
+        kept = solve(rc.problem, rc.step)
+    if kept is not None:
+        checks, pairs = _checks(rc, seed, kept.times)
+        checks.feed(kept)
+        return kept, checks, pairs
     checks, pairs = _checks(rc, seed, integrate.planned_times(rc.problem, rc.step))
     trace = solve(rc.problem, rc.step, checks)
     if checks.complete or trace.status.kind == "aborted":
@@ -538,24 +529,16 @@ def _checked_solve(rc: RunConfig, seed: int):
 def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.AdmissibilityVerdict,
                      rescaled_trace, loaded: SolveTrace | None) -> tuple[int, dict]:
     """`run_pipeline` after validation: solve (unless a trace was `loaded`),
-    run the enabled checks and write the reports.  The checks run as the
-    solve records its samples, unless the trace is kept: loaded, or solved
-    for the rescale check, which compares it whole with `rescaled_trace()`,
-    the solve of the rescaled problem."""
+    run the enabled checks (`_checked_solve`) and write the reports; the
+    rescale check compares the trace with `rescaled_trace()`, the solve of
+    the rescaled problem."""
     n, p, k = rc.problem.n, rc.problem.p, rc.constants
     cs = rc.checks
-    checks = None
-    if loaded is None and rc.rescaled is None:
-        trace, checks, pairs = _checked_solve(rc, seed)
-    else:
-        trace = solve(rc.problem, rc.step) if loaded is None else loaded
-        if trace.status.kind != "aborted":   # no check runs on an aborted run
-            checks, pairs = _checks(rc, seed, trace.times)
-            checks.feed(trace.samples)
+    trace, checks, pairs = _checked_solve(rc, seed, loaded)
 
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
     blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None,
-                              None if checks is None else checks.peaks)
+                              checks.peaks)
     summary: dict = {
         **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,

@@ -17,10 +17,11 @@ rectangle, and the residual of the exact evolution identity
 with phi = a/t (so phi_t = -a/t^2 and the space derivatives of phi vanish).
 The identity holds exactly in the continuum; the residual reported here is
 pure discretization error and must shrink under refinement.  The checks
-over a time window run in one pass (`Checks`) over a run's samples, a
-block at a time (`block_len`) as a solve records them, with the arithmetic
-each sample gets on its own; the functions that take a trace feed it
-through that pass.
+over a time window run in one pass (`Checks`) over a run's samples, which
+takes them one at a time (`add`), as a solve records them or a kept trace
+replays them (`feed`), and evaluates them a block at a time (`block_len`),
+with the arithmetic each sample gets on its own.  The functions that take
+a trace replay it through that pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import BetaZero, NonPositiveTime, WindowTooSmall
 # eseharnack.harnack.log_field
 from .field import (Grid, central_diff, grad_sq_nd, gradient_nd,  # noqa: F401
                     hessian_sq_nd, laplacian_nd, log_field)
-from .integrate import Blocks, Peaks, SolveTrace
+from .integrate import Peaks, SolveTrace
 
 
 def _solution_part(u: np.ndarray, grid: Grid, k: HarnackConstants,
@@ -347,12 +348,18 @@ def h0_report(trace: SolveTrace, k: HarnackConstants, p: float,
 # ---------------------------------------------------------------------------
 # the checks of a run, in one pass over its samples
 
-class Checks(Blocks):
-    """The checks of one run over a time window, on its samples a block
-    (`block_len`) at a time, as a solve records them or a trace is fed
-    (`integrate.Blocks`, whose plan of sample times fixes the window's
-    samples).  Every block goes to `peaks` and to each of `extra`, which
-    take samples as `integrate.PointValues` does.  A block inside the window
+class Checks:
+    """The checks of one run over a time window, in one pass over its
+    samples.  They come one at a time (`add`), as a solve records them or a
+    kept trace replays them (`feed`), and `close` follows the last.  The
+    samples are expected at the times `plan`, which fix the window's
+    samples before any comes; a sample at another time, or past the plan's
+    end, stops the pass for good (`complete` is then False).
+
+    The pass holds up to `block_len` samples and hands them on as a block,
+    cut at the window's ends so that a block lies inside the window or
+    outside it whole.  Every block goes to `peaks` and to each of `extra`,
+    which take it as `classical.PairCheck` does.  A block inside the window
     has u = log f and the solution part of H computed once, for the enabled
     checks: H0 (`h0`), the H_R minimum (a localizer `loc`) and the residual
     (`residual`).  Each sample gets the arithmetic it gets in a check on its
@@ -373,8 +380,13 @@ class Checks(Blocks):
     def __init__(self, grid: Grid, k: HarnackConstants, p: float, plan: np.ndarray,
                  window: tuple[float, float], h0: bool = False,
                  loc: LocalizerSpec | None = None, residual: bool = False, extra=()):
-        super().__init__(grid, block_len(grid), plan, window)
         self.grid, self.k, self.p = grid, k, p
+        self.plan, self.window = plan, window
+        self.first = int(np.searchsorted(plan, window[0]))   # the window holds first..end-1
+        self.end = max(self.first, int(np.searchsorted(plan, window[1], "right")))
+        self._rows = np.empty((block_len(grid), *grid.extents))
+        self.count = self._start = 0
+        self._off = False
         self.peaks = Peaks(grid)
         self._takers = [self.peaks, *extra]
         positive = window[0] > 0   # H0 and H_R are refused on any other window
@@ -388,7 +400,43 @@ class Checks(Blocks):
         self._ht_max = 0.0
         self._before = self._prev = self._pending = None
 
-    def block(self, i: int, times: np.ndarray, samples: np.ndarray) -> None:
+    @property
+    def complete(self) -> bool:
+        """Whether every sample came, each at its planned time."""
+        return not self._off and self.count == len(self.plan)
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        i = self.count
+        self._off = self._off or i == len(self.plan) or t != self.plan[i]
+        if self._off:
+            return
+        if i - self._start == len(self._rows) or i in (self.first, self.end):
+            self._hand(i)
+        self._rows[i - self._start] = values
+        self.count += 1
+
+    def feed(self, trace: SolveTrace) -> None:
+        """A kept trace's samples, through `add`, then `close`."""
+        for t, values in zip(trace.times, trace.samples):
+            self.add(t, values)
+        self.close()
+
+    def close(self) -> None:
+        """Hands on the samples still held; `solve` calls it at the end."""
+        self._hand(self.count)
+        if self._pending is not None and len(self._pending[0]) > 1:
+            times, u, s = self._pending   # the run's last sample is no centre
+            self._pending = (times[:-1], u[:-1], s[:-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._centres(times[-1], s[-1:])
+
+    def _hand(self, stop: int) -> None:
+        """The samples held, start..stop-1, as a block, at index i = start."""
+        i = self._start
+        if stop == i:
+            return
+        times, samples = self.plan[i:stop], self._rows[:stop - i]
+        self._start = stop
         for taker in self._takers:
             taker.take(times, samples)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -401,19 +449,10 @@ class Checks(Blocks):
                     self._hr_min(times, s)
                 if self._sum is not None:
                     self._residual_block(i, times, u, s)
-            elif self._sum is not None and i + len(times) == self.first:
+            elif self._sum is not None and stop == self.first:
                 self._before = (times[-1], samples[-1:].copy())
             elif self._pending is not None and i == self.end:   # the sample after the window
                 self._centres(times[0], self._part(samples[:1]))
-
-    def close(self) -> None:
-        super().close()
-        if self._pending is not None:   # the run's last sample is no centre
-            times, u, s = self._pending
-            self._pending = (times[:-1], u[:-1], s[:-1]) if len(times) > 1 else None
-            if self._pending is not None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self._centres(times[-1], s[-1:])
 
     def _part(self, values: np.ndarray) -> np.ndarray:
         return _solution_part(np.log(values), self.grid, self.k, self.p)
@@ -526,5 +565,5 @@ def _fed(trace: SolveTrace, k: HarnackConstants, p: float, window: tuple[float, 
          **enabled) -> Checks:
     """`Checks` of the enabled checks, fed the whole trace."""
     checks = Checks(trace.grid, k, p, trace.times, window, **enabled)
-    checks.feed(trace.samples)
+    checks.feed(trace)
     return checks

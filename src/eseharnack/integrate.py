@@ -167,60 +167,6 @@ class SolveTrace:
         """The grid point where sample i peaks (its first maximum)."""
         return self.grid.point(int(np.argmax(self.samples[i])))
 
-    def values_at(self, xs, ts) -> np.ndarray:
-        """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim)
-        (`PointValues`); OutOfWindow for a time outside [times[0],
-        times[-1]] or a point off the grid box."""
-        points = PointValues(self.grid, xs, ts)
-        points.take(self.times, self.samples)
-        return points.values()
-
-
-class PointValues:
-    """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim),
-    from a run's samples taken in time order, a block at a time: multilinear
-    in space between the grid points around xs[j] (`Grid.corners`), linear in
-    time between the last sample at or before ts[j] and the first at or
-    after it, with `SolveTrace.bracket`'s arithmetic.  Of those two samples
-    only the corners that the spatial interpolation reads are kept."""
-
-    def __init__(self, grid: Grid, xs, ts):
-        self.ts = np.asarray(ts, dtype=float)
-        self._corners = grid.corners(xs)
-        shape = (len(self._corners), len(self.ts))
-        self._below, self._above = np.empty(shape), np.empty(shape)
-        self._t_below, self._t_above = np.full(len(self.ts), np.nan), np.full(len(self.ts), np.nan)
-        self._span: list[float] = []   # the first and last time taken
-
-    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
-        """The next samples of the run, of shape (len(times), *extents)."""
-        if not self._span:
-            self._span = [times[0], times[-1]]
-        self._span[1] = times[-1]
-        below = np.searchsorted(times, self.ts, "right") - 1
-        above = np.searchsorted(times, self.ts)
-        for rows, j, t_at, values in (
-                (below, np.flatnonzero(below >= 0), self._t_below, self._below),
-                (above, np.flatnonzero((above < len(times)) & np.isnan(self._t_above)),
-                 self._t_above, self._above)):
-            r = rows[j]
-            t_at[j] = times[r]
-            for c, (ix, _) in enumerate(self._corners):
-                values[c, j] = samples[(r, *(i[j] for i in ix))]
-
-    def values(self) -> np.ndarray:
-        first, last = self._span
-        off = ~((first <= self.ts) & (self.ts <= last))
-        if off.any():
-            raise OutOfWindow(f"t={self.ts[off][0]} outside sampled window [{first}, {last}]")
-        hit = self._t_above == self.ts
-        w = np.divide(self.ts - self._t_below, self._t_above - self._t_below,
-                      out=np.zeros(self.ts.shape), where=~hit)
-        total = 0.0
-        for (_, weight), below, above in zip(self._corners, self._below, self._above):
-            total = total + weight * ((1.0 - w) * below + w * above)
-        return total
-
 
 class Peaks:
     """How high, and where, each sample of a run peaks, taken a block of
@@ -249,61 +195,6 @@ class Peaks:
     @property
     def t_final(self) -> float:
         return float(self._times[-1][-1])
-
-
-class Blocks:
-    """A run's samples, taken one at a time as `solve` records them (`add`)
-    or a trace's at once (`feed`), handed on in time order to
-    `block(i, times, samples)`, i the index of the first: runs of at most
-    `length` samples, each inside the window [lo, hi] or outside it whole.
-
-    The samples are expected at the times `plan`, which fix the window's
-    samples before any comes; a sample at another time, or past the plan's
-    end, stops the hand-on for good (`complete` is then False)."""
-
-    def __init__(self, grid: Grid, length: int, plan: np.ndarray, window: tuple[float, float]):
-        self.plan, self.window = plan, window
-        self.first = int(np.searchsorted(plan, window[0]))   # the window holds first..end-1
-        self.end = max(self.first, int(np.searchsorted(plan, window[1], "right")))
-        self._rows = np.empty((length, *grid.extents))
-        self.count = self._start = 0
-        self._off = False
-
-    @property
-    def complete(self) -> bool:
-        """Whether every sample came, each at its planned time."""
-        return not self._off and self.count == len(self.plan)
-
-    def add(self, t: float, values: np.ndarray) -> None:
-        i = self.count
-        self._off = self._off or i == len(self.plan) or t != self.plan[i]
-        if self._off:
-            return
-        if i - self._start == len(self._rows) or i in (self.first, self.end):
-            self._hand(i)
-        self._rows[i - self._start] = values
-        self.count += 1
-
-    def _hand(self, stop: int) -> None:
-        if stop > self._start:
-            self.block(self._start, self.plan[self._start:stop], self._rows[:stop - self._start])
-            self._start = stop
-
-    def feed(self, samples: np.ndarray) -> None:
-        """The samples of the plan's times, then `close`."""
-        n = len(self._rows)
-        for lo, hi in ((0, self.first), (self.first, self.end), (self.end, len(self.plan))):
-            for i in range(lo, hi, n):
-                self.block(i, self.plan[i:min(i + n, hi)], samples[i:min(i + n, hi)])
-        self.count = self._start = len(self.plan)
-        self.close()
-
-    def close(self) -> None:
-        """Hands on the samples still held; `solve` calls it at the end."""
-        self._hand(self.count)
-
-    def block(self, i: int, times: np.ndarray, samples: np.ndarray) -> None:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

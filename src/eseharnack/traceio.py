@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,23 @@ def load_array(path, shape: tuple[int, ...]) -> np.ndarray:
     return a
 
 
+@contextmanager
+def writing(path):
+    """A file that cannot be written, as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+
+
 def save_trace(outdir, trace: SolveTrace) -> None:
+    """`trace` as a trace directory at `outdir` (made if missing); a file
+    that cannot be written is a ConfigError naming it."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "samples.npy", trace.samples)
-    np.save(out / "steps.npy", trace.step_log)
+    for name, array in (("samples.npy", trace.samples), ("steps.npy", trace.step_log)):
+        with writing(out / name):
+            np.save(out / name, array)
     g = trace.grid
     meta = {
         "p": trace.p,
@@ -67,7 +80,8 @@ def save_trace(outdir, trace: SolveTrace) -> None:
         "sample_times": trace.times.tolist(),
         "n_steps": int(len(trace.step_log)),
     }
-    (out / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    with writing(out / "metadata.json"):
+        (out / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def _too_large(node, key: str = "") -> str | None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eseharnack import Grid, ProblemSpec, StepConfig, gaussian, solve
+from eseharnack.classical import PairCheck
 
 # the width-0.2 Gaussian on [-4, 4] with reflecting walls is the shared
 # baseline run for the Harnack / residual / classical checks
@@ -38,6 +39,14 @@ def field_at(trace, t):
     i = min(int(np.searchsorted(ts, t, side="right")), len(ts) - 1)
     w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
     return (1.0 - w) * trace.samples[i - 1] + w * trace.samples[i]
+
+
+def values_at(trace, xs, ts):
+    """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim), as
+    the classical check reads a pair's endpoints from the whole trace."""
+    check = PairCheck(trace.grid, [(x, t, x, t) for x, t in zip(xs, ts)], trace.grid.dim)
+    check.take(trace.times, trace.samples)
+    return check.values()[:len(ts)]
 
 
 @pytest.fixture(scope="session")

