@@ -27,7 +27,7 @@ import numpy as np
 from .constants import blowup_c_valid
 from .errors import (InsufficientSamples, InvalidC, PastBlowup,
                      ThresholdNeverMet)
-from .integrate import Peaks, RescaleSpec, SolveTrace, rescale_trace
+from .integrate import RescaleSpec, SolveTrace, rescale_trace
 
 
 def classify_regime(n: int, p: float) -> str:
@@ -78,7 +78,7 @@ def ode_oracle(f0: float, p: float, t: float) -> float:
 _K_TAIL = 8   # samples in the tail fit
 
 
-def tail_fit(trace: SolveTrace | Peaks, p: float) -> tuple[float, float]:
+def tail_fit(trace: SolveTrace, p: float) -> tuple[float, float]:
     """Linear fit of g(t) = (max_x f)^{1-p} on the last `_K_TAIL` samples of
     the trace; returns (root of the fit, normalized rms fit residual).
 
@@ -108,7 +108,7 @@ def tail_fit(trace: SolveTrace | Peaks, p: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # threshold scanning and monotone growth
 
-def threshold_hit(trace: SolveTrace | Peaks, n: int, p: float, c: float
+def threshold_hit(trace: SolveTrace, n: int, p: float, c: float
                   ) -> tuple[tuple[float, ...], float] | None:
     """First sampled (x, t) with t > 0 and t * f(x, t)^{p-1} >= 4n/(2-c), x
     where that sample peaks; None if no sample meets it."""
@@ -123,7 +123,7 @@ def threshold_hit(trace: SolveTrace | Peaks, n: int, p: float, c: float
     return trace.peak(int(hits[0])), float(ts[hits[0]])
 
 
-def grows_from(trace: SolveTrace | Peaks, t0: float) -> bool:
+def grows_from(trace: SolveTrace, t0: float) -> bool:
     """True iff max_x f is nondecreasing (to 1e-9 relative) over sampled t >= t0."""
     ts, ms = trace.max_curve()
     sel = ms[ts >= t0]
@@ -169,22 +169,20 @@ class BlowupReport:
     method: str
 
 
-def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None,
-                  peaks: Peaks | None = None) -> BlowupReport:
+def blowup_report(trace: SolveTrace, n: int, p: float, c: float | None = None) -> BlowupReport:
     """Regime, the t0 = 1 threshold and `threshold_hit` for a given c, and,
     if detected, the extrapolated time (None where the tail fit has no use).
-    The scans read `peaks`, what a check pass kept of the trace's samples,
-    if given, else the trace's own samples."""
+    The scans read the trace's max curve, so a trace whose samples went to
+    a sink gives the report its kept samples would."""
     regime = classify_regime(n, p)
-    run = trace if peaks is None else peaks
     threshold = None if c is None else blowup_threshold(n, p, c)
-    met_at = None if c is None else threshold_hit(run, n, p, c)
+    met_at = None if c is None else threshold_hit(trace, n, p, c)
     detected = trace.status.kind == "blowup"
     t_est = None
     quality = None
     if detected:
         try:
-            t_est, quality = tail_fit(run, p)
+            t_est, quality = tail_fit(trace, p)
         except InsufficientSamples:
             pass
     method = (f"tail fit of (max f)^(1-p) over last {_K_TAIL} samples; "

@@ -397,9 +397,8 @@ def _run_summary(trace: SolveTrace, report: bl.BlowupReport,
     return out
 
 
-def _check_blowup(run: integrate.Peaks, report: bl.BlowupReport) -> tuple[bool, dict]:
-    """Consistency checks around the blowup machinery, on what a check pass
-    kept of a run.
+def _check_blowup(trace: SolveTrace, report: bl.BlowupReport) -> tuple[bool, dict]:
+    """Consistency checks around the blowup machinery, on a run's max curve.
 
     If blowup was detected, the extrapolated time must exceed 0.95 times the
     last sample's time and, when a sample met the threshold (its
@@ -407,9 +406,9 @@ def _check_blowup(run: integrate.Peaks, report: bl.BlowupReport) -> tuple[bool, 
     """
     ok = True
     if report.detected:
-        ok &= report.t_estimate is not None and report.t_estimate > 0.95 * run.t_final
+        ok &= report.t_estimate is not None and report.t_estimate > 0.95 * trace.t_final
         if report.threshold_met_at is not None:
-            ok &= bl.grows_from(run, report.threshold_met_at[1])
+            ok &= bl.grows_from(trace, report.threshold_met_at[1])
     return ok, asdict(report)
 
 
@@ -537,8 +536,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
     trace, checks, pairs = _checked_solve(rc, seed, loaded)
 
     check_blowup = "blowup" in cs.enabled and trace.status.kind != "aborted"
-    blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None,
-                              checks.peaks)
+    blowup = bl.blowup_report(trace, n, p, rc.blowup_c if check_blowup else None)
     summary: dict = {
         **_run_summary(trace, blowup, k),
         "admissible": verdict.admissible,
@@ -586,7 +584,7 @@ def _solve_and_check(rc: RunConfig, out: Path, seed: int, verdict: co.Admissibil
         summary["checks"]["residual"] = stats.mean_rel <= cs.residual_tol
 
     if check_blowup:
-        summary["checks"]["blowup"], summary["blowup"] = _check_blowup(checks.peaks, blowup)
+        summary["checks"]["blowup"], summary["blowup"] = _check_blowup(trace, blowup)
 
     if pairs is not None:
         verdicts = pairs.verdicts()

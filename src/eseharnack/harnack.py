@@ -37,7 +37,7 @@ from .errors import BetaZero, NonPositiveTime, WindowTooSmall
 # eseharnack.harnack.log_field
 from .field import (Grid, central_diff, grad_sq_nd, gradient_nd,  # noqa: F401
                     hessian_sq_nd, laplacian_nd, log_field)
-from .integrate import Peaks, SolveTrace
+from .integrate import SolveTrace
 
 
 def _solution_part(u: np.ndarray, grid: Grid, k: HarnackConstants,
@@ -358,12 +358,14 @@ class Checks:
 
     The pass holds up to `block_len` samples and hands them on as a block,
     cut at the window's ends so that a block lies inside the window or
-    outside it whole.  Every block goes to `peaks` and to each of `extra`,
-    which take it as `classical.PairCheck` does.  A block inside the window
-    has u = log f and the solution part of H computed once, for the enabled
-    checks: H0 (`h0`), the H_R minimum (a localizer `loc`) and the residual
-    (`residual`).  Each sample gets the arithmetic it gets in a check on its
-    own, so the reports are those of the checks run alone, bit for bit.
+    outside it whole.  Every block goes to each of `extra`, which take it
+    as `classical.PairCheck` does.  A block inside the window has u = log f
+    and the solution part of H computed once, for the enabled checks: H0
+    (`h0`), the H_R minimum (a localizer `loc`) and the residual
+    (`residual`).  Each sample gets the arithmetic it gets in a check on
+    its own, so the reports are those of the checks run alone, bit for
+    bit.  The blowup check takes no block: it reads each sample's max and
+    argmax from the run's trace (`SolveTrace.max_curve`).
     The window's arithmetic ignores overflow and invalid operations: a term
     past the float range makes a statistic inf or nan, a failed check.
 
@@ -387,8 +389,7 @@ class Checks:
         self._rows = np.empty((block_len(grid), *grid.extents))
         self.count = self._start = 0
         self._off = False
-        self.peaks = Peaks(grid)
-        self._takers = [self.peaks, *extra]
+        self._takers = extra
         positive = window[0] > 0   # H0 and H_R are refused on any other window
         self.curve: list[tuple[float, float]] | None = [] if h0 and positive else None
         self._best: tuple = (math.inf, None, math.nan)   # min H0, its flat index and t

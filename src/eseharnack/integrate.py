@@ -118,9 +118,13 @@ class SolveTrace:
     """Sampled solution history plus step metadata.
 
     times    sample times, float64 of shape (n_samples,), increasing
-    samples  sampled values, float64 of shape (n_samples, *grid.extents)
+    samples  sampled values, float64 of shape (n_samples, *grid.extents),
+             or (0, *grid.extents) for a solve whose samples went to a sink
+    maxima   each sample's max f, float64 of shape (n_samples,)
+    argmax   each sample's first maximum, a flat index, of shape (n_samples,)
 
-    Both arrays are read-only.
+    `solve` records maxima and argmax as it samples; a trace built from its
+    samples (maxima and argmax None) derives them.  Every array is read-only.
     """
 
     grid: Grid
@@ -130,10 +134,16 @@ class SolveTrace:
     status: TraceStatus
     step_log: np.ndarray
     reaction: bool = True   # False: a solve of the pure heat equation
+    maxima: np.ndarray | None = None
+    argmax: np.ndarray | None = None
 
     def __post_init__(self):
-        self.times.setflags(write=False)
-        self.samples.setflags(write=False)
+        if self.maxima is None:
+            rows = self.samples.reshape(len(self.samples), self.grid.size)
+            self.argmax = rows.argmax(axis=1)
+            self.maxima = rows[np.arange(len(rows)), self.argmax]
+        for a in (self.times, self.samples, self.maxima, self.argmax):
+            a.setflags(write=False)
 
     def __setstate__(self, state: dict) -> None:   # pickle's arrays come back writable
         self.__dict__.update(state)
@@ -144,7 +154,7 @@ class SolveTrace:
         return float(self.times[-1])
 
     def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.times, self.samples.max(axis=tuple(range(1, self.samples.ndim)))
+        return self.times, self.maxima
 
     def bracket(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(below, above, w), one entry per time of the array ts: the
@@ -165,36 +175,7 @@ class SolveTrace:
 
     def peak(self, i: int) -> tuple[float, ...]:
         """The grid point where sample i peaks (its first maximum)."""
-        return self.grid.point(int(np.argmax(self.samples[i])))
-
-
-class Peaks:
-    """How high, and where, each sample of a run peaks, taken a block of
-    samples at a time: what `blowup` reads of a run (`max_curve`, `peak`,
-    `t_final`, as of a `SolveTrace`), without the samples."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._times: list[np.ndarray] = []
-        self._maxima: list[np.ndarray] = []
-        self._flat: list[np.ndarray] = []   # each sample's argmax, a flat index
-
-    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
-        rows = samples.reshape(len(times), -1)
-        flat = rows.argmax(axis=1)
-        self._times.append(times)
-        self._maxima.append(rows[np.arange(len(flat)), flat])
-        self._flat.append(flat)
-
-    def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.concatenate(self._times), np.concatenate(self._maxima)
-
-    def peak(self, i: int) -> tuple[float, ...]:
-        return self.grid.point(int(np.concatenate(self._flat)[i]))
-
-    @property
-    def t_final(self) -> float:
-        return float(self._times[-1][-1])
+        return self.grid.point(int(self.argmax[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +666,15 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
     or a step whose result is not finite (an overflow), aborts with the
     timestamp attached; the failed step is not recorded.
 
-    Each recorded sample goes to `sink.add(t, values)`, values the solver's
-    state, which the sink copies if it keeps it, and `sink.close()` follows
-    the last; the trace then holds the times and no samples.  With no sink
-    the samples are kept (`_Kept`) and the trace holds them: the capacity
-    comes from the first step's dt, which the diffusion cap keeps for the
-    whole run; a reaction-capped run takes smaller steps and grows the array.
+    The trace records each sample's time, max f (the step's `result_max`,
+    which also sets the next dt) and first argmax, whatever keeps the
+    samples.  Each recorded sample goes to `sink.add(t, values)`, values
+    the solver's state, which the sink copies if it keeps it, and
+    `sink.close()` follows the last; the trace then holds no samples.  With
+    no sink the samples are kept (`_Kept`) and the trace holds them: the
+    capacity comes from the first step's dt, which the diffusion cap keeps
+    for the whole run; a reaction-capped run takes smaller steps and grows
+    the array.
     """
     cfg = cfg or StepConfig()
     fmax = check_cap(prob, cfg)
@@ -703,8 +687,7 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
     kept = sink if sink is not None else _Kept(_capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
                                    cfg.sample_stride, 8 * grid.size), grid.extents)
     t = 0.0
-    times = [t]
-    kept.add(t, y)
+    times, maxima, argmax = [], [], []
     step_log: list[float] = []
     prev_max = fmax
     status: TraceStatus | None = None
@@ -713,6 +696,10 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
     def record(at: float, values: np.ndarray) -> None:
         kept.add(at, values)
         times.append(at)
+        maxima.append(fmax)   # every sample is of y, whose max fmax is
+        argmax.append(values.argmax())
+
+    record(t, y)
 
     with ws:   # ends a forked partner, whatever ends the loop
         while t < prob.t_end:
@@ -754,8 +741,8 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
         record(t, y)
     kept.close()
     samples = kept.samples if sink is None else np.empty((0, *grid.extents))
-    return SolveTrace(grid, prob.p, np.array(times), samples, status,
-                      np.asarray(step_log), prob.reaction)
+    return SolveTrace(grid, prob.p, np.array(times), samples, status, np.asarray(step_log),
+                      prob.reaction, np.array(maxima), np.array(argmax))
 
 
 # ---------------------------------------------------------------------------

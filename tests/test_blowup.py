@@ -1,4 +1,6 @@
 import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from eseharnack import (Grid, SolveTrace, StepConfig, TraceStatus,
                         center_monotonicity_check, classify_regime, grows_from,
                         normalize_threshold_time, ode_blowup_time, ode_oracle,
                         solve, tail_fit, threshold_hit)
+from eseharnack.cli import load_config
 from eseharnack.errors import (InsufficientSamples, InvalidC, PastBlowup,
                                ThresholdNeverMet)
 
@@ -247,3 +250,27 @@ def test_blowup_report_without_detection(gauss128):
     assert not rep.detected
     assert rep.t_estimate is None
     assert rep.threshold_met_at is None
+
+
+CONST_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "constant_blowup.ini"
+
+
+@pytest.mark.parametrize("name", ["amplitude-10", "constant-blowup"])
+def test_a_streamed_trace_gives_the_kept_traces_blowup_report(name):
+    # the trace of a solve whose samples went to a sink holds none, yet its
+    # report must be the kept one's, float for float
+    if name == "amplitude-10":   # verify's CI config: it meets the threshold
+        prob, step, c = gaussian_problem(128, t_end=5.0, amplitude=10.0), StepConfig(), 1.5
+    else:                        # reaction-capped; no c, so the tail fit alone
+        rc = load_config(CONST_CONFIG)
+        prob, step, c = rc.problem, rc.step, rc.blowup_c
+    dropped = SimpleNamespace(add=lambda t, values: None, close=lambda: None)
+    streamed, kept = solve(prob, step, dropped), solve(prob, step)
+    assert streamed.samples.shape == (0, *prob.grid.extents)
+    assert len(streamed.times) == len(kept.samples)
+    want = blowup_report(kept, prob.n, prob.p, c)
+    assert want.detected and want.t_estimate is not None
+    assert blowup_report(streamed, prob.n, prob.p, c) == want
+    if name == "amplitude-10":
+        assert len(kept.times) == 285
+        assert want.threshold_met_at[0] == pytest.approx((0.0315,), abs=1e-4)

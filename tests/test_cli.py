@@ -2029,11 +2029,14 @@ def _streamed_configs(tmp_path):
         "off-plan": write(tmp_path, "s.ini", const.replace("t_end = 2.0", "t_end = 0.5")),
         # the rescale check keeps the trace, which the pass then replays
         "kept": write(tmp_path, "k.ini", kept),
+        # it blows up before t_end, so it is solved a second time; its
+        # summary's threshold_met_at holds the argmax of a sample
+        "amplitude-10": write(tmp_path, "a.ini", _AMPLITUDE_10_INI),
     }
 
 
 @pytest.mark.parametrize("name", ["1d-reflecting", "1d-periodic", "2d-hr", "constant-blowup",
-                                  "two-steps", "off-plan", "kept"])
+                                  "two-steps", "off-plan", "kept", "amplitude-10"])
 def test_verify_writes_the_same_reports_solving_loading_or_solving_again(
         tmp_path, monkeypatch, name):
     # checked while solving (or, with the rescale check, replayed from the
@@ -2049,7 +2052,13 @@ def test_verify_writes_the_same_reports_solving_loading_or_solving_again(
     monkeypatch.setattr(cli.integrate, "planned_times", lambda prob, step: np.zeros(1))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
     written = [r for r in _REPORTS if (tmp_path / "in-process" / r).exists()]
-    assert "summary.json" in written and len(written) >= 2
+    if name == "amplitude-10":
+        # its summary alone, which compares the argmax the solve recorded,
+        # the one the loaded samples give and that of the second solve
+        summary = json.loads((tmp_path / "in-process" / "summary.json").read_text())
+        assert written == ["summary.json"] and summary["blowup"]["threshold_met_at"]
+    else:
+        assert "summary.json" in written and len(written) >= 2
     for run in ("trace_dir", "again"):
         for report in _REPORTS:
             assert ((tmp_path / run / report).exists()
