@@ -27,7 +27,7 @@ import numpy as np
 from .constants import blowup_c_valid
 from .errors import (InsufficientSamples, InvalidC, PastBlowup,
                      ThresholdNeverMet)
-from .integrate import RescaleSpec, SolveTrace, rescale_trace
+from .integrate import RescaleSpec, SolveTrace, bracket, rescale_trace
 
 
 def classify_regime(n: int, p: float) -> str:
@@ -133,7 +133,7 @@ def grows_from(trace: SolveTrace, t0: float) -> bool:
 def center_monotonicity_check(trace: SolveTrace, threshold: float, t0: float) -> bool:
     """`grows_from`, once the field at t0 (interpolated in time) reaches the
     threshold; ThresholdNeverMet if it does not."""
-    (below,), (above,), (w,) = trace.bracket([t0])
+    (below,), (above,), (w,) = bracket(trace.times, [t0])
     peak = float(((1.0 - w) * trace.samples[below] + w * trace.samples[above]).max())
     if peak < threshold:
         raise ThresholdNeverMet(f"max f(., t0={t0}) = {peak} < threshold {threshold}")

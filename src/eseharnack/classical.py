@@ -29,9 +29,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
+from .errors import NonMonotoneTime, NonPositiveTime
 from .field import Grid
-from .integrate import SolveTrace
+from .integrate import SolveTrace, bracket
 
 
 @dataclass(frozen=True)
@@ -140,70 +140,56 @@ class PairVerdict:
 def classical_harnack_check(trace: SolveTrace, pairs, dim: int,
                             tol: float = 1e-3) -> list[PairVerdict]:
     """Check f(x1,t1) <= f(x2,t2) (t2/t1)^n exp(|dx|^2/(2 dt)) per pair
-    (`PairCheck`, fed the whole trace)."""
+    (`PairCheck`, bracketed on the trace's times and fed its samples)."""
     if not pairs:
         return []
-    check = PairCheck(trace.grid, pairs, dim, tol)
-    check.take(trace.times, trace.samples)
+    check = PairCheck(trace.grid, pairs, dim, trace.times, tol)
+    check.take(trace.samples)
     return check.verdicts()
 
 
 class PairCheck:
-    """The classical check of endpoint pairs (x1, t1, x2, t2), from a run's
-    samples taken in time order, a block at a time (`take`).
+    """The classical check of endpoint pairs (x1, t1, x2, t2) on a run
+    sampled at the increasing `times`, from its samples taken in time
+    order, a block at a time (`take`).
 
     `values` is the solution at the endpoints, x1s then x2s: multilinear in
     space between the grid points around x (`Grid.corners`), linear in time
-    between the last sample at or before t and the first at or after it,
-    with `SolveTrace.bracket`'s arithmetic.  Of those two samples only the
+    between the samples that `integrate.bracket` finds for each endpoint
+    time, once, when the check is built.  Of those two samples only the
     corners that the spatial interpolation reads are kept.
 
     Computed in log space so huge right-hand sides cannot overflow; a pair
     passes when slack >= 1 - tol, the tolerance absorbing interpolation
-    error (reported, never hidden).  `verdicts` raises NonMonotoneTime
-    unless 0 < t1 < t2, OutOfWindow for an endpoint outside the run's
-    window; an endpoint off the box is refused at once.
+    error (reported, never hidden).  An endpoint off the box, or at a time
+    outside [times[0], times[-1]], is refused when the check is built
+    (OutOfWindow); `verdicts` raises NonMonotoneTime unless 0 < t1 < t2.
     """
 
-    def __init__(self, grid: Grid, pairs, dim: int, tol: float = 1e-3):
+    def __init__(self, grid: Grid, pairs, dim: int, times: np.ndarray, tol: float = 1e-3):
         self.pairs = [(np.atleast_1d(np.asarray(x1, dtype=float)), t1,
                        np.atleast_1d(np.asarray(x2, dtype=float)), t2)
                       for x1, t1, x2, t2 in pairs]
         x1s, t1s, x2s, t2s = zip(*self.pairs)
         self.dim, self.tol = dim, tol
-        self.ts = np.asarray(t1s + t2s, dtype=float)
         self._corners = grid.corners(x1s + x2s)
-        shape = (len(self._corners), len(self.ts))
-        self._below, self._above = np.empty(shape), np.empty(shape)
-        self._t_below, self._t_above = np.full(len(self.ts), np.nan), np.full(len(self.ts), np.nan)
-        self._span: list[float] = []   # the first and last time taken
+        self._below, self._above, self._w = bracket(times, t1s + t2s)
+        shape = (len(self._corners), len(self._w))
+        self._f_below, self._f_above = np.empty(shape), np.empty(shape)
+        self._taken = 0   # rows taken so far, from the run's first sample
 
-    def take(self, times: np.ndarray, samples: np.ndarray) -> None:
-        """The next samples of the run, of shape (len(times), *extents)."""
-        if not self._span:
-            self._span = [times[0], times[-1]]
-        self._span[1] = times[-1]
-        below = np.searchsorted(times, self.ts, "right") - 1
-        above = np.searchsorted(times, self.ts)
-        for rows, j, t_at, values in (
-                (below, np.flatnonzero(below >= 0), self._t_below, self._below),
-                (above, np.flatnonzero((above < len(times)) & np.isnan(self._t_above)),
-                 self._t_above, self._above)):
-            r = rows[j]
-            t_at[j] = times[r]
+    def take(self, samples: np.ndarray) -> None:
+        """The run's next samples, of shape (rows, *extents)."""
+        first, self._taken = self._taken, self._taken + len(samples)
+        for rows, values in ((self._below, self._f_below), (self._above, self._f_above)):
+            j = np.flatnonzero((first <= rows) & (rows < self._taken))
+            r = rows[j] - first
             for c, (ix, _) in enumerate(self._corners):
                 values[c, j] = samples[(r, *(i[j] for i in ix))]
 
     def values(self) -> np.ndarray:
-        first, last = self._span
-        off = ~((first <= self.ts) & (self.ts <= last))
-        if off.any():
-            raise OutOfWindow(f"t={self.ts[off][0]} outside sampled window [{first}, {last}]")
-        hit = self._t_above == self.ts
-        w = np.divide(self.ts - self._t_below, self._t_above - self._t_below,
-                      out=np.zeros(self.ts.shape), where=~hit)
-        total = 0.0
-        for (_, weight), below, above in zip(self._corners, self._below, self._above):
+        w, total = self._w, 0.0
+        for (_, weight), below, above in zip(self._corners, self._f_below, self._f_above):
             total = total + weight * ((1.0 - w) * below + w * above)
         return total
 

@@ -294,6 +294,9 @@ def build_config(cp: _Parser) -> RunConfig:
             rescale_tol=float, blowup_c=float))
     except ValueError as exc:
         raise ConfigError(f"[checks]: {exc}") from None
+    if checks.t_min_frac * problem.t_end == 0:
+        raise ConfigError(f"[checks] t_min_frac = {checks.t_min_frac} times [problem] t_end = "
+                          f"{problem.t_end} rounds to 0: the check window must start at t > 0")
     rect = checks.hr_rect
     if rect is not None and not (len(rect) == grid.dim
                                  and all(-math.inf < lo < hi < math.inf for lo, hi in rect)):
@@ -486,7 +489,7 @@ def _checks(rc: RunConfig, seed: int, plan: np.ndarray) -> tuple[ha.Checks, cl.P
     pairs = None
     if "classical" in cs.enabled:
         pairs = cl.PairCheck(grid, cl.random_pairs(grid, cs.classical_pairs, seed, window),
-                             grid.dim, cs.classical_tol)
+                             grid.dim, plan, cs.classical_tol)
     checks = ha.Checks(grid, rc.constants, rc.problem.p, plan, window, h0="h0" in cs.enabled,
                        loc=rc.localizer, residual="residual" in cs.enabled,
                        extra=[] if pairs is None else [pairs])
@@ -681,7 +684,7 @@ def rescale_commutation_discrepancy(trace: SolveTrace, other: SolveTrace,
         block = idx[start:start + step]
         rows = slice(block[0], block[-1] + 1)
         f = trace.samples[rows] * spec.lam ** spec.delta
-        below, above, w = other.bracket(spec.lam ** 2 * trace.times[rows])
+        below, above, w = integrate.bracket(other.times, spec.lam ** 2 * trace.times[rows])
         g = (ha.column(1.0 - w, trace.grid) * other.samples[below]
              + ha.column(w, trace.grid) * other.samples[above])
         n = len(w)

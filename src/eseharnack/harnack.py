@@ -356,16 +356,16 @@ class Checks:
     samples before any comes; a sample at another time, or past the plan's
     end, stops the pass for good (`complete` is then False).
 
-    The pass holds up to `block_len` samples and hands them on as a block,
-    cut at the window's ends so that a block lies inside the window or
-    outside it whole.  Every block goes to each of `extra`, which take it
-    as `classical.PairCheck` does.  A block inside the window has u = log f
-    and the solution part of H computed once, for the enabled checks: H0
-    (`h0`), the H_R minimum (a localizer `loc`) and the residual
-    (`residual`).  Each sample gets the arithmetic it gets in a check on
-    its own, so the reports are those of the checks run alone, bit for
-    bit.  The blowup check takes no block: it reads each sample's max and
-    argmax from the run's trace (`SolveTrace.max_curve`).
+    The pass holds `block_len` samples and hands them on as a block when
+    it is full, and at `close`.  Every block goes whole to each of `extra`,
+    which take it as `classical.PairCheck` does.  The rows of a block that
+    the enabled checks read have u = log f and the solution part of H
+    computed once: H0 (`h0`) and the H_R minimum (a localizer `loc`) read
+    the window's rows, the residual (`residual`) those and the sample on
+    either side of the window.  Each sample gets the arithmetic it gets in
+    a check on its own, so the reports are those of the checks run alone,
+    bit for bit.  The blowup check takes no block: it reads each sample's
+    max and argmax from the run's trace (`SolveTrace.max_curve`).
     The window's arithmetic ignores overflow and invalid operations: a term
     past the float range makes a statistic inf or nan, a failed check.
 
@@ -399,7 +399,7 @@ class Checks:
         self._sum = PairwiseSum(self.n_centres * grid.size) if residual else None
         self._block_max: list[float] = []
         self._ht_max = 0.0
-        self._before = self._prev = self._pending = None
+        self._prev = self._pending = None
 
     @property
     def complete(self) -> bool:
@@ -411,7 +411,7 @@ class Checks:
         self._off = self._off or i == len(self.plan) or t != self.plan[i]
         if self._off:
             return
-        if i - self._start == len(self._rows) or i in (self.first, self.end):
+        if i - self._start == len(self._rows):
             self._hand(i)
         self._rows[i - self._start] = values
         self.count += 1
@@ -426,40 +426,38 @@ class Checks:
         """Hands on the samples still held; `solve` calls it at the end."""
         self._hand(self.count)
         if self._pending is not None and len(self._pending[0]) > 1:
-            times, u, s = self._pending   # the run's last sample is no centre
+            # the last row read, the run's last or the one after the window, is no centre
+            times, u, s = self._pending
             self._pending = (times[:-1], u[:-1], s[:-1])
             with np.errstate(over="ignore", invalid="ignore"):
                 self._centres(times[-1], s[-1:])
 
     def _hand(self, stop: int) -> None:
-        """The samples held, start..stop-1, as a block, at index i = start."""
-        i = self._start
-        if stop == i:
-            return
-        times, samples = self.plan[i:stop], self._rows[:stop - i]
-        self._start = stop
+        """The samples held, start..stop-1, as a block: whole to each of
+        `extra`, and to the checks the rows they read."""
+        i, self._start = self._start, stop
+        samples = self._rows[:stop - i]
         for taker in self._takers:
-            taker.take(times, samples)
+            taker.take(samples)
+        side = 1 if self._sum is not None else 0   # the residual's time neighbours
+        lo, hi = max(self.first - side, i), min(self.end + side, stop)
+        if lo >= hi:
+            return
+        times = self.plan[lo:hi]
+        rows = slice(max(self.first, lo) - lo, min(self.end, hi) - lo)   # the window's
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.first <= i < self.end:
-                u = np.log(samples)
-                s = _solution_part(u, self.grid, self.k, self.p)
-                if self.curve is not None:
-                    self._h0(times, s + column([self.k.a / t for t in times], self.grid))
-                if self._poles is not None:
-                    self._hr_min(times, s)
-                if self._sum is not None:
-                    self._residual_block(i, times, u, s)
-            elif self._sum is not None and stop == self.first:
-                self._before = (times[-1], samples[-1:].copy())
-            elif self._pending is not None and i == self.end:   # the sample after the window
-                self._centres(times[0], self._part(samples[:1]))
-
-    def _part(self, values: np.ndarray) -> np.ndarray:
-        return _solution_part(np.log(values), self.grid, self.k, self.p)
+            u = np.log(samples[lo - i:hi - i])
+            s = _solution_part(u, self.grid, self.k, self.p)
+            inside = times[rows]   # may be empty: a block of the residual's neighbours
+            if self.curve is not None:
+                self._h0(inside, s[rows] + column([self.k.a / t for t in inside], self.grid))
+            if self._poles is not None:
+                self._hr_min(inside, s[rows])
+            if self._sum is not None:
+                self._residual_block(times, u, s)
 
     def _h0(self, times: np.ndarray, h0: np.ndarray) -> None:
-        rows = h0.reshape(len(times), -1)
+        rows = h0.reshape(len(times), self.grid.size)
         for t, m, row in zip(times, rows.min(axis=1), rows):
             m = float(m)
             self.curve.append((t, m))
@@ -472,15 +470,12 @@ class Checks:
         if finite.size:
             self._hr = min(self._hr, float(finite.min()))
 
-    def _residual_block(self, i: int, times, u, s) -> None:
+    def _residual_block(self, times, u, s) -> None:
         if self._pending is not None:
             self._centres(times[0], s[:1])
-        elif i == 0:   # the run's first sample has no time before it: no centre
-            self._prev = (times[0], s[:1])
+        elif self._prev is None:   # the first row read comes before the first centre
+            self._prev = (times[0], s[:1].copy())
             times, u, s = times[1:], u[1:], s[1:]
-        elif self._prev is None:
-            t, values = self._before
-            self._prev, self._before = (t, self._part(values)), None
         if len(times):
             self._pending = (times, u, s)
 

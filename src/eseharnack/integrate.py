@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter, sleep
@@ -156,26 +157,28 @@ class SolveTrace:
     def max_curve(self) -> tuple[np.ndarray, np.ndarray]:
         return self.times, self.maxima
 
-    def bracket(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(below, above, w), one entry per time of the array ts: the
-        solution at ts[j] is (1 - w[j]) * samples[below[j]] + w[j] *
-        samples[above[j]], where a sample time has below == above and w == 0.
-        OutOfWindow for a time outside [times[0], times[-1]]."""
-        times, ts = self.times, np.asarray(ts, dtype=float)
-        off = ~((times[0] <= ts) & (ts <= times[-1]))
-        if off.any():
-            raise OutOfWindow(f"t={ts[off][0]} outside sampled window "
-                              f"[{times[0]}, {times[-1]}]")
-        above = np.searchsorted(times, ts)
-        hit = times[above] == ts
-        below = np.where(hit, above, above - 1)
-        w = np.divide(ts - times[below], times[above] - times[below],
-                      out=np.zeros(ts.shape), where=~hit)
-        return below, above, w
-
     def peak(self, i: int) -> tuple[float, ...]:
         """The grid point where sample i peaks (its first maximum)."""
         return self.grid.point(int(self.argmax[i]))
+
+
+def bracket(times: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(below, above, w), one entry per time of the array ts, for a run
+    sampled at the increasing `times`: the solution at ts[j] is (1 - w[j])
+    * samples[below[j]] + w[j] * samples[above[j]], where a sample time has
+    below == above and w == 0.  OutOfWindow for a time outside [times[0],
+    times[-1]]."""
+    ts = np.asarray(ts, dtype=float)
+    off = ~((times[0] <= ts) & (ts <= times[-1]))
+    if off.any():
+        raise OutOfWindow(f"t={ts[off][0]} outside sampled window "
+                          f"[{times[0]}, {times[-1]}]")
+    above = np.searchsorted(times, ts)
+    hit = times[above] == ts
+    below = np.where(hit, above, above - 1)
+    w = np.divide(ts - times[below], times[above] - times[below],
+                  out=np.zeros(ts.shape), where=~hit)
+    return below, above, w
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +690,8 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
     kept = sink if sink is not None else _Kept(_capacity(prob.t_end, stable_dt(grid, prob.p, fmax, cfg, prob.reaction),
                                    cfg.sample_stride, 8 * grid.size), grid.extents)
     t = 0.0
-    times, maxima, argmax = [], [], []
-    step_log: list[float] = []
+    # 8 bytes an entry, where a list holds a 32-byte float object
+    times, maxima, argmax, step_log = array("d"), array("d"), array("q"), array("d")
     prev_max = fmax
     status: TraceStatus | None = None
     accepted = 0
@@ -741,8 +744,9 @@ def solve(prob: ProblemSpec, cfg: StepConfig | None = None, sink=None) -> SolveT
         record(t, y)
     kept.close()
     samples = kept.samples if sink is None else np.empty((0, *grid.extents))
-    return SolveTrace(grid, prob.p, np.array(times), samples, status, np.asarray(step_log),
-                      prob.reaction, np.array(maxima), np.array(argmax))
+    # views of the records: copies would double their bytes as the solve returns
+    return SolveTrace(grid, prob.p, np.asarray(times), samples, status, np.asarray(step_log),
+                      prob.reaction, np.asarray(maxima), np.asarray(argmax))
 
 
 # ---------------------------------------------------------------------------

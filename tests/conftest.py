@@ -44,8 +44,9 @@ def field_at(trace, t):
 def values_at(trace, xs, ts):
     """The solution at the m points (xs[j], ts[j]), xs of shape (m, dim), as
     the classical check reads a pair's endpoints from the whole trace."""
-    check = PairCheck(trace.grid, [(x, t, x, t) for x, t in zip(xs, ts)], trace.grid.dim)
-    check.take(trace.times, trace.samples)
+    check = PairCheck(trace.grid, [(x, t, x, t) for x, t in zip(xs, ts)], trace.grid.dim,
+                      trace.times)
+    check.take(trace.samples)
     return check.values()[:len(ts)]
 
 

@@ -7,6 +7,7 @@ import pytest
 from eseharnack import (Grid, PathSpec, RescaleSpec, classical_harnack_check,
                         dp_min_path_cost, min_path_cost, path_cost,
                         random_pairs, rescale_trace)
+from eseharnack.classical import PairCheck
 from eseharnack.errors import NonMonotoneTime, NonPositiveTime, OutOfWindow
 from eseharnack.harnack import default_window
 
@@ -144,6 +145,13 @@ def test_out_of_window_errors(gauss256):
         classical_harnack_check(gauss256, [((9.0,), 0.2, (0.0,), 0.5)], 1)
     with pytest.raises(OutOfWindow):   # endpoints of another dimension
         classical_harnack_check(gauss256, [((0.0, 0.0), 0.2, (0.0, 0.0), 0.5)], 1)
+
+
+def test_pair_check_refuses_an_endpoint_outside_its_times_when_built(gauss256):
+    ts = gauss256.times
+    for t in (ts[0] - 0.1, ts[-1] + 0.1):
+        with pytest.raises(OutOfWindow, match=f"t={t} outside sampled window"):
+            PairCheck(gauss256.grid, [((0.0,), 0.2, (0.0,), t)], 1, ts)
 
 
 def test_no_pairs_give_no_verdicts(gauss256):

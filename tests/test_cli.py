@@ -1616,8 +1616,11 @@ def test_rescaled_solve_config_error_names_the_rescale_check(tmp_path, capsys, m
      "[step] f_cap = 0.5 must exceed the initial maximum 1.0"),
     (("[step]\n", "[step]\nf_cap = 10\n\n[checks]\nenabled = h0, rescale\n"
       "rescale_lambda = 0.25\n"), "[checks] rescale (rescale_lambda = 0.25)"),
-], ids=["empty-hr-rect", "hr-beta-zero", "hr-alpha-not-above-beta", "blowup-c",
-        "f-cap-main", "f-cap-rescaled"])
+] + [(("t_end = 5.0\n", f"t_end = 5e-324\n\n[checks]\nenabled = {check}\n"),
+       "[checks] t_min_frac = 0.05 times [problem] t_end = 5e-324 rounds to 0")
+      for check in ("h0", "classical")],
+    ids=["empty-hr-rect", "hr-beta-zero", "hr-alpha-not-above-beta", "blowup-c",
+         "f-cap-main", "f-cap-rescaled", "window-underflow-h0", "window-underflow-classical"])
 def test_config_only_errors_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
                                                      change, key):
     # each needs only the config, so each is refused before anything is

@@ -484,6 +484,16 @@ def _rough_trace(extents, n_samples, seed, boundary="reflecting"):
 BLOCK_TRACES = [((256,), 39), ((16, 16), 23), ((8, 8, 8), 13), ((64, 64), 6)]
 
 
+def _block_aligned(trace):
+    """A window whose first sample starts a block and whose last ends one,
+    before a block that holds the sample after it where the trace has three
+    blocks: (ts[16], ts[31]) on the 1-D trace of 39 samples in blocks of 16,
+    whose residual then reads a neighbour in the blocks before and after."""
+    ts, b = trace.times, block_len(trace.grid)
+    last = b * ((len(ts) - 1) // b) - 1
+    return ts[b], ts[last if last >= b else -1]
+
+
 def _h0_report_per_sample(trace, k, p, window):
     curve, best, arg_x, arg_t = [], math.inf, (), math.nan
     for i in window_indices(trace.times, window):
@@ -500,7 +510,7 @@ def _h0_report_per_sample(trace, k, p, window):
 def test_h0_report_on_blocks_equals_the_per_sample_report(extents, n_samples):
     trace = _rough_trace(extents, n_samples, seed=len(extents))
     ts = trace.times
-    for window in ((ts[0], ts[-1]), (ts[2], ts[-3])):
+    for window in ((ts[0], ts[-1]), (ts[2], ts[-3]), _block_aligned(trace)):
         rep = h0_report(trace, IMPROVED, 2.0, window)
         curve, best, arg_x, arg_t = _h0_report_per_sample(trace, IMPROVED, 2.0, window)
         assert rep.curve == curve
@@ -524,7 +534,7 @@ def test_hr_window_min_on_blocks_equals_the_per_sample_minimum(extents, n_sample
     dim = len(extents)
     loc = make_localizer(((-0.7, 0.4), (0.3, 1.9), (-0.2, 0.3))[:dim], dim, BLOWUP_K)
     ts = trace.times
-    for window in ((ts[0], ts[-1]), (ts[1], ts[-2])):
+    for window in ((ts[0], ts[-1]), (ts[1], ts[-2]), _block_aligned(trace)):
         assert hr_window_min(trace, BLOWUP_K, 2.0, loc, window) == \
             _hr_min_per_sample(trace, BLOWUP_K, 2.0, loc, window)
 
@@ -534,7 +544,7 @@ def test_residual_on_blocks_matches_cached_reference(extents, n_samples):
     # every block ends at a centre whose next sample starts the next block
     trace = _rough_trace(extents, n_samples, seed=20 + len(extents))
     ts = trace.times
-    for window in ((ts[0], ts[-1]), (ts[2], ts[-2])):
+    for window in ((ts[0], ts[-1]), (ts[2], ts[-2]), _block_aligned(trace)):
         stats = evolution_residual(trace, IMPROVED, 2.0, window)
         assert (stats.max_abs, stats.mean_abs, stats.normalizer, stats.n_times) == \
             _cached_residual(trace, IMPROVED, 2.0, window)

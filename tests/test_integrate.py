@@ -20,7 +20,7 @@ from eseharnack.cli import rescale_commutation_discrepancy
 from eseharnack import integrate
 from eseharnack.errors import NonPositiveField, OutOfWindow
 from eseharnack.integrate import (_TIMED, _WARM, _WINDOW, SolveTrace, TraceStatus,
-                                  _capacity, _Workspace, stable_dt)
+                                  _capacity, _Workspace, bracket, stable_dt)
 
 from conftest import (constant_problem, field_at, gaussian_problem, needs_split,
                       values_at)
@@ -288,6 +288,20 @@ def test_solve_holds_each_sample_once():
     assert peak <= (n + 16) * field_bytes
 
 
+def test_solve_records_each_sample_and_step_in_a_few_bytes():
+    # configs/gaussian_hamilton.ini's run: 8,129 steps and 2,034 samples,
+    # whose times, maxima, argmax and step log take 8 bytes an entry; as
+    # lists of 32-byte Python objects they peaked some 600 KB above the samples
+    tracemalloc.start()
+    try:
+        trace = solve(gaussian_problem(256), StepConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(trace.step_log), len(trace.samples)) == (8129, 2034)
+    assert peak - trace.samples.nbytes <= 300_000
+
+
 def test_capacity_estimate():
     assert _capacity(1.0, 0.01, 1, 8) == 102
     assert _capacity(1.0, 0.01, 4, 8) == 27
@@ -363,11 +377,11 @@ def test_values_at_interpolates_linearly_in_time(gauss128):
 def test_bracket_at_sample_times_and_between(gauss128):
     ts = gauss128.times
     t_mid = 0.5 * (ts[3] + ts[4])
-    below, above, w = gauss128.bracket([ts[0], ts[3], t_mid, ts[-1]])
+    below, above, w = bracket(ts, [ts[0], ts[3], t_mid, ts[-1]])
     assert below.tolist() == [0, 3, 3, len(ts) - 1]
     assert above.tolist() == [0, 3, 4, len(ts) - 1]
     assert w.tolist() == [0.0, 0.0, (t_mid - ts[3]) / (ts[4] - ts[3]), 0.0]
-    assert [a.shape for a in gauss128.bracket([])] == [(0,)] * 3
+    assert [a.shape for a in bracket(ts, [])] == [(0,)] * 3
 
 
 def _corners_at(grid, x):
